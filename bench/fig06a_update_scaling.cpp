@@ -33,7 +33,7 @@ int main() {
   });
 
   bench::JsonSeries json("fig06a_update_scaling", scale.name, "ops_per_sec");
-  Table t({"threads", "quancurrent", "sequential", "speedup", "waits", "combines"});
+  Table t({"threads", "quancurrent", "sequential", "speedup", "waits"});
   core::Stats last_stats;
   for (std::uint32_t threads : bench::thread_sweep(scale.max_threads)) {
     core::Stats run_stats;
@@ -52,23 +52,18 @@ int main() {
     json.add(threads, tput);
     t.add_row({Table::integer(threads), Table::mops(tput), Table::mops(seq_tput),
                Table::num(tput / seq_tput, 2) + "x",
-               Table::integer(run_stats.gather_waits + run_stats.latch_spins),
-               Table::integer(run_stats.combined_installs)});
+               Table::integer(run_stats.gather_waits + run_stats.latch_spins)});
   }
   t.print();
   std::printf("\ncontention @ max threads: gather_waits=%llu latch_spins=%llu "
-              "installs=%llu combined=%llu max_combine=%llu batches=%llu\n",
+              "installs=%llu batches=%llu\n",
               static_cast<unsigned long long>(last_stats.gather_waits),
               static_cast<unsigned long long>(last_stats.latch_spins),
               static_cast<unsigned long long>(last_stats.installs),
-              static_cast<unsigned long long>(last_stats.combined_installs),
-              static_cast<unsigned long long>(last_stats.max_combine),
               static_cast<unsigned long long>(last_stats.batches));
   json.counter("gather_waits", static_cast<double>(last_stats.gather_waits));
   json.counter("latch_spins", static_cast<double>(last_stats.latch_spins));
   json.counter("installs", static_cast<double>(last_stats.installs));
-  json.counter("combined_installs", static_cast<double>(last_stats.combined_installs));
-  json.counter("max_combine", static_cast<double>(last_stats.max_combine));
   json.counter("batches", static_cast<double>(last_stats.batches));
 
   const std::string dir = bench::json_out_dir();

@@ -7,9 +7,9 @@
 //
 // Ingest side: the owner's Gather&Sort cost — multiway merge of pre-sorted
 // b-chunks vs. the full-sort baseline (radix batch_sort and std::sort) across
-// k x b — plus an install-combining depth sweep and the substrate ops (batch
-// radix sort, tritmap arithmetic).  These quantify the constants behind
-// fig06a/fig07a/fig07b; results land in BENCH_ingest_micro.json.
+// k x b — plus the substrate ops (batch radix sort, tritmap arithmetic).
+// These quantify the constants behind fig06a/fig07a/fig07b; results land in
+// BENCH_ingest_micro.json.
 //
 // Env: QC_SCALE/QC_KEYS, QC_K, QC_B, QC_BENCH_JSON.
 #include <algorithm>
@@ -233,43 +233,6 @@ int main() {
       }
     }
     g.print();
-    std::printf("\n");
-  }
-
-  // ----- ingest path: install-combining depth sweep ------------------------
-  //
-  // Cost per installed batch when the drainer combines d queued batches per
-  // latch hold: enqueue_batch parks pre-sorted batches without draining, then
-  // drain_installs() installs them in groups of d, amortizing the latch
-  // acquisition, tritmap CAS, and publication across the group.
-  {
-    std::printf("install combining: drain cost per batch vs depth\n");
-    Table c({"depth", "time/batch", "note"});
-    const std::uint32_t ck = 1024;
-    const std::size_t ccap = 2 * static_cast<std::size_t>(ck);
-    auto batch_data = stream::make_stream(stream::Distribution::kUniform, ccap, 13);
-    std::sort(batch_data.begin(), batch_data.end());
-    const auto batch_span = std::span<const double>(batch_data);
-    for (const std::uint32_t depth : {1u, 2u, 4u, 8u}) {
-      core::Options o;
-      o.k = ck;
-      o.install_combine = depth;
-      o.install_queue = 16;
-      core::Quancurrent<double> sk(o);
-      const std::uint64_t rounds = 200;
-      qc::Timer timer;
-      for (std::uint64_t r = 0; r < rounds; ++r) {
-        for (std::uint32_t i = 0; i < 8; ++i) sk.enqueue_batch(batch_span);
-        sk.drain_installs();
-      }
-      const double per_batch = timer.seconds() / static_cast<double>(rounds * 8);
-      c.add_row({Table::integer(depth), micros(per_batch),
-                 depth == 1 ? "no combining (baseline)" : ""});
-      char key[64];
-      std::snprintf(key, sizeof(key), "install_us_per_batch_depth%u", depth);
-      ingest_json.add(key, per_batch * 1e6);
-    }
-    c.print();
     std::printf("\n");
   }
 

@@ -2,7 +2,7 @@
 # Runs every built bench binary at smoke scale and fails if any exits
 # non-zero.  Benches that track a perf trajectory (fig06a -> BENCH_ingest
 # incl. ingest contention counters, fig06b -> BENCH_query, micro_primitives
-# -> BENCH_ingest_micro with the Gather&Sort and install-combining sweeps,
+# -> BENCH_ingest_micro with the Gather&Sort sweep,
 # fig07c -> BENCH_rho, ext_sharded_scaling -> BENCH_sharded, fig10_vs_fcds
 # -> BENCH_fig10 with the Quancurrent-vs-FCDS matched-relaxation sweep,
 # ext_kll_compare -> BENCH_kll, ext_theta_scaling -> BENCH_theta,

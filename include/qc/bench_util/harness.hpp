@@ -126,7 +126,7 @@ inline std::string json_out_dir() { return env::get_str("QC_BENCH_JSON", ""); }
 // writes them as a small JSON document — the machine-readable perf trajectory
 // CI uploads as an artifact.  Counters carry run diagnostics alongside the
 // headline metric (e.g. fig06a's ingest contention counters: gather_waits,
-// latch_spins, combined_installs, ...), so a trajectory diff can say *why*
+// latch_spins, installs, ...), so a trajectory diff can say *why*
 // throughput moved.
 class JsonSeries {
  public:
@@ -173,7 +173,7 @@ class JsonSeries {
 
 // Flat (name -> value) JSON emitter for benches whose results are keyed by
 // configuration rather than thread count (e.g. micro_primitives' gather-path
-// sweep over (k, b) and the install-combining depth sweep).
+// sweep over (k, b)).
 class JsonKv {
  public:
   JsonKv(std::string bench, std::string scale)

@@ -1,9 +1,10 @@
 // Sorting substrate for the ingest path.
 //
-// batch_sort — fast ascending full sort, the Gather&Sort FALLBACK/BASELINE
-// when chunk pre-sorting is disabled (Options::presort_chunks = false; the
-// production pipeline merges pre-sorted chunks instead, see
-// core/run_merge.hpp ChunkMerger).  For arithmetic keys under the default
+// batch_sort — fast ascending full sort: the Updater's local pre-sort when
+// b is not a multiple of 16, FCDS's worker-side batch sort, and the full-sort
+// baseline micro_primitives times the Gather&Sort chunk merge against (the
+// production owner merges pre-sorted chunks, see core/run_merge.hpp
+// ChunkMerger).  For arithmetic keys under the default
 // ordering this is an LSD radix sort over order-preserving bit images
 // (sign-flipped integers, monotone-mapped IEEE floats), with per-byte
 // histograms computed in one pass so that bytes on which all keys agree

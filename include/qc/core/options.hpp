@@ -28,26 +28,10 @@ struct Options {
   std::uint32_t b = 16;    // per-thread local buffer (elements moved per F&A)
   std::uint32_t rho = 2;   // Gather&Sort buffers per NUMA node
 
-  // Updaters sort their local b-buffer before flushing it, so a full gather
-  // buffer is a sequence of 2k/b sorted chunks and the batch owner builds the
-  // sorted 2k batch with a multiway chunk merge — O(2k log(2k/b)) owner work
-  // spread-sorted across all writer threads — instead of a from-scratch
-  // O(2k log 2k) full sort.  Off = the pre-chunk-merge pipeline (updaters
-  // flush raw, the owner runs batch_sort); kept as the A/B baseline for
-  // micro_primitives and fig06a.
-  bool presort_chunks = true;
-
-  // Combining installer drain depth: the batch owner holding the install
-  // latch installs up to this many queued sorted batches in one latch hold,
-  // publishing the whole group with a single tritmap CAS.  1 = one batch per
-  // latch acquisition (the pre-combining behavior, with the hand-off queue
-  // still decoupling gather ordinals from installation).
-  std::uint32_t install_combine = 4;
-
-  // Capacity (in 2k batches) of the bounded MPSC install hand-off queue.
-  // 0 = auto: the smallest power of two >= max(8, 2 * install_combine).
-  // Producers that find the queue full wait for the drainer — the queue
-  // bounds the ingest-to-query relaxation by install_queue * 2k elements.
+  // Capacity (in 2k batches) of the bounded MPSC install hand-off queue; a
+  // power of two, at least 8.  0 = auto (8).  Producers that find the queue
+  // full wait for the drainer — the queue bounds the ingest-to-query
+  // relaxation by install_queue * 2k elements.
   std::uint32_t install_queue = 0;
 
   // Interval-based reclamation cadence for the elastic level blocks.  The
@@ -80,9 +64,9 @@ struct Options {
   // mode (ibr_stats().degraded): ingest throttles at the install latch until
   // a scan succeeds, so retired memory stays <= cap * k * sizeof(T) instead
   // of growing without bound.  Queries are unaffected (they never take the
-  // latch).  0 disables the cap (the pre-PR-7 unbounded behavior); nonzero
-  // values are clamped to >= 64 so the cap can never sit below one drain
-  // group's worst-case retirement burst.
+  // latch).  0 disables the cap (unbounded retire list); nonzero values
+  // are clamped to >= 64 so the cap can never sit below one cascade's
+  // worst-case retirement burst.
   std::uint32_t ibr_retire_cap = 4096;
 
   // Install-latch watchdog threshold, nanoseconds.  Every latch hold is
@@ -120,9 +104,8 @@ struct Options {
   // Clamps fields into the ranges the engine supports and returns the list
   // of rewrites applied: k >= 2, rho >= 1, b adjusted down to the nearest
   // divisor of the 2k batch size so that F&A reservations always tile the
-  // gather buffer exactly, install_combine in [1, 256], both IBR cadences in
-  // [1, kMaxIbrFreq], and install_queue rounded up to a power of two large
-  // enough to hold one full drain group.
+  // gather buffer exactly, both IBR cadences in [1, kMaxIbrFreq], and
+  // install_queue rounded up to a power of two of at least 8.
   // Normalizing already-normalized options applies (and returns) nothing.
   std::vector<Adjustment> normalize() {
     std::vector<Adjustment> log;
@@ -152,13 +135,6 @@ struct Options {
       while (cap % divisor != 0) --divisor;
       adjust("b", b, divisor, "b must divide 2k (flushes tile the gather buffer)");
     }
-    if (install_combine == 0) {
-      adjust("install_combine", install_combine, 1, "install_combine >= 1");
-    }
-    if (install_combine > 256) {
-      adjust("install_combine", install_combine, 256,
-             "install_combine <= 256 (bounded latch hold)");
-    }
     if (ibr_epoch_freq == 0) {
       adjust("ibr_epoch_freq", ibr_epoch_freq, 1,
              "ibr_epoch_freq >= 1 (0 would never advance the epoch)");
@@ -177,7 +153,7 @@ struct Options {
     }
     if (ibr_retire_cap != 0 && ibr_retire_cap < kMinRetireCap) {
       adjust("ibr_retire_cap", ibr_retire_cap, kMinRetireCap,
-             "ibr_retire_cap >= 64 (must cover one drain group's retirement burst)");
+             "ibr_retire_cap >= 64 (must cover one cascade's retirement burst)");
     }
     if (install_queue > kMaxInstallQueue) {
       // Also keeps the power-of-two rounding below from overflowing (an
@@ -185,14 +161,8 @@ struct Options {
       adjust("install_queue", install_queue, kMaxInstallQueue,
              "install_queue <= 4096 (bounds the hand-off ring's memory)");
     }
-    std::uint32_t want = install_queue;
-    if (want == 0) want = 2 * install_combine;
-    if (want < 8) want = 8;
-    // An explicit queue size is still raised to hold one full drain group,
-    // so a configured install_combine depth is always reachable.
-    if (want < install_combine) want = install_combine;
     std::uint32_t cap2 = 8;
-    while (cap2 < want) cap2 *= 2;
+    while (cap2 < install_queue) cap2 *= 2;
     if (install_queue != cap2) {
       // 0 is the documented "auto" request, not a misconfiguration: size it
       // silently.  Only explicit values that had to be rounded are reported.
@@ -200,7 +170,7 @@ struct Options {
         install_queue = cap2;
       } else {
         adjust("install_queue", install_queue, cap2,
-               "install_queue rounded up (power of two holding one drain group)");
+               "install_queue rounded up (power of two, at least 8)");
       }
     }
     return log;

@@ -5,9 +5,9 @@
 // Ingestion pipeline — three decoupled stages, each parallel or amortized:
 //
 //   1. PRE-SORT (every update thread).  Updates land in a per-thread local
-//      buffer of b items; when it fills, the thread sorts it in place
-//      (Options::presort_chunks) and only then flushes, so sort work is
-//      spread across all writer threads while the data is L1-hot.
+//      buffer of b items; when it fills, the thread sorts it in place and
+//      only then flushes, so sort work is spread across all writer threads
+//      while the data is L1-hot.
 //   2. GATHER & MERGE (the batch owner).  A flush F&A-reserves b slots in the
 //      2k-element Gather&Sort buffer of the thread's NUMA node; the thread
 //      that commits the last slot becomes the batch OWNER.  Because every
@@ -18,14 +18,12 @@
 //      from-scratch O(2k log 2k) sort.  The merge writes straight into a free cell of the
 //      install queue, after which the owner reopens its gather ordinal —
 //      ingestion into that buffer resumes before the batch is installed.
-//   3. COMBINING INSTALL (one owner at a time).  Sorted batches are handed to
-//      a bounded MPSC ring (Options::install_queue cells); whichever owner
-//      holds the install latch drains up to Options::install_combine pending
-//      batches in FIFO order, applies all their cascades against a private
-//      tritmap, and publishes the whole group with a single tritmap CAS, so
-//      latch/CAS/publication costs amortize across the group.  Owners whose
-//      batch was installed by another drainer return to ingesting without
-//      ever holding the latch.
+//   3. INSTALL (one owner at a time).  Sorted batches are handed to a bounded
+//      MPSC ring (Options::install_queue cells); whichever owner holds the
+//      install latch installs the oldest pending batch and publishes it with
+//      its own tritmap CAS, as in the paper.  Owners help drain the ring
+//      until their own batch is installed, so an owner whose batch another
+//      drainer installed returns to ingesting without ever holding the latch.
 //
 // Each NUMA node rotates through rho Gather&Sort buffers so ingestion
 // continues while an owner is merging.  Buffers are recycled by a monotonic
@@ -58,20 +56,14 @@
 // and clear — wait-free throughout.  ibr_stats() exposes the counters the
 // abl_reclamation ablation sweeps.
 //
-// Publication protocol.  A single-batch install only writes slots that the
-// currently published tritmap marks empty, then flips the tritmap old -> new
-// with one CAS, so a query that loads the tritmap sees a fully consistent
-// levels description.  Queries re-validate the install sequence number after
-// copying; if an install raced past them they retry, and after a bounded
-// number of attempts they accept the snapshot and report the affected arrays
-// as holes (counted, never crashed on), mirroring the paper's hole analysis
-// (§4.1).  A combined (multi-batch) group may additionally need to republish
-// a slot the published tritmap still marks occupied (a later batch refills a
-// level an earlier batch of the same group consumed); those groups flip
-// install_seq_ odd for the duration of the dangerous publications,
-// seqlock-style, so a querier can never validate a copy window that
-// overlapped them — single-batch groups never enter the odd phase and remain
-// wait-free for queriers, exactly as before.
+// Publication protocol.  An install only writes slots that the currently
+// published tritmap marks empty (checked in every build), then flips the
+// tritmap old -> new with one CAS and advances install_seq_ by one, so a
+// query that loads the tritmap sees a fully consistent levels description.
+// Queries re-validate the install sequence number after copying; if an
+// install raced past them they retry, and after a bounded number of attempts
+// they accept the snapshot and report the racing installs as holes (counted,
+// never crashed on), mirroring the paper's hole analysis (§4.1).
 //
 // Query engine.  Every published level slot is a sorted k-run (the KLL
 // compactor invariant), so a snapshot is a set of sorted runs, not a bag of
@@ -97,14 +89,13 @@
 // exception-safe with a DOCUMENTED outcome, enforced by the chaos suite
 // (tests/test_fault.cpp) under QC_FAULT_INJECT:
 //
-//   * Cascade OOM never half-publishes.  drain_group runs each cascade in
-//     two phases: prepare_cascade simulates the cascade against the group
-//     tritmap, enforces the retire cap, and stages every block it will need
+//   * Cascade OOM never half-publishes.  drain_one runs each cascade in
+//     two phases: prepare_cascade simulates the cascade against the
+//     published tritmap, enforces the retire cap, and stages every block it will need
 //     in stash_ — all throws happen there, before any slot, epoch, or seq
 //     is touched.  apply_cascade then only consumes the stash (no-throw).
-//     On OOM the batch stays parked in its install cell and the group
-//     publishes the prefix it already applied: backpressure, not data loss,
-//     and install_seq_ parity is always restored (stats().install_defers).
+//     On OOM the batch stays parked in its install cell and nothing is
+//     published: backpressure, not data loss (stats().install_defers).
 //   * The install latch never leaks: every latch hold is scoped (LatchGuard
 //     or a noexcept drain), timed, and watchdogged (Options::latch_watchdog_ns,
 //     stats().latch_watchdog_trips).
@@ -166,19 +157,16 @@ struct Stats {
   // Ingest contention counters (fig06a/fig06c diagnostics; collect_stats
   // only).  Together they say *why* update throughput moves: gather_waits
   // counts flushes that reserved into a closed gather ordinal and had to
-  // wait, latch_spins counts failed install-latch acquisitions by owners
-  // waiting on the install queue, and installs/combined_installs/max_combine
-  // describe how well the combining installer amortizes publication
-  // (batches / installs = mean batches per drain group).
-  std::uint64_t gather_waits = 0;       // flushes that waited for their ordinal
-  std::uint64_t latch_spins = 0;        // failed install-latch try-acquires
-  std::uint64_t installs = 0;           // publish groups (1 CAS each)
-  std::uint64_t combined_installs = 0;  // groups that drained > 1 batch
-  std::uint64_t max_combine = 0;        // largest batches-per-drain group seen
+  // wait, and latch_spins counts failed install-latch acquisitions by owners
+  // waiting on the install queue.  Every install publishes exactly one
+  // batch, so installs == batches.
+  std::uint64_t gather_waits = 0;  // flushes that waited for their ordinal
+  std::uint64_t latch_spins = 0;   // failed install-latch try-acquires
+  std::uint64_t installs = 0;      // tritmap publications (1 CAS each)
 
   // Degradation + latch observability (ALWAYS collected, unlike the
   // contention counters above: these move only on latch transitions or
-  // failure paths, so the cost is a few relaxed ops per drain group).  See
+  // failure paths, so the cost is a few relaxed ops per install).  See
   // the failure-model section of the file comment.
   std::uint64_t install_defers = 0;     // cascades deferred by allocation failure
   std::uint64_t queue_full_waits = 0;   // producers that found the install ring full
@@ -312,7 +300,6 @@ class Quancurrent {
     const auto adjustments = opts_.normalize();
     if (opts_.collect_stats) Options::report(adjustments);
     cap_ = 2 * static_cast<std::uint64_t>(opts_.k);
-    presort_ = opts_.presort_chunks && cap_ % opts_.b == 0;
     // No level storage here: the elastic ladder allocates blocks on demand
     // (alloc_block).  Only the reclamation bookkeeping is pre-reserved so
     // retire_block rarely reallocates under the install latch.
@@ -373,8 +360,7 @@ class Quancurrent {
           lease_(sketch),
           node_(sketch.opts_.topology.node_of(thread_index)),
           b_(sketch.opts_.b),
-          presort_(sketch.presort_),
-          net_merge_(sketch.presort_ && sketch.opts_.b > 16 && sketch.opts_.b % 16 == 0),
+          net_merge_(sketch.opts_.b > 16 && sketch.opts_.b % 16 == 0),
           local_(sketch.opts_.b) {
       if (net_merge_) sorted_.resize(b_);
     }
@@ -386,7 +372,6 @@ class Quancurrent {
           lease_(std::move(other.lease_)),
           node_(other.node_),
           b_(other.b_),
-          presort_(other.presort_),
           net_merge_(other.net_merge_),
           local_(std::move(other.local_)),
           sorted_(std::move(other.sorted_)),
@@ -423,18 +408,11 @@ class Quancurrent {
     }
 
     // Bulk ingestion: memcpy-fills the local buffer in chunk-sized strides
-    // instead of one element (and one full-buffer branch) per call.  With
-    // pre-sorting disabled, whole b-chunks are flushed straight from `vs`
-    // without touching the local buffer at all.
+    // instead of one element (and one full-buffer branch) per call.
     void update(std::span<const T> vs) {
       std::size_t i = 0;
       const std::size_t n = vs.size();
       while (i < n) {
-        if (count_ == 0 && !presort_ && n - i >= b_) {
-          sketch_->flush_chunk(node_, vs.data() + i, b_, lease_.slot());
-          i += b_;
-          continue;
-        }
         const std::size_t take =
             std::min<std::size_t>(b_ - count_, n - i);
         std::memcpy(local_.data() + count_, vs.data() + i, take * sizeof(T));
@@ -463,19 +441,17 @@ class Quancurrent {
     // chunk-merge them — both paths keep the per-update sort cost a fraction
     // of what the owner's from-scratch full sort used to pay per item.
     void flush_local() {
-      if (presort_) {
-        if (net_merge_) {
-          for (std::uint32_t off = 0; off < b_; off += 16) {
-            small_sort(std::span<T>(local_.data() + off, 16), sketch_->cmp_);
-          }
-          merger_.merge(std::span<const T>(local_), 16, std::span<T>(sorted_),
-                        sketch_->cmp_);
-          sketch_->flush_chunk(node_, sorted_.data(), b_, lease_.slot());
-          count_ = 0;
-          return;
+      if (net_merge_) {
+        for (std::uint32_t off = 0; off < b_; off += 16) {
+          small_sort(std::span<T>(local_.data() + off, 16), sketch_->cmp_);
         }
-        batch_sort(std::span<T>(local_), sort_aux_, sketch_->cmp_);
+        merger_.merge(std::span<const T>(local_), 16, std::span<T>(sorted_),
+                      sketch_->cmp_);
+        sketch_->flush_chunk(node_, sorted_.data(), b_, lease_.slot());
+        count_ = 0;
+        return;
       }
+      batch_sort(std::span<T>(local_), sort_aux_, sketch_->cmp_);
       sketch_->flush_chunk(node_, local_.data(), b_, lease_.slot());
       count_ = 0;
     }
@@ -484,7 +460,6 @@ class Quancurrent {
     IbrSlotLease lease_;  // this handle's epoch announcement slot
     std::uint32_t node_;
     std::uint32_t b_;
-    bool presort_;
     bool net_merge_;  // pre-sort via 16-networks + chunk merge (16 | b)
     std::vector<T> local_;
     std::vector<T> sorted_;    // net_merge_ output, flushed instead of local_
@@ -605,9 +580,7 @@ class Quancurrent {
     s.query_retries = stat_query_retries_.load(std::memory_order_relaxed);
     s.gather_waits = stat_gather_waits_.load(std::memory_order_relaxed);
     s.latch_spins = stat_latch_spins_.load(std::memory_order_relaxed);
-    s.installs = stat_installs_.load(std::memory_order_relaxed);
-    s.combined_installs = stat_combined_installs_.load(std::memory_order_relaxed);
-    s.max_combine = stat_max_combine_.load(std::memory_order_relaxed);
+    s.installs = s.batches;  // every install publishes exactly one batch
     s.install_defers = stat_install_defers_.load(std::memory_order_relaxed);
     s.queue_full_waits = stat_queue_full_waits_.load(std::memory_order_relaxed);
     s.oom_dropped_items = stat_oom_dropped_.load(std::memory_order_relaxed);
@@ -654,9 +627,9 @@ class Quancurrent {
 
   // Parks a sorted 2k batch in the install queue WITHOUT draining it, and
   // returns its queue position; pair with drain_installs().  Blocks if the
-  // queue is full.  This is the diagnostic/test surface for exercising
-  // multi-batch combining deterministically; production ingestion always
-  // follows an enqueue with drain_until(), so the queue self-drains.
+  // queue is full.  This is the diagnostic/test surface for parking batches
+  // deterministically; production ingestion always follows an enqueue with
+  // drain_until(), so the queue self-drains.
   std::uint64_t enqueue_batch(std::span<const T> sorted_batch) QC_EXCLUDES(latch_) {
     // Size is memory safety (the memcpy below trusts it); sortedness is an
     // algorithmic precondition (wrong answers, not wrong accesses) and O(2k)
@@ -676,7 +649,7 @@ class Quancurrent {
   // Installs one sorted k-run directly at ladder level `level` (each item
   // carrying weight 2^level) through the normal install queue: the run lands
   // in a free slot — cascading a compaction upward if the level fills — and
-  // is published by the regular combining drain, so concurrent queriers stay
+  // is published by the regular install drain, so concurrent queriers stay
   // wait-free exactly as for 2k batch installs.  This is the merge
   // primitive: folding another sketch into this one is a sequence of
   // install_run() calls plus a push_tail() of its weight-1 residue.
@@ -719,15 +692,14 @@ class Quancurrent {
     tail_version_.fetch_add(1, std::memory_order_release);
   }
 
-  // Installs every batch currently parked in the install queue (in groups of
-  // up to install_combine, like any drain).  Used by quiesce() and the
-  // combining-depth benchmarks.
+  // Installs every batch currently parked in the install queue, one per
+  // latch hold like any drain.  Used by quiesce() and tests.
   void drain_installs() QC_EXCLUDES(latch_) {
     Backoff backoff;
     while (install_head_.load(std::memory_order_acquire) !=
            install_tail_.load(std::memory_order_acquire)) {
       if (try_acquire_latch()) {
-        drain_group();
+        drain_one();
         release_latch();
       } else {
         backoff.spin();
@@ -796,8 +768,7 @@ class Quancurrent {
     // epoch the copy reflects.  Valid for reuse while the level's published
     // epoch and trit both still match: slot contents change only through
     // installs, and every batch cascade that writes a level stores a fresh
-    // epoch (unique per batch, not per publish group, so two writes of the
-    // same level within one combined group are distinguishable).
+    // epoch.
     struct LevelCache {
       std::uint64_t epoch = kNever;
       std::uint32_t trit = 0;    // trit the copy was made under
@@ -820,34 +791,19 @@ class Quancurrent {
       // scenario the retire cap (Options::ibr_retire_cap) exists for.
       QC_INJECT_STALL(querier_stall);
       holes_ = 0;
-      Backoff backoff;
       for (std::uint32_t attempt = 0;; ++attempt) {
         // Snapshot validation uses the install sequence number, not tritmap
         // equality: the tritmap word can return to a previous value (ABA)
         // after several installs, but install_seq_ is monotonic, so
-        // seq-stable implies no install group published during the copy.
-        // Single-batch groups only write slots their pre-publish tritmap
-        // marks empty, so every run copied under a stable seq was stable;
-        // multi-batch groups that must rewrite a published-occupied slot
-        // hold install_seq_ ODD for the duration (seqlock), so a copy window
-        // overlapping such writes can never validate: it either starts on an
-        // odd seq (rejected here) or spans the even->odd flip (rejected by
-        // the re-check below).
+        // seq-stable implies no install published during the copy.  An
+        // install only writes slots its pre-publish tritmap marks empty, so
+        // every run copied under a stable seq was stable.
         const std::uint64_t seq = s.install_seq_.load(std::memory_order_acquire);
-        const bool unstable = (seq & 1) != 0;
-        if (!force_full && !unstable && seq == snap_seq_ &&
+        if (!force_full && seq == snap_seq_ &&
             s.tail_version_.load(std::memory_order_acquire) == snap_tail_ver_) {
           // Nothing published and no tail churn since the last validated
           // snapshot: the summary is already current.
           return;
-        }
-        const bool last_attempt = attempt + 1 == kSnapshotRetries;
-        if (unstable && !last_attempt) {
-          if (s.opts_.collect_stats) {
-            s.stat_query_retries_.fetch_add(1, std::memory_order_relaxed);
-          }
-          backoff.spin();
-          continue;
         }
         const Tritmap tm = s.tritmap_.load(std::memory_order_acquire);
         // qc-lint-allow(qc-check-over-assert): ladder-shape documentation on
@@ -858,23 +814,23 @@ class Quancurrent {
         collect_levels(tm, force_full);
         const std::uint64_t tail_ver = copy_tail();
         // The copy loads above are acquire, so this re-check load cannot be
-        // reordered before them, and a copy that observed a dangerous write
-        // synchronizes with the installer's odd flip (see collect_levels) —
-        // it cannot re-read the pre-flip (even) seq here.
+        // reordered before them, and a copy that loaded a block a later
+        // install published synchronizes with every earlier install's seq
+        // advance (see collect_levels) — it cannot re-read `seq` here.
         const std::uint64_t check = s.install_seq_.load(std::memory_order_acquire);
-        if (!unstable && check == seq) {
+        if (check == seq) {
           snap_seq_ = seq;
           snap_tail_ver_ = tail_ver;
           build(tm, /*runs_may_be_torn=*/false);
           return;
         }
-        if (last_attempt) {
-          // Accept the snapshot; each racing install group may have recycled
-          // arrays under our copy.  Count the groups as holes, as the paper
-          // does.  Torn copies may not be sorted, so build via the
+        if (attempt + 1 == kSnapshotRetries) {
+          // Accept the snapshot; each racing install may have recycled
+          // arrays under our copy.  Count the installs as holes, as the
+          // paper does.  Torn copies may not be sorted, so build via the
           // global-sort fallback, and poison the cache so the next refresh
           // re-copies.
-          holes_ = std::max<std::uint64_t>(1, (check - seq) / 2);
+          holes_ = check - seq;
           if (s.opts_.collect_stats) {
             s.stat_holes_.fetch_add(holes_, std::memory_order_relaxed);
           }
@@ -923,11 +879,12 @@ class Quancurrent {
           // handle's epoch announcement, which is what lets the reclaimer's
           // scan prove the block cannot be freed under us (IBR, file
           // comment).  Published blocks are immutable, so the memcpy can
-          // never tear.  If the slot was dangerously republished, loading
-          // the NEW pointer makes the installer's preceding odd seq flip
-          // visible to refresh_impl's re-check (seq_cst store/load pair),
-          // which rejects the snapshot; loading the OLD pointer yields
-          // content consistent with the tritmap we validated against.
+          // never tear.  If a later install republished the slot, loading
+          // the NEW pointer makes the seq advance of the install that
+          // emptied it visible to refresh_impl's re-check (seq_cst
+          // store/load pair), which rejects the snapshot; loading the OLD
+          // pointer yields content consistent with the tritmap we copied
+          // under.
           const LevelBlock* blk =
               s.slot_block(level, slot).load(std::memory_order_seq_cst);
           if (blk == nullptr) break;  // racing unpublish: this snapshot
@@ -1136,22 +1093,19 @@ class Quancurrent {
       return nullptr;
     }
     Options o;
-    std::uint8_t presort = 0;
     std::uint8_t stats = 0;
     std::uint8_t serprop = 0;
     std::array<std::uint64_t, 4> rng_state{};
     std::uint64_t tritmap_raw = 0;
-    if (!r.get(o.k) || !r.get(o.b) || !r.get(o.rho) || !r.get(presort) ||
-        !r.get(stats) || !r.get(o.install_combine) || !r.get(o.install_queue) ||
-        !r.get(serprop) || !r.get(o.ibr_epoch_freq) || !r.get(o.ibr_recl_freq) ||
-        !r.get(o.ibr_retire_cap) || !r.get(o.latch_watchdog_ns) ||
+    if (!r.get(o.k) || !r.get(o.b) || !r.get(o.rho) || !r.get(stats) ||
+        !r.get(o.install_queue) || !r.get(serprop) || !r.get(o.ibr_epoch_freq) ||
+        !r.get(o.ibr_recl_freq) || !r.get(o.ibr_retire_cap) || !r.get(o.latch_watchdog_ns) ||
         !r.get(o.seed) || !r.get(o.topology.nodes) ||
         !r.get(o.topology.threads_per_node) || !r.get(rng_state) ||
         !r.get(tritmap_raw)) {
       serde::set_status(status, serde::Status::short_buffer);
       return nullptr;
     }
-    o.presort_chunks = presort != 0;
     o.collect_stats = stats != 0;
     o.serialize_propagation = serprop != 0;
     if (o.k < 2 || o.rho == 0 || o.topology.nodes == 0 ||
@@ -1283,19 +1237,17 @@ class Quancurrent {
 
   // One Gather&Sort buffer.  All three counters are monotonic: reservation
   // position p belongs to ordinal p / cap, and a buffer serves ordinal o only
-  // once `ordinal` has advanced to o.  merger/sort_aux are owner-only
-  // scratch: exactly one owner exists per buffer at a time (the next
-  // ordinal's owner cannot finish committing before the current owner
-  // reopens the ordinal, and the current owner stops touching the scratch
-  // before reopening).
+  // once `ordinal` has advanced to o.  merger is owner-only scratch: exactly
+  // one owner exists per buffer at a time (the next ordinal's owner cannot
+  // finish committing before the current owner reopens the ordinal, and the
+  // current owner stops touching the scratch before reopening).
   struct Gather {
     explicit Gather(std::uint64_t cap) : slots(cap) {}
     alignas(64) std::atomic<std::uint64_t> reserved{0};
     alignas(64) std::atomic<std::uint64_t> committed{0};
     alignas(64) std::atomic<std::uint64_t> ordinal{0};
     std::vector<T> slots;
-    std::vector<T> sort_aux;           // full-sort fallback radix scratch
-    ChunkMerger<T, Compare> merger;    // chunk-merge Gather&Sort
+    ChunkMerger<T, Compare> merger;  // chunk-merge Gather&Sort
   };
 
   // One cell of the bounded MPSC install hand-off queue (Vyukov-style ticket
@@ -1436,9 +1388,13 @@ class Quancurrent {
   // it displaces.  The seq_cst store participates in the reclamation-safety
   // total order: a querier that announced its epoch before loading this
   // pointer is guaranteed visible to any scan that could free the displaced
-  // block (file comment, IBR).
-  void publish_slot(std::uint32_t level, std::uint32_t slot, LevelBlock* nb)
-      QC_REQUIRES(latch_) {
+  // block (file comment, IBR).  The slot must be one the `published`
+  // tritmap marks empty: a querier copying under `published` would
+  // otherwise read the new block and validate it against the old tritmap.
+  // Checked in every build, since the snapshot protocol rests on it.
+  void publish_slot(std::uint32_t level, std::uint32_t slot, LevelBlock* nb,
+                    Tritmap published) QC_REQUIRES(latch_) {
+    QC_CHECK(slot >= published.trit(level), "install overwrote a published slot");
     auto& ref = slot_block(level, slot);
     LevelBlock* old = ref.load(std::memory_order_relaxed);
     ref.store(nb, std::memory_order_seq_cst);
@@ -1669,9 +1625,7 @@ class Quancurrent {
     w.put(opts_.k);
     w.put(opts_.b);
     w.put(opts_.rho);
-    w.put(static_cast<std::uint8_t>(opts_.presort_chunks ? 1 : 0));
     w.put(static_cast<std::uint8_t>(opts_.collect_stats ? 1 : 0));
-    w.put(opts_.install_combine);
     w.put(opts_.install_queue);
     w.put(static_cast<std::uint8_t>(opts_.serialize_propagation ? 1 : 0));
     w.put(opts_.ibr_epoch_freq);
@@ -1717,8 +1671,7 @@ class Quancurrent {
   // Moves a full local buffer into the node's gather buffer; the committer of
   // the final slot becomes the batch owner and runs Gather&Sort (a multiway
   // merge of the buffer's pre-sorted b-chunks straight into an install-queue
-  // cell), reopens the ordinal, and hands the batch to the combining
-  // installer.
+  // cell), reopens the ordinal, and hands the batch to the installer.
   void flush_chunk(std::uint32_t node_idx, const T* items, std::uint32_t count,
                    IbrSlot* slot = nullptr) QC_EXCLUDES(latch_) {
     // Updater-side epoch announcement (relaxed): a flush can end up holding
@@ -1771,7 +1724,7 @@ class Quancurrent {
       // Owner: every slot of this ordinal is committed.  Point writers at the
       // next buffer, build the sorted batch in an install cell, reopen the
       // ordinal (ingestion into this buffer resumes immediately), then see
-      // the batch through the combining installer.
+      // the batch through the installer.
       std::uint64_t expected = gen;
       node.cur.compare_exchange_strong(expected, gen + 1, std::memory_order_acq_rel);
       // Ablation arm (§5.5, abl_propagation): serialize every owner duty —
@@ -1787,13 +1740,8 @@ class Quancurrent {
       const std::uint64_t cell_pos = acquire_cell();
       InstallCell& cell = install_q_[cell_pos & (opts_.install_queue - 1)];
       cell.level = 0;
-      if (presort_) {
-        gb.merger.merge(std::span<const T>(gb.slots.data(), cap_), opts_.b,
-                        std::span<T>(cell.items.data(), cap_), cmp_);
-      } else {
-        batch_sort(std::span<T>(gb.slots), gb.sort_aux, cmp_);
-        std::memcpy(cell.items.data(), gb.slots.data(), cap_ * sizeof(T));
-      }
+      gb.merger.merge(std::span<const T>(gb.slots.data(), cap_), opts_.b,
+                      std::span<T>(cell.items.data(), cap_), cmp_);
       gb.ordinal.store(ord + 1, std::memory_order_release);
       cell.seq.store(cell_pos + 1, std::memory_order_release);
       drain_until(cell_pos);
@@ -1833,15 +1781,15 @@ class Quancurrent {
   }
 
   // Waits until the batch at queue position `my_pos` is published, helping:
-  // whenever the latch is free the caller takes it and drains a group.  An
-  // owner whose batch is installed by another drainer returns without ever
-  // holding the latch — that is the combining win under contention.
+  // whenever the latch is free the caller takes it and installs the oldest
+  // pending batch.  An owner whose batch is installed by another drainer
+  // returns without ever holding the latch.
   void drain_until(std::uint64_t my_pos) QC_EXCLUDES(latch_) {
     Backoff backoff;
     for (;;) {
       if (install_head_.load(std::memory_order_acquire) > my_pos) return;
       if (try_acquire_latch()) {
-        drain_group();
+        drain_one();
         release_latch();
       } else {
         if (opts_.collect_stats) {
@@ -1852,9 +1800,9 @@ class Quancurrent {
     }
   }
 
-  // Drains up to install_combine ready batches (FIFO), applies all their
-  // cascades against a private tritmap, and publishes the whole group with a
-  // single tritmap CAS and a single net install_seq_ advance of 2.
+  // Installs the batch at the head of the install queue, if it is ready:
+  // applies its cascade against the published tritmap and publishes it with
+  // one tritmap CAS and one install_seq_ advance.
   //
   // Caller must hold latch_.  The latch serializes drainers, and protects
   // exactly the pre-publication install state: the blocks being filled,
@@ -1863,96 +1811,71 @@ class Quancurrent {
   // block allocation, retirement, and reclamation (alloc_block /
   // retire_block / ibr_scan are latch-holder-only).  The reuse pool keeps
   // the common case allocation-free; stats counters are relaxed atomics.
-  //
-  // Seqlock phase: the first batch of a group starts from the published
-  // tritmap, so (like the old single-batch installer) it only writes slots
-  // the published tritmap marks empty — invisible to queriers.  A LATER
-  // batch of the same group can refill a level an earlier batch consumed,
-  // rewriting a slot queriers may be copying; before the first such write
-  // the group flips install_seq_ odd, and the final advance restores even
-  // parity, so any query copy window overlapping a dangerous write fails
-  // validation (see Querier::refresh_impl).
-  void drain_group() QC_REQUIRES(latch_) {
+  void drain_one() QC_REQUIRES(latch_) {
     // Chaos builds: wedge the latch holder right here — producers park on the
     // ring, queriers keep answering from the published state, and the hold
     // must show up in latch_current_hold_ns / latch_watchdog_trips.
     QC_INJECT_STALL(latch_stall);
-    const std::uint64_t start = install_head_.load(std::memory_order_relaxed);
-    std::uint64_t head = start;
+    const std::uint64_t head = install_head_.load(std::memory_order_relaxed);
+    InstallCell& cell = install_q_[head & (opts_.install_queue - 1)];
+    if (cell.seq.load(std::memory_order_acquire) != head + 1) return;
     Tritmap published = tritmap_.load(std::memory_order_relaxed);
-    Tritmap tm = published;
-    std::uint64_t steps = 0;
-    bool seq_odd = false;
-    while (head - start < opts_.install_combine) {
-      InstallCell& cell = install_q_[head & (opts_.install_queue - 1)];
-      if (cell.seq.load(std::memory_order_acquire) != head + 1) break;
-      // Two-phase install (failure-model section of the file comment): first
-      // SIMULATE the cascade and stage every block it will publish — all
-      // allocation, and therefore all throwing, happens before a single slot
-      // is written.  On OOM the cell stays parked in the ring, the group ends
-      // at the prefix already applied, and the producer's drain_until retries
-      // the install later: backpressure, never a torn publication or a lost
-      // batch (stats().install_defers counts these).
-      if (!prepare_cascade(tm, cell.level)) {
-        stat_install_defers_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      }
-      const std::size_t cell_items = cell.level == 0 ? cap_ : opts_.k;
-      tm = apply_cascade(tm, published,
-                         std::span<const T>(cell.items.data(), cell_items),
-                         cell.level, seq_odd, steps);
-      QC_CHECK(stash_.empty(), "cascade simulation diverged from its application");
-      // The cascade fully consumed the cell's items; free it for the next
-      // lap before publishing so producers stall as little as possible.
-      cell.seq.store(head + opts_.install_queue, std::memory_order_release);
-      ++head;
+    // Two-phase install (failure-model section of the file comment): first
+    // SIMULATE the cascade and stage every block it will publish — all
+    // allocation, and therefore all throwing, happens before a single slot
+    // is written.  On OOM the cell stays parked in the ring, nothing is
+    // published, and the producer's drain_until retries the install later:
+    // backpressure, never a torn publication or a lost batch
+    // (stats().install_defers counts these).
+    if (!prepare_cascade(published, cell.level)) {
+      stat_install_defers_.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
-    if (head == start) return;
+    std::uint64_t steps = 0;
+    const std::size_t cell_items = cell.level == 0 ? cap_ : opts_.k;
+    const Tritmap tm = apply_cascade(
+        published, std::span<const T>(cell.items.data(), cell_items), cell.level, steps);
+    QC_CHECK(stash_.empty(), "cascade simulation diverged from its application");
+    // The cascade fully consumed the cell's items; free it for the next lap
+    // before publishing so producers stall as little as possible.
+    cell.seq.store(head + opts_.install_queue, std::memory_order_release);
     const bool swapped = tritmap_.compare_exchange_strong(
         published, tm, std::memory_order_release, std::memory_order_relaxed);
     // Only the latch holder ever writes tritmap_; a failed CAS is not a race
     // to retry but a broken publication protocol — torn ladder state behind
     // it would mean wild slot reads, so fail loudly in every build.
     QC_CHECK(swapped, "tritmap changed under the install latch");
-    // Net +2 per group keeps install_seq_ even outside dangerous write
-    // phases; a group that flipped odd adds the second half here.
-    install_seq_.fetch_add(seq_odd ? 1 : 2, std::memory_order_release);
-    install_head_.store(head, std::memory_order_release);
+    install_seq_.fetch_add(1, std::memory_order_release);
+    install_head_.store(head + 1, std::memory_order_release);
     if (opts_.collect_stats) {
-      const std::uint64_t drained = head - start;
-      stat_batches_.fetch_add(drained, std::memory_order_relaxed);
+      stat_batches_.fetch_add(1, std::memory_order_relaxed);
       stat_propagations_.fetch_add(steps, std::memory_order_relaxed);
-      stat_installs_.fetch_add(1, std::memory_order_relaxed);
-      if (drained > 1) {
-        stat_combined_installs_.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::uint64_t seen = stat_max_combine_.load(std::memory_order_relaxed);
-      while (seen < drained && !stat_max_combine_.compare_exchange_weak(
-                                   seen, drained, std::memory_order_relaxed)) {
-      }
     }
   }
 
-  // Applies one install's full propagation cascade against the group-private
-  // tritmap `tm`, writing level slots and epochs; returns the evolved
+  // Applies one install's full propagation cascade against the published
+  // tritmap `published`, writing level slots and epochs; returns the evolved
   // tritmap.  `entry_level` 0 is the ingest path: `items` is a sorted 2k
   // weight-1 batch that lands as level 0's two arrays and compacts upward.
   // `entry_level` L > 0 is the merge path: `items` is one sorted k-run that
   // drops into a free slot at level L (weight 2^L), cascading onward only if
   // that fills the level — so a merge replays another sketch's ladder
-  // through the very same publication machinery.  `published` is the tritmap
-  // queriers can currently see: writing a slot below its trit requires the
-  // seqlock odd phase (entered lazily, at most once per group).  Caller must
-  // hold latch_ and have run prepare_cascade(tm, entry_level) successfully:
-  // every block consumed here comes from stash_ and the retire list is
+  // through the very same publication machinery.  A cascade climbs the
+  // ladder and writes each level at most once, always into the slot the
+  // published tritmap marks as the first empty one; queriers copying under
+  // `published` therefore never see a slot change underneath them (see
+  // Querier::refresh_impl's validation).  Caller must hold latch_
+  // and have run prepare_cascade(published, entry_level) successfully: every
+  // block consumed here comes from stash_ and the retire list is
   // pre-reserved, so this function NEVER THROWS — once the first slot write
   // lands, the cascade always runs to its tritmap CAS.
-  Tritmap apply_cascade(Tritmap tm, Tritmap published, std::span<const T> items,
-                        std::uint32_t entry_level, bool& seq_odd,
-                        std::uint64_t& steps) QC_REQUIRES(latch_) {
-    // Every cascade gets a fresh epoch so that two writes of the same
-    // level within one group are distinguishable to querier run caches.
+  Tritmap apply_cascade(const Tritmap published, std::span<const T> items,
+                        std::uint32_t entry_level, std::uint64_t& steps)
+      QC_REQUIRES(latch_) {
+    // Every cascade gets a fresh epoch so querier run caches can tell two
+    // writes of the same level apart.
     const std::uint64_t epoch = ++epoch_counter_;
+    Tritmap tm = published;
     std::span<const T> source = items;
     std::uint32_t level = entry_level;
     if (entry_level == 0) {
@@ -1968,11 +1891,7 @@ class Quancurrent {
       QC_CHECK(dest_slot < 2, "cascade entry level has no free slot");
       LevelBlock* nb = take_block();
       std::memcpy(nb->items.data(), items.data(), opts_.k * sizeof(T));
-      if (!seq_odd && dest_slot < published.trit(entry_level)) {
-        install_seq_.fetch_add(1, std::memory_order_relaxed);
-        seq_odd = true;
-      }
-      publish_slot(entry_level, dest_slot, nb);
+      publish_slot(entry_level, dest_slot, nb, published);
       level_epoch_[entry_level].store(epoch, std::memory_order_release);
       tm = tm.with_trit(entry_level, dest_slot + 1);
       if (tm.trit(level) == 2) {
@@ -1995,16 +1914,7 @@ class Quancurrent {
       const std::uint32_t parity = rng_.next_bool() ? 1 : 0;
       T* dest = nb->items.data();
       for (std::uint32_t i = 0; i < opts_.k; ++i) dest[i] = source[2 * i + parity];
-      if (!seq_odd && dest_slot < published.trit(dest_level)) {
-        // About to republish a slot queriers may be copying: enter the
-        // dangerous-write phase.  The flip itself can be relaxed — it is
-        // sequenced before publish_slot's seq_cst pointer store, so any
-        // querier whose copy loaded the NEW pointer observes the flip at
-        // its re-check and retries (see Querier::collect_levels).
-        install_seq_.fetch_add(1, std::memory_order_relaxed);
-        seq_odd = true;
-      }
-      publish_slot(dest_level, dest_slot, nb);
+      publish_slot(dest_level, dest_slot, nb, published);
       // Release the level's new epoch only after its publication so that a
       // querier reading this epoch (acquire) sees the new pointer; see
       // Querier::collect_levels.
@@ -2023,7 +1933,6 @@ class Quancurrent {
 
   Options opts_;
   std::uint64_t cap_ = 0;  // gather batch size: 2k
-  bool presort_ = true;    // presort_chunks resolved against b | 2k
   Compare cmp_;
 
   std::vector<std::unique_ptr<Node>> nodes_;
@@ -2094,9 +2003,8 @@ class Quancurrent {
   Xoshiro256 rng_ QC_GUARDED_BY(latch_){0};
   std::uint64_t epoch_counter_ QC_GUARDED_BY(latch_) = 0;  // per-batch-cascade
 
-  // Monotonic publish clock: advances by a net 2 per published group, and is
-  // ODD exactly while a combined group is rewriting published-occupied slots
-  // (the seqlock phase queriers must not validate across).
+  // Monotonic publish clock: advances by one per published install, after
+  // its tritmap CAS; queriers validate their copy window against it.
   std::atomic<std::uint64_t> install_seq_{0};
 
   // Tail: weight-1 residue from drains and quiesce, outside the tritmap.
@@ -2113,9 +2021,6 @@ class Quancurrent {
   mutable std::atomic<std::uint64_t> stat_query_retries_{0};
   mutable std::atomic<std::uint64_t> stat_gather_waits_{0};
   mutable std::atomic<std::uint64_t> stat_latch_spins_{0};
-  mutable std::atomic<std::uint64_t> stat_installs_{0};
-  mutable std::atomic<std::uint64_t> stat_combined_installs_{0};
-  mutable std::atomic<std::uint64_t> stat_max_combine_{0};
 
   // Failure-model observability (always collected; see Stats).  Mutable
   // because the latch helpers run on const paths too (serialize, merge

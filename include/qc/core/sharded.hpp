@@ -229,7 +229,7 @@ class ShardedQuancurrent {
     return total;
   }
 
-  // Field-wise sum over shards (max for max_combine).
+  // Field-wise sum over shards (max for the latch-hold maxima).
   Stats stats() const {
     Stats total;
     for (const auto& s : shards_) {
@@ -241,8 +241,6 @@ class ShardedQuancurrent {
       total.gather_waits += st.gather_waits;
       total.latch_spins += st.latch_spins;
       total.installs += st.installs;
-      total.combined_installs += st.combined_installs;
-      total.max_combine = std::max(total.max_combine, st.max_combine);
       total.install_defers += st.install_defers;
       total.queue_full_waits += st.queue_full_waits;
       total.oom_dropped_items += st.oom_dropped_items;

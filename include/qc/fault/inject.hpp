@@ -46,7 +46,7 @@ enum class Point : std::uint8_t {
   deserialize_alloc,      // deserialize(): a payload allocation fails
   install_queue_full,     // acquire_cell(): delay a producer as if the ring
                           // were full (backpressure path)
-  latch_stall,            // drain_group(): wedge the install-latch holder
+  latch_stall,            // drain_one(): wedge the install-latch holder
   querier_stall,          // Querier::refresh(): park a reader mid-snapshot,
                           // epoch pin held
   gather_stall,           // flush_chunk(): preempt a writer between its

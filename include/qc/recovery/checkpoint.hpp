@@ -9,7 +9,7 @@
 //                          into a different shard count (re-routed via merge)
 //   serialize_sharded() /
 //   deserialize_sharded()  the container as an in-memory sharded serde — the
-//                          ShardedQuancurrent round-trip the unframed v3
+//                          ShardedQuancurrent round-trip the unframed
 //                          serde never had
 //
 // Crash-consistency protocol (the classic one, with every step a named
@@ -427,7 +427,7 @@ std::unique_ptr<core::ShardedQuancurrent<T, Compare>> recover_sharded(
 }
 
 // The container as an in-memory sharded serde — the ShardedQuancurrent
-// round-trip the unframed v3 serde never had.  Same bytes a checkpoint file
+// round-trip the unframed serde never had.  Same bytes a checkpoint file
 // holds, minus the file.
 template <typename T, typename Compare>
 std::vector<std::byte> serialize_sharded(

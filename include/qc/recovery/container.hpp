@@ -1,5 +1,5 @@
 // The checkpoint container: a CRC32C-framed, chunked file format wrapping
-// the v3 serde so recovery can tell a committed checkpoint from a torn one.
+// the binary serde so recovery can tell a committed checkpoint from a torn one.
 //
 // The unframed serde blob (serde/binary.hpp) is built for trusted in-memory
 // exchange: it has no integrity check, so a crash mid-write leaves a prefix
@@ -11,7 +11,7 @@
 //   chunk     := type:u32 | crc32c(payload):u32 | payload_len:u64 | payload
 //   manifest  := kind:u32 (single=1 | sharded=2) | shard_count:u32
 //                | total_elements:u64          (chunk 0, exactly once)
-//   shard     := shard_index:u32 | serde-v3 blob (one chunk per shard, in
+//   shard     := shard_index:u32 | serde blob (one chunk per shard, in
 //                index order — the "sharded serde" the ROADMAP names)
 //   commit    := generation:u64 | chunk_count:u32 | reserved:u32
 //                | payload_total:u64 | crc32c(chunk crc sequence):u32
@@ -108,7 +108,7 @@ struct Manifest {
 struct Parsed {
   std::uint64_t generation = 0;
   Manifest manifest;
-  std::vector<std::span<const std::byte>> shard_blobs;  // serde-v3 images
+  std::vector<std::span<const std::byte>> shard_blobs;  // serde images
 };
 
 struct ParseResult {

@@ -32,10 +32,11 @@
 namespace qc::serde {
 
 inline constexpr std::uint32_t kMagic = 0x4B534351u;  // "QCSK"
-inline constexpr std::uint16_t kVersion = 3;  // v3: concurrent images carry
-                                              // the retire-cap + watchdog
-                                              // degradation knobs (v2: the
-                                              // IBR + propagation knobs)
+inline constexpr std::uint16_t kVersion = 4;  // v4: concurrent images drop
+                                              // the presort + combine-depth
+                                              // bytes (v3: retire-cap +
+                                              // watchdog knobs; v2: IBR +
+                                              // propagation knobs)
 inline constexpr std::uint16_t kEndianness = 0x0102;
 // What a reader on a machine of the other byte order sees in each field of a
 // blob written natively here (and vice versa).

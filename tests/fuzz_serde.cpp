@@ -49,8 +49,8 @@ bool too_expensive(const std::uint8_t* data, std::size_t size) {
   if (size < kHeaderBytes + 4) return false;  // header rejects before allocating
   const std::uint32_t k = peek_u32(data, 12);  // same offset in both engines
   if (k > (1u << 16)) return true;
-  if (size >= 34 && data[8] == 2 /* Engine::concurrent */) {
-    if (peek_u32(data, 30) > 64) return true;  // install_queue
+  if (size >= 29 && data[8] == 2 /* Engine::concurrent */) {
+    if (peek_u32(data, 25) > 64) return true;  // install_queue
   }
   return false;
 }
@@ -101,7 +101,7 @@ void run_one(const std::uint8_t* data, std::size_t size) {
   }
   // Framed checkpoint container (recovery-layer sharded serde).  The CRC
   // framing rejects nearly all mutations before any engine decode runs;
-  // whatever parses carries per-shard v3 blobs, which get the same expense
+  // whatever parses carries per-shard serde blobs, which get the same expense
   // guard as the bare images above.
   {
     qc::recovery::Parsed parsed;

@@ -150,7 +150,7 @@ QC_TEST(serialize_propagation_is_bit_equivalent) {
   // The ablation control arm only adds a lock around owner duties — with one
   // thread the two engines must walk identical states.  The serialized
   // images may differ ONLY in the serialize_propagation options byte
-  // (offset 34: header 12 + k/b/rho 12 + presort/stats 2 + combine/queue 8).
+  // (offset 29: header 12 + k/b/rho 12 + stats 1 + queue 4).
   qc::Options base = small_options(64, 8);
   base.seed = 99;
   qc::Options serial = base;
@@ -179,7 +179,7 @@ QC_TEST(serialize_propagation_is_bit_equivalent) {
     }
   }
   CHECK_EQ(diffs, std::size_t{1});
-  CHECK_EQ(diff_at, std::size_t{34});
+  CHECK_EQ(diff_at, std::size_t{29});
 }
 
 QC_TEST(quiesce_tolerates_concurrent_merge_into) {

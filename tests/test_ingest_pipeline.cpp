@@ -1,11 +1,10 @@
 // Tests for the parallel ingest pipeline: pre-sorted local buffers, the
-// chunk-merge Gather&Sort primitives, and the combining installer.
+// chunk-merge Gather&Sort primitives, and the install queue.
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
@@ -111,77 +110,6 @@ QC_TEST(small_sort_preserves_signed_zero_bits) {
   }
 }
 
-// An explicitly configured install queue must still be able to hold one full
-// drain group (normalize's documented guarantee).
-QC_TEST(normalize_keeps_install_queue_at_least_combine_depth) {
-  qc::core::Options o;
-  o.install_combine = 64;
-  o.install_queue = 16;
-  o.normalize();
-  CHECK(o.install_queue >= o.install_combine);
-  CHECK_EQ(o.install_queue & (o.install_queue - 1), 0u);  // power of two
-}
-
-// The combining installer must publish exactly the state serial installs
-// would: same tritmap word, same levels (hence bit-identical summaries),
-// under a deterministic single-threaded schedule that parks several batches
-// in the install queue before any drain runs.
-QC_TEST(combining_installs_match_serial_installs) {
-  const std::uint32_t k = 64;
-  const std::size_t cap = 2 * k;
-  // Pre-sorted batches with distinct contents.
-  std::vector<std::vector<double>> batches;
-  for (int i = 0; i < 7; ++i) {
-    auto b = qc::stream::make_stream(Distribution::kUniform, cap,
-                                     1000 + static_cast<std::uint64_t>(i));
-    std::sort(b.begin(), b.end());
-    batches.push_back(std::move(b));
-  }
-
-  auto opts_with_combine = [&](std::uint32_t combine) {
-    auto o = pipeline_options(k, 8);
-    o.install_combine = combine;
-    o.install_queue = 16;
-    return o;
-  };
-  qc::core::Quancurrent<double> serial(opts_with_combine(1));
-  qc::core::Quancurrent<double> combined(opts_with_combine(8));
-
-  for (auto* sk : {&serial, &combined}) {
-    // One published batch first so later combined cascades must refill a
-    // level the published tritmap marks occupied (the seqlock path).
-    sk->enqueue_batch(std::span<const double>(batches[0]));
-    sk->drain_installs();
-    // Park the remaining six batches, then drain: groups of 1 vs one group
-    // of 6.  Both consume the parity coins in the same (FIFO) order.
-    for (int i = 1; i < 7; ++i) {
-      sk->enqueue_batch(std::span<const double>(batches[static_cast<std::size_t>(i)]));
-    }
-    sk->drain_installs();
-  }
-
-  CHECK_EQ(serial.size(), 7 * cap);
-  CHECK_EQ(combined.size(), 7 * cap);
-  CHECK_EQ(serial.tritmap().raw(), combined.tritmap().raw());
-  CHECK_EQ(serial.retained(), combined.retained());
-
-  auto qs = serial.make_querier();
-  auto qc_ = combined.make_querier();
-  qs.refresh_full();
-  qc_.refresh_full();
-  CHECK(qs.summary() == qc_.summary());  // bit-identical levels content
-
-  const auto ss = serial.stats();
-  const auto cs = combined.stats();
-  CHECK_EQ(ss.batches, 7u);
-  CHECK_EQ(cs.batches, 7u);
-  CHECK_EQ(ss.installs, 7u);
-  CHECK_EQ(ss.combined_installs, 0u);
-  CHECK_EQ(cs.installs, 2u);
-  CHECK_EQ(cs.combined_installs, 1u);
-  CHECK_EQ(cs.max_combine, 6u);
-}
-
 // quiesce() must install batches still parked in the install queue before
 // counting gather residue and compacting the tail.
 QC_TEST(quiesce_drains_pending_install_queue) {
@@ -206,33 +134,6 @@ QC_TEST(quiesce_drains_pending_install_queue) {
   auto q = sk.make_querier();
   CHECK_EQ(q.size(), 2 * cap + 5);
   CHECK_EQ(q.rank(1e18), 2 * cap + 5);
-}
-
-// The pre-sort pipeline and the full-sort fallback must produce identical
-// sketch state on the same single-threaded input (same batch order, same
-// parity coins, same sorted batch values).
-QC_TEST(presort_and_fullsort_pipelines_are_bit_identical) {
-  const std::uint64_t n = 50'000;
-  auto data = qc::stream::make_stream(Distribution::kUniform, n, 29);
-  auto run = [&](bool presort) {
-    auto o = pipeline_options(128, 16);
-    o.presort_chunks = presort;
-    auto sk = std::make_unique<qc::core::Quancurrent<double>>(o);
-    {
-      auto u = sk->make_updater(0);
-      u.update(std::span<const double>(data));
-    }
-    sk->quiesce();
-    return sk;
-  };
-  auto with = run(true);
-  auto without = run(false);
-  CHECK_EQ(with->size(), n);
-  CHECK_EQ(without->size(), n);
-  CHECK_EQ(with->tritmap().raw(), without->tritmap().raw());
-  auto qw = with->make_querier();
-  auto qo = without->make_querier();
-  CHECK(qw.summary() == qo.summary());
 }
 
 // Bulk update(span) must be byte-for-byte equivalent to element-wise
@@ -278,16 +179,13 @@ QC_TEST(stats_expose_ingest_contention_counters) {
   qc::bench::ingest_quancurrent(sk, data, 4, /*quiesce=*/true);
   const auto st = sk.stats();
   CHECK(st.batches > 0u);
-  CHECK(st.installs > 0u);
-  CHECK(st.installs <= st.batches);
-  CHECK(st.max_combine >= 1u);
-  CHECK(st.max_combine <= sk.options().install_combine);
-  CHECK(st.combined_installs <= st.installs);
-  // Weight conservation across the combining installer.
+  // Every install publishes exactly one batch.
+  CHECK_EQ(st.installs, st.batches);
+  // Weight conservation across the installer.
   CHECK_EQ(sk.size(), n);
 }
 
-// Mixed updaters + queriers hammering the combining installer; run under
+// Mixed updaters + queriers hammering the installer; run under
 // whatever sanitizer the build config selects (ASan/UBSan or TSan via
 // -DQC_SANITIZE=thread).  Queriers must only ever observe whole installed
 // batches (size % 2k == 0 while the tail is untouched) and sorted summaries.
@@ -299,9 +197,7 @@ QC_TEST(mixed_updaters_and_queriers_stress) {
   const std::uint32_t upd_threads = 4;
   static_assert((160'000 / 4) % 8 == 0);
   auto data = qc::stream::make_stream(Distribution::kUniform, n, 41);
-  auto o = pipeline_options(k, 8);
-  o.install_combine = 4;
-  qc::core::Quancurrent<double> sk(o);
+  qc::core::Quancurrent<double> sk(pipeline_options(k, 8));
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> queriers;

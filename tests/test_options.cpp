@@ -116,19 +116,6 @@ QC_TEST(size_driving_fields_clamp_to_caps) {
   CHECK(o.validate().empty());
 }
 
-QC_TEST(install_combine_clamps_into_range) {
-  qc::core::Options lo;
-  lo.install_combine = 0;
-  CHECK(adjusted_to(lo.normalize(), "install_combine", 1));
-  CHECK_EQ(lo.install_combine, 1u);
-
-  qc::core::Options hi;
-  hi.install_combine = 100'000;
-  const auto log = hi.normalize();
-  CHECK(adjusted_to(log, "install_combine", 256));
-  CHECK_EQ(hi.install_combine, 256u);
-}
-
 QC_TEST(ibr_frequencies_clamp_into_range) {
   // Zero cadences would disable reclamation entirely (never advance the
   // epoch / never scan); cadences past kMaxIbrFreq are equally pathological
@@ -155,7 +142,7 @@ QC_TEST(ibr_frequencies_clamp_into_range) {
 
 QC_TEST(retire_cap_clamps_to_one_drain_group_burst) {
   // 0 means "no cap" and passes through untouched; a nonzero cap below
-  // kMinRetireCap could trip on a single drain group's retirement burst and
+  // kMinRetireCap could trip on a single cascade's retirement burst and
   // is raised to the floor.  The watchdog threshold is a pure duration with
   // no pathological values, so normalize() never touches it.
   qc::core::Options off;
@@ -186,28 +173,24 @@ QC_TEST(serialize_propagation_is_not_a_clamped_field) {
 }
 
 QC_TEST(install_queue_auto_sizes_and_rounds_up) {
-  // Auto (0): smallest power of two >= max(8, 2 * install_combine), sized
-  // silently (an auto request is not a misconfiguration to report).
+  // Auto (0): 8 cells, sized silently (an auto request is not a
+  // misconfiguration to report).
   qc::core::Options a;
-  a.install_combine = 16;
   a.install_queue = 0;
   CHECK(a.normalize().empty());
-  CHECK_EQ(a.install_queue, 32u);
+  CHECK_EQ(a.install_queue, 8u);
 
   // Explicit but not a power of two: rounded up.
   qc::core::Options b;
   b.install_queue = 9;
   CHECK(adjusted_to(b.normalize(), "install_queue", 16));
 
-  // Explicit but smaller than one drain group: raised to hold it.
+  // Explicit but below the floor: raised to 8.
   qc::core::Options c;
-  c.install_combine = 64;
-  c.install_queue = 8;
-  const auto log = c.normalize();
-  CHECK(adjusted_to(log, "install_queue", 64));
-  CHECK(c.install_queue >= c.install_combine);
+  c.install_queue = 3;
+  CHECK(adjusted_to(c.normalize(), "install_queue", 8));
 
-  // A power of two >= the group size is untouched.
+  // A power of two of at least 8 is untouched.
   qc::core::Options d;
   d.install_queue = 32;
   CHECK(d.normalize().empty());

@@ -133,7 +133,7 @@ QC_TEST(recovery_container_roundtrip_parses) {
   CHECK_EQ(parsed.manifest.shard_count, 1u);
   CHECK_EQ(parsed.manifest.total_elements, 3000u);
   CHECK_EQ(parsed.shard_blobs.size(), 1u);
-  // The embedded blob is a verbatim serde-v3 image.
+  // The embedded blob is a verbatim serde image.
   auto sk = qc::Quancurrent<double>::deserialize(parsed.shard_blobs[0]);
   CHECK(sk != nullptr);
   if (sk != nullptr) CHECK_EQ(sk->size(), 3000u);

@@ -72,6 +72,19 @@ QC_TEST(concurrent_roundtrip_is_bit_identical) {
   auto q_src = sk.make_querier();
   auto q_back = back->make_querier();
   CHECK(q_src.summary() == q_back.summary());  // bit-identical summary
+
+  // Re-serializing yields the same image, the rng state included.
+  CHECK(serialize_of(*back) == blob);
+
+  // Continued ingestion matches the source exactly: both sketches flip the
+  // same compaction coins from here on.
+  for (double v : data) {
+    sk.update(v);
+    back->update(v);
+  }
+  sk.quiesce();
+  back->quiesce();
+  CHECK(serialize_of(*back) == serialize_of(sk));
 }
 
 QC_TEST(concurrent_roundtrip_preserves_tail) {
@@ -128,6 +141,41 @@ QC_TEST(deserialize_rejects_bad_magic_version_endianness) {
   CHECK(st == qc::serde::Status::bad_payload);
 }
 
+QC_TEST(deserialize_rejects_v3_images) {
+  // v4 dropped two concurrent-engine option bytes; a v3 image of either
+  // engine is refused by version rather than misread.  The v3 concurrent
+  // layout is rebuilt by hand from a v4 image: the chunk-presort flag (u8)
+  // sits between rho and collect_stats, the install combining depth (u32)
+  // between collect_stats and install_queue.
+  const std::uint16_t v3 = 3;
+  qc::serde::Status st = qc::serde::Status::ok;
+
+  qc::QuantilesSketch<double> sk(64);
+  for (int i = 0; i < 1'000; ++i) sk.update(static_cast<double>(i));
+  auto sblob = serialize_of(sk);
+  std::memcpy(sblob.data() + 4, &v3, sizeof(v3));
+  CHECK(!qc::QuantilesSketch<double>::deserialize(sblob, &st).has_value());
+  CHECK(st == qc::serde::Status::bad_version);
+
+  qc::Quancurrent<double> ck(small_options(64, 8));
+  for (int i = 0; i < 1'000; ++i) ck.update(static_cast<double>(i));
+  ck.quiesce();
+  const auto cblob = serialize_of(ck);
+  // Header through rho, presort flag, collect_stats, combining depth, then
+  // install_queue onwards.
+  std::vector<std::byte> old(cblob.begin(), cblob.begin() + 24);
+  old.push_back(std::byte{1});
+  old.push_back(cblob[24]);
+  const std::uint32_t depth = 4;
+  const auto* depth_bytes = reinterpret_cast<const std::byte*>(&depth);
+  old.insert(old.end(), depth_bytes, depth_bytes + sizeof(depth));
+  old.insert(old.end(), cblob.begin() + 25, cblob.end());
+  std::memcpy(old.data() + 4, &v3, sizeof(v3));
+  CHECK_EQ(old.size(), cblob.size() + 5);
+  CHECK(qc::Quancurrent<double>::deserialize(old, &st) == nullptr);
+  CHECK(st == qc::serde::Status::bad_version);
+}
+
 QC_TEST(deserialize_diagnoses_byte_swapped_image) {
   // A whole-image byte swap (foreign-endian writer) presents the magic in
   // reverse byte order; the reader must diagnose bad_endianness — the
@@ -155,7 +203,7 @@ QC_TEST(concurrent_roundtrip_preserves_ibr_options) {
   o.serialize_propagation = true;
   o.ibr_epoch_freq = 7;
   o.ibr_recl_freq = 9;
-  o.ibr_retire_cap = 128;        // serde v3 fields (offsets 43 and 47)
+  o.ibr_retire_cap = 128;        // serde v4 offsets 38 and 42
   o.latch_watchdog_ns = 5'000'000;
   qc::Quancurrent<double> sk(o);
   for (int i = 0; i < 1'000; ++i) sk.update(static_cast<double>(i));
@@ -183,7 +231,7 @@ QC_TEST(deserialize_rejects_unaffordable_preallocation) {
   const std::uint32_t max_k = qc::core::Options::kMaxK;
   const std::uint32_t max_queue = qc::core::Options::kMaxInstallQueue;
   std::memcpy(blob.data() + 12, &max_k, sizeof(max_k));          // k
-  std::memcpy(blob.data() + 30, &max_queue, sizeof(max_queue));  // install_queue
+  std::memcpy(blob.data() + 25, &max_queue, sizeof(max_queue));  // install_queue
   qc::serde::Status st = qc::serde::Status::ok;
   CHECK(qc::Quancurrent<double>::deserialize(blob, &st) == nullptr);
   CHECK(st == qc::serde::Status::bad_payload);
@@ -215,7 +263,7 @@ QC_TEST(deserialize_rejects_oversized_k) {
 }
 
 QC_TEST(deserialize_rejects_oversized_ring_and_rho) {
-  // install_queue (offset 30) and rho (offset 20) above their caps cannot
+  // install_queue (offset 25) and rho (offset 20) above their caps cannot
   // have come from serialize (images echo normalized options); both must be
   // rejected promptly — the uncapped install_queue rounding loop used to
   // hang forever on 2^31, before any allocation could even be attempted.
@@ -227,7 +275,7 @@ QC_TEST(deserialize_rejects_oversized_ring_and_rho) {
 
   auto corrupted = blob;
   const std::uint32_t huge_queue = 0x80000000u;
-  std::memcpy(corrupted.data() + 30, &huge_queue, sizeof(huge_queue));
+  std::memcpy(corrupted.data() + 25, &huge_queue, sizeof(huge_queue));
   CHECK(qc::Quancurrent<double>::deserialize(corrupted, &st) == nullptr);
   CHECK(st == qc::serde::Status::bad_payload);
 
@@ -317,7 +365,7 @@ QC_TEST(deserialize_rejects_truncation_at_every_prefix_length) {
   }
 }
 
-// ----- framed container over v3 blobs (recovery/container.hpp) ---------------
+// ----- framed container over serde blobs (recovery/container.hpp) ------------
 
 QC_TEST(framed_container_rejects_manifest_shard_mismatch) {
   qc::Quancurrent<double> sk(small_options(64, 8));
@@ -350,14 +398,14 @@ QC_TEST(framed_container_rejects_manifest_shard_mismatch) {
 }
 
 QC_TEST(framed_container_reports_failing_shard_decode) {
-  // A corrupt v3 blob INSIDE an intact frame: the container CRC is computed
+  // A corrupt serde blob INSIDE an intact frame: the container CRC is computed
   // over the already-rotten bytes so the frame verifies, and the failure
   // surfaces from the per-shard engine decode with the shard named.
   qc::Quancurrent<double> sk(small_options(64, 8));
   for (int i = 0; i < 500; ++i) sk.update(static_cast<double>(i));
   sk.quiesce();
   auto blob = qc::to_bytes(sk);
-  blob[0] ^= std::byte{0x01};  // break the v3 magic
+  blob[0] ^= std::byte{0x01};  // break the serde magic
 
   qc::recovery::ContainerWriter w(1);
   w.add_manifest(qc::recovery::SketchKind::sharded, 1, sk.size());

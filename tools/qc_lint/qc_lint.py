@@ -4,7 +4,7 @@
 Four checks, each enforcing an invariant the compiler cannot see:
 
   explicit-memory-order   Every atomic operation names its memory order.  The
-                          seqlock and IBR correctness arguments in
+                          snapshot-validation and IBR correctness arguments in
                           core/quancurrent.hpp depend on exact acquire/release
                           pairing; an implicit seq_cst op is an unjustified
                           fence (cost) and an undocumented ordering assumption
