@@ -3,10 +3,12 @@
 // from up to 32 threads; linear scaling to 30x the sequential sketch.
 //
 // Each Quancurrent query is a snapshot refresh plus a quantile: refresh is
-// the incremental tritmap-diff path (O(1) on a quiesced sketch), quantile a
-// binary search over the frozen prefix-weight summary.  The sequential
-// baseline answers from the same binary-searched summary representation,
-// queried from one thread.
+// the incremental tritmap-diff path (O(1) on a quiesced sketch).  A querier
+// answers its first few quantiles straight from the snapshot's sorted runs,
+// then merges the snapshot into a prefix-weight summary once and answers
+// every later query with a binary search over it.  The sequential baseline
+// answers from the same binary-searched summary representation, queried
+// from one thread.
 //
 // Reports queries/sec, refresh p50/p99, and hole/retry counts via the
 // bench_util query stats; writes BENCH_query.json when QC_BENCH_JSON is set.

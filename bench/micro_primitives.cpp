@@ -1,8 +1,10 @@
 // Micro-benchmarks for the engine's primitives, covering both hot paths.
 //
-// Query side: merge-based summary refresh vs. the old global-sort refresh,
-// incremental (tritmap-diff) refresh vs. full re-copy, binary-search
-// quantiles vs. the old linear scan.  These quantify the constants behind
+// Query side: copy-only refresh (full re-copy vs. the O(1) incremental no-op)
+// and what a querier pays to materialize its summary; then, on runs shaped
+// like the sketch's view, the summary merge (loser tree vs. the global-sort
+// hole fallback) and direct-from-runs vs. summary quantile/rank — the
+// constants behind the querier's switch to its summary and behind
 // fig06b/fig06c.
 //
 // Ingest side: the owner's Gather&Sort cost — multiway merge of pre-sorted
@@ -73,7 +75,7 @@ int main() {
 
   Table t({"case", "time/op", "note"});
 
-  // ----- query path: refresh strategies on a quiesced sketch ---------------
+  // ----- query path: copy-only refresh on a quiesced sketch ----------------
   core::Options o;
   o.k = k;
   o.b = b;
@@ -85,73 +87,88 @@ int main() {
       50'000'000 / std::max<std::uint64_t>(retained, 1), 10, 2000);
 
   auto q = sk.make_querier();
-  q.set_sort_baseline(true);
-  const double sort_refresh =
-      time_per_op(refresh_iters, [&] { q.refresh_full(); });
-  q.set_sort_baseline(false);
-  const double merge_refresh =
+  const double copy_refresh =
       time_per_op(refresh_iters, [&] { q.refresh_full(); });
   const double incr_refresh = time_per_op(refresh_iters * 100, [&] { q.refresh(); });
+  // A querier merges its summary on first use after a refresh.
+  const double summary_refresh = time_per_op(refresh_iters, [&] {
+    q.refresh_full();
+    keep(q.summary().size());
+  });
 
-  t.add_row({"refresh: global sort (old)", micros(sort_refresh),
+  t.add_row({"refresh: copy-only (refresh_full)", micros(copy_refresh),
              "R=" + Table::integer(retained)});
-  t.add_row({"refresh: multiway merge", micros(merge_refresh),
-             Table::num(sort_refresh / merge_refresh, 2) + "x vs sort"});
   t.add_row({"refresh: incremental (no change)", nanos(incr_refresh), "O(1) fast path"});
+  t.add_row({"refresh + summary materialization", micros(summary_refresh),
+             "merge share " + micros(summary_refresh - copy_refresh)});
 
-  // ----- query path: quantile/rank on a frozen snapshot --------------------
-  q.refresh();
-  const auto& summary = q.summary();
-  double phi = 0.0;
-  const double quantile_bsearch = time_per_op(1'000'000, [&] {
-    phi += 0.001;
-    if (phi >= 1.0) phi = 0.001;
-    keep(q.quantile(phi));
-  });
-  // The old linear scan over the summary, for comparison.
-  phi = 0.0;
-  const double quantile_linear = time_per_op(
-      retained > 4'000'000 ? 10'000 : 100'000, [&] {
-        phi += 0.001;
-        if (phi >= 1.0) phi = 0.001;
-        const auto prefix = summary.prefix_weights();
-        const double target = phi * static_cast<double>(summary.total_weight());
-        std::size_t i = 0;
-        while (i < prefix.size() && static_cast<double>(prefix[i]) < target) ++i;
-        keep(summary.items()[std::min(i, summary.items().size() - 1)]);
-      });
-  double rv = 0.0;
-  const double rank_bsearch = time_per_op(1'000'000, [&] {
-    rv += 0.001;
-    if (rv >= 1.0) rv = 0.001;
-    keep(q.rank(rv));
-  });
-  t.add_row({"quantile: binary search", nanos(quantile_bsearch), "O(log R)"});
-  t.add_row({"quantile: linear scan (old)", nanos(quantile_linear),
-             Table::num(quantile_linear / quantile_bsearch, 1) + "x slower"});
-  t.add_row({"rank: binary search", nanos(rank_bsearch), "O(log R)"});
-
-  // ----- merge primitive on synthetic runs ---------------------------------
+  // ----- query path: direct vs summary answers over the sketch's run shape --
+  //
+  // Runs shaped like the quiesced sketch's view (its tritmap's k-runs at
+  // weight 2^level plus its weight-1 tail), filled with sorted uniform
+  // values, so the free functions below are timed on the same L and R a
+  // querier sees.
   {
-    const std::size_t levels = 16;
-    std::vector<std::vector<double>> run_data(levels);
+    const Tritmap tm = sk.tritmap();
+    std::vector<std::vector<double>> run_data;
     std::vector<core::RunRef<double>> runs;
-    for (std::size_t l = 0; l < levels; ++l) {
-      run_data[l] = stream::make_stream(stream::Distribution::kUniform, k, 100 + l);
-      std::sort(run_data[l].begin(), run_data[l].end());
-      runs.push_back({run_data[l].data(), run_data[l].size(), 1ULL << l});
+    std::uint64_t in_levels = 0;
+    std::uint64_t seed = 100;
+    const auto add_run = [&](std::size_t len, std::uint64_t weight) {
+      run_data.push_back(stream::make_stream(stream::Distribution::kUniform, len, ++seed));
+      std::sort(run_data.back().begin(), run_data.back().end());
+      runs.push_back({nullptr, len, weight});
+    };
+    for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
+      for (std::uint32_t slot = 0; slot < tm.trit(level); ++slot) {
+        add_run(k, 1ULL << level);
+        in_levels += k;
+      }
     }
+    if (retained > in_levels) add_run(retained - in_levels, 1);
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      runs[i].data = run_data[i].data();
+      total += runs[i].weight * runs[i].size;
+    }
+    const auto span = std::span<const core::RunRef<double>>(runs);
     core::WeightedSummary<double> out;
     core::RunMerger<double> merger;
     std::vector<std::pair<double, std::uint64_t>> scratch;
-    const auto span = std::span<const core::RunRef<double>>(runs);
-    const double merge_t =
-        time_per_op(200, [&] { merger.merge(span, out); });
+    const double merge_t = time_per_op(refresh_iters, [&] { merger.merge(span, out); });
     const double sort_t =
-        time_per_op(200, [&] { core::sort_merge_runs(span, out, scratch); });
-    t.add_row({"merge_runs (16 x k)", micros(merge_t), "loser tree"});
-    t.add_row({"sort_merge_runs (16 x k)", micros(sort_t),
+        time_per_op(refresh_iters, [&] { core::sort_merge_runs(span, out, scratch); });
+    t.add_row({"summary: RunMerger merge", micros(merge_t),
+               "L=" + Table::integer(runs.size()) + " runs"});
+    t.add_row({"summary: sort_merge_runs (hole fallback)", micros(sort_t),
                Table::num(sort_t / merge_t, 2) + "x vs merge"});
+
+    merger.merge(span, out);
+    std::vector<std::size_t> select(3 * runs.size());
+    double phi = 0.0;
+    const auto next_phi = [&phi] {
+      phi += 0.001;
+      if (phi >= 1.0) phi = 0.001;
+      return phi;
+    };
+    const double quantile_direct = time_per_op(100'000, [&] {
+      keep(core::runs_quantile(span, total, next_phi(), std::span<std::size_t>(select)));
+    });
+    phi = 0.0;
+    const double quantile_summary =
+        time_per_op(1'000'000, [&] { keep(core::summary_quantile(out, next_phi())); });
+    phi = 0.0;
+    const double rank_direct =
+        time_per_op(100'000, [&] { keep(core::runs_rank(span, next_phi())); });
+    phi = 0.0;
+    const double rank_summary =
+        time_per_op(1'000'000, [&] { keep(core::summary_rank(out, next_phi())); });
+    t.add_row({"quantile: direct (runs)", nanos(quantile_direct), "weighted selection"});
+    t.add_row({"quantile: summary", nanos(quantile_summary), "O(log R)"});
+    t.add_row({"rank: direct (runs)", nanos(rank_direct), "L lower_bounds"});
+    t.add_row({"rank: summary", nanos(rank_summary), "O(log R)"});
+    t.add_row({"direct answers per merge", Table::num(merge_t / quantile_direct, 0),
+               "break-even, quantiles"});
   }
 
   // ----- ingest path: Gather&Sort = chunk merge vs full sort ---------------
@@ -268,16 +285,10 @@ int main() {
 
   t.print();
 
-  if (merge_refresh < sort_refresh) {
-    std::printf("\nmerge-based refresh beats sort-based refresh by %.2fx\n",
-                sort_refresh / merge_refresh);
-  } else {
-    std::printf("\nWARNING: merge-based refresh did NOT beat sort-based refresh\n");
-  }
   if (gather_merge_wins) {
-    std::printf("chunk-merge Gather&Sort beats the full-sort baseline at k >= 1024\n");
+    std::printf("\nchunk-merge Gather&Sort beats the full-sort baseline at k >= 1024\n");
   } else {
-    std::printf("WARNING: chunk-merge Gather&Sort did NOT beat the full-sort "
+    std::printf("\nWARNING: chunk-merge Gather&Sort did NOT beat the full-sort "
                 "baseline at some k >= 1024 configuration\n");
   }
 

@@ -67,15 +67,18 @@
 //
 // Query engine.  Every published level slot is a sorted k-run (the KLL
 // compactor invariant), so a snapshot is a set of sorted runs, not a bag of
-// items.  Querier::refresh copies the referenced runs plus the tail and
-// multiway-merges them (core/run_merge.hpp, tournament tree, O(R log L))
-// into a structure-of-arrays prefix-weight summary; quantile/rank/cdf are
-// then O(log R) binary searches over the frozen summary.  refresh() is also
-// incremental: each level carries an install epoch (a counter unique to the
-// last batch cascade that wrote it), and a refresh re-copies only levels whose
-// epoch or trit changed since the querier's previous validated snapshot,
-// reusing every unchanged run.  A refresh that finds both the install seq
-// and the tail version unchanged is O(1).
+// items.  Querier::refresh only copies: it publishes a run view (the sorted
+// weighted runs plus size()).  It is incremental: each level carries an
+// install epoch (a counter unique to the last batch cascade that wrote it),
+// and a refresh re-copies only levels whose epoch or trit changed since the
+// querier's previous validated snapshot, and the tail (sorting it once per
+// copy) only when its version moved.  A refresh that finds both the install
+// seq and the tail version unchanged is O(1).  quantile/rank/cdf answer from
+// the view directly (core/run_merge.hpp runs_quantile/runs_rank: an exact
+// weighted selection and a weighted sum of per-run ranks), and switch to the
+// view's merged prefix-weight summary (tournament tree, O(R log L), then
+// O(log R) binary searches) once the view has served enough answers to pay
+// for the merge.  Both paths give bit-identical answers.
 //
 // Relaxation.  Elements still in local buffers, partially filled gather
 // buffers, or batches parked in the install queue are invisible to queries —
@@ -105,9 +108,11 @@
 //     retried.  Only ~Updater, which must not throw, drops the residue after
 //     bounded retries (counted in stats().oom_dropped_items, warned on
 //     stderr).
-//   * Querier::refresh may propagate bad_alloc; the handle stays valid and
-//     the previous summary stays answerable (cache entries are updated
-//     per-level, each atomically-consistently).
+//   * Querier::refresh may propagate bad_alloc; it is all-or-nothing: the
+//     changed levels and the tail are staged in buffers the current view
+//     does not reference and committed by swap, so the previous view keeps
+//     answering exactly as before.  A summary that cannot be allocated
+//     leaves the querier answering directly from its runs.
 //   * A stalled reader cannot pin unbounded memory: when the retire list
 //     would exceed Options::ibr_retire_cap, the latch holder forces a scan
 //     and, if the scan cannot help, throttles ingest (ibr_stats().degraded,
@@ -119,6 +124,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
@@ -709,60 +715,78 @@ class Quancurrent {
 
   // ----- queries -----------------------------------------------------------
 
-  // Point-in-time view of the sketch.  refresh() snapshots the tritmap,
-  // copies (or reuses) the referenced level runs plus the tail, and
-  // multiway-merges them into a prefix-weight summary; quantile/rank/cdf
-  // then answer from the frozen summary in O(log R) without touching shared
-  // state.
+  // Point-in-time view of the sketch.  refresh() snapshots the tritmap and
+  // copies (or reuses) the referenced level runs plus the tail into a run
+  // view: a list of sorted, weighted runs.  quantile/rank/cdf answer from
+  // that view without touching shared state — directly from the runs for
+  // the first few answers, from the view's merged summary once enough
+  // answers have been served to pay for merging it (see use_summary).
+  //
+  // A handle is used by one thread at a time, including its const members:
+  // summary() and the answers fill per-view caches.
   class Querier {
    public:
     explicit Querier(Quancurrent& sketch)
-        : sketch_(&sketch), lease_(sketch), cache_(kLevels) {
+        : sketch_(&sketch),
+          lease_(sketch),
+          cache_(kLevels),
+          select_scratch_(3 * kMaxRuns),
+          stage_(kLevels) {
       refresh();
     }
 
     // Incremental refresh: reuses level runs cached by earlier refreshes
-    // when the level's install epoch and trit are unchanged; O(1) when
-    // nothing was published and the tail did not change.
+    // when the level's install epoch and trit are unchanged, and the tail
+    // copy while the tail version is; O(1) when nothing was published and
+    // the tail did not change.  All-or-nothing: on bad_alloc the previous
+    // view, summary and answers stay exactly as they were.
     void refresh() { refresh_impl(/*force_full=*/false); }
 
-    // Ignores the run cache and re-copies every referenced level; the
-    // summary is identical to refresh()'s (tested), just slower to build.
+    // Ignores the run cache and the tail copy and re-copies everything the
+    // tritmap references; the view is identical to refresh()'s (tested),
+    // just slower to build.
     void refresh_full() { refresh_impl(/*force_full=*/true); }
 
-    // Benchmarking/diagnostic knob: build summaries by flattening all runs
-    // and globally sorting (the pre-merge-engine algorithm) instead of
-    // multiway-merging.  Answers are identical; only the refresh cost
-    // changes.
-    void set_sort_baseline(bool on) { sort_baseline_ = on; }
-
-    std::uint64_t size() const { return summary_.total_weight(); }
+    std::uint64_t size() const { return size_; }
     std::uint64_t holes() const { return holes_; }
 
-    // Bumps every time a refresh actually rebuilds the summary; an O(1)
-    // refresh (nothing published, no tail churn) leaves it unchanged.
+    // Bumps every time a refresh publishes a new view; an O(1) refresh
+    // (nothing published, no tail churn) leaves it unchanged.
     // Cross-sketch aggregators (ShardedQuancurrent::Querier) use it to skip
-    // re-merging shards whose summaries did not move.
+    // re-merging shards whose views did not move.
     std::uint64_t version() const { return version_; }
 
-    // The frozen value-sorted summary the last refresh produced.
-    const WeightedSummary<T>& summary() const { return summary_; }
+    // The value-sorted summary of the current view, merged on first use
+    // (O(R log L)) and kept until the next new view.  May throw bad_alloc;
+    // the view stays answerable.
+    const WeightedSummary<T>& summary() const {
+      if (!summary_ready_) materialize();
+      return summary_;
+    }
 
-    T quantile(double phi) const { return summary_quantile(summary_, phi); }
+    // Exact: the same item summary_quantile(summary(), phi) returns.
+    T quantile(double phi) const {
+      if (use_summary()) return summary_quantile(summary_, phi);
+      return runs_quantile(view(), size_, phi, std::span<std::size_t>(select_scratch_),
+                           sketch_->cmp_);
+    }
 
+    // Exact: the same weight summary_rank(summary(), v) returns.
     std::uint64_t rank(const T& v) const {
-      return summary_rank(summary_, v, sketch_->cmp_);
+      if (use_summary()) return summary_rank(summary_, v, sketch_->cmp_);
+      return runs_rank(view(), v, sketch_->cmp_);
     }
 
     double cdf(const T& v) const {
-      const std::uint64_t total = summary_.total_weight();
-      return total == 0 ? 0.0
-                        : static_cast<double>(rank(v)) / static_cast<double>(total);
+      return size_ == 0 ? 0.0
+                        : static_cast<double>(rank(v)) / static_cast<double>(size_);
     }
 
    private:
     static constexpr std::uint32_t kSnapshotRetries = 8;
     static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+    // At most two runs per level plus the tail.
+    static constexpr std::size_t kMaxRuns = 2 * std::size_t{Tritmap::kMaxLevels} + 1;
 
     // Private copy of one level's occupied slots, tagged with the install
     // epoch the copy reflects.  Valid for reuse while the level's published
@@ -775,22 +799,58 @@ class Quancurrent {
       std::uint32_t copied = 0;  // runs actually copied (< trit on a racing
                                  // shrink: the snapshot then fails validation)
       std::vector<T> runs;       // copied sorted k-runs, slot-major
+
+      bool matches(std::uint64_t e, std::uint32_t t) const {
+        return epoch == e && trit == t && copied == t;
+      }
     };
 
-    // May propagate bad_alloc (snapshot copy growth): the handle stays
-    // valid, the previous summary stays answerable, and the pin clears on
-    // unwind (RAII) so a failed refresh can never stall reclamation.
+    std::span<const RunRef<T>> view() const { return runs_; }
+
+    // The cost rule behind the answer path.  Merging the view costs about
+    // R * log2(L) comparisons (loser tree over L runs, R items); a direct
+    // quantile about L * log2(k)^2 (log2(k) pivot rounds of L binary
+    // searches).  Once a view has served merge_after_ answers directly, the
+    // merge would have paid for itself, so the view switches to its
+    // summary.  A summary that cannot be allocated just keeps the view on
+    // the direct path.
+    bool use_summary() const {
+      if (summary_ready_) return true;
+      if (answers_ < merge_after_) {
+        ++answers_;
+        return false;
+      }
+      try {
+        materialize();
+      } catch (const std::bad_alloc&) {
+        return false;
+      }
+      return true;
+    }
+
+    void materialize() const {
+      merger_.merge(view(), summary_, sketch_->cmp_);
+      summary_ready_ = true;
+    }
+
+    // Copy-only: a refresh stages the levels and the tail that changed into
+    // buffers the current view does not reference, validates the snapshot,
+    // and only then commits by swapping buffers (commit is no-throw).  A
+    // bad_alloc anywhere before the commit leaves the previous view intact;
+    // the pin clears on unwind (RAII) so a failed refresh can never stall
+    // reclamation.
     void refresh_impl(bool force_full) {
       auto& s = *sketch_;
       // Pin the reclamation epoch across every snapshot attempt: the
-      // slot-block pointers collect_levels loads below stay dereferenceable
+      // slot-block pointers stage_levels loads below stay dereferenceable
       // until the pin clears (IBR, file comment).  Two stores — the query
       // path never blocks on growth or reclamation.
       const IbrPin pin(s, lease_.slot());
       // Chaos builds: park the reader HERE, pin held — the stalled-querier
       // scenario the retire cap (Options::ibr_retire_cap) exists for.
       QC_INJECT_STALL(querier_stall);
-      holes_ = 0;
+      staged_ = 0;
+      tail_staged_ = false;
       for (std::uint32_t attempt = 0;; ++attempt) {
         // Snapshot validation uses the install sequence number, not tritmap
         // equality: the tritmap word can return to a previous value (ABA)
@@ -800,9 +860,9 @@ class Quancurrent {
         // every run copied under a stable seq was stable.
         const std::uint64_t seq = s.install_seq_.load(std::memory_order_acquire);
         if (!force_full && seq == snap_seq_ &&
-            s.tail_version_.load(std::memory_order_acquire) == snap_tail_ver_) {
+            s.tail_version_.load(std::memory_order_acquire) == tail_ver_) {
           // Nothing published and no tail churn since the last validated
-          // snapshot: the summary is already current.
+          // snapshot: the view is already current.
           return;
         }
         const Tritmap tm = s.tritmap_.load(std::memory_order_acquire);
@@ -811,33 +871,29 @@ class Quancurrent {
         // (wrong answer), never an out-of-bounds slot; QC_CHECK here would
         // tax every snapshot attempt.
         assert(tm.trit(0) == 0);  // published tritmaps always have level 0 drained
-        collect_levels(tm, force_full);
-        const std::uint64_t tail_ver = copy_tail();
+        stage_levels(tm, force_full);
+        stage_tail(force_full);
         // The copy loads above are acquire, so this re-check load cannot be
         // reordered before them, and a copy that loaded a block a later
         // install published synchronizes with every earlier install's seq
-        // advance (see collect_levels) — it cannot re-read `seq` here.
+        // advance (see stage_levels) — it cannot re-read `seq` here.
         const std::uint64_t check = s.install_seq_.load(std::memory_order_acquire);
         if (check == seq) {
-          snap_seq_ = seq;
-          snap_tail_ver_ = tail_ver;
-          build(tm, /*runs_may_be_torn=*/false);
+          stage_view(tm, /*holes=*/0);
+          commit(seq, /*holes=*/0);
           return;
         }
         if (attempt + 1 == kSnapshotRetries) {
-          // Accept the snapshot; each racing install may have recycled
-          // arrays under our copy.  Count the installs as holes, as the
-          // paper does.  Torn copies may not be sorted, so build via the
-          // global-sort fallback, and poison the cache so the next refresh
-          // re-copies.
-          holes_ = check - seq;
+          // Accept the snapshot; count the racing installs as holes, as the
+          // paper does.  Such a view is answered from a summary built by
+          // the global-sort fallback, and the cache is poisoned so the next
+          // refresh re-copies every level.
+          stage_view(tm, check - seq);
+          commit(kNever, check - seq);
+          for (auto& c : cache_) c.epoch = kNever;
           if (s.opts_.collect_stats) {
             s.stat_holes_.fetch_add(holes_, std::memory_order_relaxed);
           }
-          build(tm, /*runs_may_be_torn=*/true);
-          for (auto& c : cache_) c.epoch = kNever;
-          snap_seq_ = kNever;
-          snap_tail_ver_ = kNever;
           return;
         }
         if (s.opts_.collect_stats) {
@@ -846,31 +902,33 @@ class Quancurrent {
       }
     }
 
-    // Copies the occupied slots of every level the tritmap references,
-    // skipping levels whose cached copy is still current.  The epoch is
-    // loaded (acquire) before the pointer loads: a batch cascade publishes a
-    // level's epoch with a release store *after* publishing its block, so a
-    // cache entry tagged with epoch E always reflects the epoch-E
-    // publication whenever E is still the level's published epoch.  (A later
-    // cascade republishing the level while we copy leaves our entry tagged
-    // with the OLD epoch and stores a new one, so the entry is re-copied.)
-    void collect_levels(Tritmap tm, bool force_full) {
+    // Copies the occupied slots of every level the tritmap references into
+    // stage_, skipping levels whose committed copy is still current (and
+    // levels an earlier attempt of this refresh already staged under the
+    // same tags).  The epoch is loaded (acquire) before the pointer loads: a
+    // batch cascade publishes a level's epoch with a release store *after*
+    // publishing its block, so a copy tagged with epoch E always reflects
+    // the epoch-E publication whenever E is still the level's published
+    // epoch.  (A later cascade republishing the level while we copy leaves
+    // our copy tagged with the OLD epoch and stores a new one, so the level
+    // is re-copied.)
+    void stage_levels(Tritmap tm, bool force_full) {
       auto& s = *sketch_;
       const std::uint32_t k = s.opts_.k;
-      top_level_ = tm.num_levels();
-      for (std::uint32_t level = 1; level < top_level_; ++level) {
-        LevelCache& c = cache_[level];
+      const std::uint32_t top = tm.num_levels();
+      for (std::uint32_t level = 1; level < top; ++level) {
+        const std::uint64_t bit = std::uint64_t{1} << level;
         const std::uint64_t epoch =
             s.level_epoch_[level].load(std::memory_order_acquire);
         const std::uint32_t trit = tm.trit(level);
-        if (!force_full && c.epoch == epoch && c.trit == trit &&
-            c.copied == trit) {
+        if (!force_full && cache_[level].matches(epoch, trit)) {
+          staged_ &= ~bit;
           continue;
         }
-        // A bad_alloc on this growth leaves the entry's previous (epoch,
-        // runs) pair intact — resize has the strong guarantee and the tags
-        // are only updated after the copy below — so the cache stays
-        // internally consistent and refresh can simply be retried.
+        LevelCache& c = stage_[level];
+        if ((staged_ & bit) != 0 && c.matches(epoch, trit)) continue;
+        // A bad_alloc on this growth ends the refresh before anything is
+        // committed.
         QC_INJECT_OOM(querier_copy_alloc);
         c.runs.resize(static_cast<std::size_t>(trit) * k);
         std::uint32_t copied = 0;
@@ -897,64 +955,131 @@ class Quancurrent {
         c.epoch = epoch;
         c.trit = trit;
         c.copied = copied;
+        staged_ |= bit;
       }
+      staged_ &= (std::uint64_t{1} << top) - 1;  // levels above top: none
     }
 
-    // Bulk-copies the tail into a reused buffer under tail_mu_ (memcpy, not
-    // per-element appends); returns the tail version the copy reflects.
-    std::uint64_t copy_tail() {
+    // Bulk-copies the tail under tail_mu_ (memcpy, not per-element appends)
+    // when its version moved since the committed copy, then sorts the copy
+    // once, outside the mutex.  The version is compared under the mutex:
+    // quiesce() moves full batches from the tail into the ladder while
+    // holding it, so an unlocked check could pair a new ladder with the
+    // old tail.
+    void stage_tail(bool force_full) {
       auto& s = *sketch_;
-      const sync::MutexLock lock(s.tail_mu_);
-      const std::size_t n = s.tail_.size();
-      QC_INJECT_OOM(querier_copy_alloc);
-      tail_buf_.resize(n);
-      if (n != 0) std::memcpy(tail_buf_.data(), s.tail_.data(), n * sizeof(T));
-      return s.tail_version_.load(std::memory_order_relaxed);
+      {
+        const sync::MutexLock lock(s.tail_mu_);
+        const std::uint64_t ver = s.tail_version_.load(std::memory_order_relaxed);
+        if (!force_full && ver == tail_ver_) {
+          tail_staged_ = false;
+          return;
+        }
+        if (tail_staged_ && ver == tail_stage_ver_) return;
+        const std::size_t n = s.tail_.size();
+        QC_INJECT_OOM(querier_copy_alloc);
+        tail_stage_.resize(n);
+        if (n != 0) std::memcpy(tail_stage_.data(), s.tail_.data(), n * sizeof(T));
+        tail_stage_ver_ = ver;
+      }
+      std::sort(tail_stage_.begin(), tail_stage_.end(), s.cmp_);
+      tail_staged_ = true;
     }
 
-    // Assembles the run list (level slots ascending, then the tail) and
-    // merges it into the summary.  The run order is deterministic, and the
-    // merge breaks ties by run index, so incremental and full refreshes of
-    // the same snapshot produce identical summaries.
-    void build(Tritmap tm, bool runs_may_be_torn) {
+    // Assembles the staged view's run list (level slots ascending, then the
+    // tail) in view_stage_, pointing into whichever buffer — committed or
+    // staged — holds each part; commit's swaps keep those buffers in place.
+    // The run order is deterministic, so incremental and full refreshes of
+    // the same snapshot produce identical views.  A view accepted with
+    // holes also gets its summary here, by the global-sort fallback.  All
+    // allocation happens here, before the commit.
+    void stage_view(Tritmap tm, std::uint64_t holes) {
       auto& s = *sketch_;
       const std::uint32_t k = s.opts_.k;
-      std::sort(tail_buf_.begin(), tail_buf_.end(), s.cmp_);
-      runs_.clear();
-      for (std::uint32_t level = 1; level < top_level_; ++level) {
-        const LevelCache& c = cache_[level];
+      view_stage_.clear();
+      view_stage_.reserve(kMaxRuns);
+      for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
+        const LevelCache& c = (staged_ >> level & 1) != 0 ? stage_[level] : cache_[level];
         const std::uint32_t trit = std::min(c.copied, tm.trit(level));
         for (std::uint32_t slot = 0; slot < trit; ++slot) {
-          runs_.push_back({c.runs.data() + static_cast<std::size_t>(slot) * k, k,
-                           1ULL << level});
+          view_stage_.push_back({c.runs.data() + static_cast<std::size_t>(slot) * k, k,
+                                 1ULL << level});
         }
       }
-      if (!tail_buf_.empty()) runs_.push_back({tail_buf_.data(), tail_buf_.size(), 1});
-      const auto span = std::span<const RunRef<T>>(runs_);
-      if (runs_may_be_torn || sort_baseline_) {
-        sort_merge_runs(span, summary_, sort_scratch_, s.cmp_);
-      } else {
-        merger_.merge(span, summary_, s.cmp_);
+      const std::vector<T>& tail = tail_staged_ ? tail_stage_ : tail_buf_;
+      if (!tail.empty()) view_stage_.push_back({tail.data(), tail.size(), 1});
+      if (holes != 0) {
+        sort_merge_runs(std::span<const RunRef<T>>(view_stage_), summary_stage_,
+                        sort_scratch_, s.cmp_);
       }
+    }
+
+    // Publishes the staged view.  No-throw: swaps, sums and scalar stores.
+    void commit(std::uint64_t seq, std::uint64_t holes) noexcept {
+      for (std::uint64_t bits = staged_; bits != 0; bits &= bits - 1) {
+        const auto level = static_cast<std::size_t>(std::countr_zero(bits));
+        std::swap(cache_[level], stage_[level]);
+      }
+      if (tail_staged_) {
+        tail_buf_.swap(tail_stage_);
+        tail_ver_ = tail_stage_ver_;
+      }
+      staged_ = 0;
+      tail_staged_ = false;
+      runs_.swap(view_stage_);
+      std::uint64_t items = 0;
+      size_ = 0;
+      for (const auto& r : runs_) {
+        items += r.size;
+        size_ += r.weight * r.size;
+      }
+      holes_ = holes;
+      summary_ready_ = holes != 0;
+      if (summary_ready_) std::swap(summary_, summary_stage_);
+      snap_seq_ = seq;
+      answers_ = 0;
+      const auto ceil_log2 = [](std::uint64_t x) {
+        return std::max<std::uint64_t>(1, std::bit_width(x - 1));
+      };
+      const std::uint64_t lg_k = ceil_log2(sketch_->opts_.k);
+      merge_after_ = runs_.empty() ? 0
+                                   : items * ceil_log2(runs_.size()) /
+                                         (runs_.size() * lg_k * lg_k);
       ++version_;
     }
 
     Quancurrent* sketch_;
     IbrSlotLease lease_;  // this handle's epoch announcement slot
+
+    // The committed view: the runs answers read, the buffers they point
+    // into, and what the view was validated against.
     std::vector<LevelCache> cache_;
-    std::uint32_t top_level_ = 0;
-    std::vector<T> tail_buf_;
+    std::vector<T> tail_buf_;  // sorted tail copy
     std::vector<RunRef<T>> runs_;
-    RunMerger<T, Compare> merger_;
-    std::vector<std::pair<T, std::uint64_t>> sort_scratch_;
-    WeightedSummary<T> summary_;
-    std::uint64_t snap_seq_ = kNever;
-    std::uint64_t snap_tail_ver_ = kNever;
+    std::uint64_t size_ = 0;
     std::uint64_t holes_ = 0;
     std::uint64_t version_ = 0;
-    bool sort_baseline_ = false;
-  };
+    std::uint64_t snap_seq_ = kNever;
+    std::uint64_t tail_ver_ = kNever;
 
+    // Per-view answer state: the lazily merged summary and the cost rule.
+    mutable WeightedSummary<T> summary_;
+    mutable RunMerger<T, Compare> merger_;
+    mutable bool summary_ready_ = false;
+    mutable std::uint64_t answers_ = 0;
+    std::uint64_t merge_after_ = 0;
+    mutable std::vector<std::size_t> select_scratch_;  // runs_quantile's ranges
+
+    // The view a refresh is building; nothing here is read by answers.
+    std::vector<LevelCache> stage_;
+    std::uint64_t staged_ = 0;  // bit `level`: stage_[level] holds this refresh's copy
+    std::vector<T> tail_stage_;
+    std::uint64_t tail_stage_ver_ = kNever;
+    bool tail_staged_ = false;
+    std::vector<RunRef<T>> view_stage_;
+    WeightedSummary<T> summary_stage_;  // hole views only
+    std::vector<std::pair<T, std::uint64_t>> sort_scratch_;
+  };
   Querier make_querier() { return Querier(*this); }
 
   // ----- unified public surface (the qc.hpp QuantileSketch concept) --------

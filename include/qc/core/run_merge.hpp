@@ -16,6 +16,11 @@
 // output is fully deterministic — which is what lets an incremental refresh
 // (cached runs) and a full refresh (fresh copies) produce bit-identical
 // summaries.
+//
+// A handful of answers does not need the summary at all: runs_rank and
+// runs_quantile answer straight from the sorted runs (a rank is the weighted
+// sum of per-run ranks) with the summary's exact results, at O(L log k) and
+// O(L log^2 k) per call instead of the O(R log L) merge up front.
 #pragma once
 
 #include <algorithm>
@@ -97,6 +102,113 @@ std::uint64_t summary_rank(const WeightedSummary<T>& summary, const T& v,
   const auto idx = static_cast<std::size_t>(
       std::lower_bound(items.begin(), items.end(), v, cmp) - items.begin());
   return idx == 0 ? 0 : summary.prefix_weights()[idx - 1];
+}
+
+// Direct answers over sorted runs, without merging them.  Both return
+// exactly what summary_rank / summary_quantile return on the summary
+// RunMerger::merge builds from the same runs (value order, ties by run
+// index, then by position), down to which of several equal items is chosen.
+
+// Total weight of items strictly less than `v`: one lower_bound per run.
+template <typename T, typename Compare = std::less<T>>
+std::uint64_t runs_rank(std::span<const RunRef<T>> runs, const T& v,
+                        Compare cmp = Compare()) {
+  std::uint64_t rank = 0;
+  for (const auto& r : runs) {
+    rank += r.weight * static_cast<std::uint64_t>(
+                           std::lower_bound(r.data, r.data + r.size, v, cmp) - r.data);
+  }
+  return rank;
+}
+
+// Exact weighted selection.  Every run keeps a candidate range [lo, hi) that
+// contains the answer's value if it is in that run.  Each round pivots on the
+// middle of the widest range, weighs the items <= pivot with one upper_bound
+// per run, and cuts every range at the pivot; the widest range at least
+// halves, so a round costs O(L log k) and typical inputs need O(log k)
+// rounds.  `scratch` holds 3 * runs.size() indices (no allocation here).
+template <typename T, typename Compare = std::less<T>>
+T runs_quantile(std::span<const RunRef<T>> runs, std::uint64_t total_weight, double phi,
+                std::span<std::size_t> scratch, Compare cmp = Compare()) {
+  if (total_weight == 0) return T{};
+  const std::size_t n = runs.size();
+  QC_CHECK(scratch.size() >= 3 * n, "runs_quantile scratch smaller than 3 * runs");
+  // summary_quantile's target and comparison, verbatim, so double rounding
+  // picks the same item.
+  const double target =
+      std::clamp(phi, 0.0, 1.0) * static_cast<double>(total_weight);
+  const auto reached = [target](std::uint64_t w) {
+    return !(static_cast<double>(w) < target);
+  };
+  if (reached(0)) {  // phi <= 0 (or NaN): the merge's first item
+    std::size_t first = n;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (runs[r].size != 0 &&
+          (first == n || cmp(runs[r].data[0], runs[first].data[0]))) {
+        first = r;
+      }
+    }
+    return runs[first].data[0];
+  }
+  std::size_t* lo = scratch.data();
+  std::size_t* hi = lo + n;
+  std::size_t* le = hi + n;
+  for (std::size_t r = 0; r < n; ++r) {
+    lo[r] = 0;
+    hi[r] = runs[r].size;
+  }
+  for (;;) {
+    std::size_t widest = 0;
+    for (std::size_t r = 1; r < n; ++r) {
+      if (hi[r] - lo[r] > hi[widest] - lo[widest]) widest = r;
+    }
+    // The answer's items never leave their ranges, so an empty widest range
+    // means the runs were not sorted; reading the pivot would overrun.
+    QC_CHECK(hi[widest] > lo[widest], "runs_quantile input runs are not sorted");
+    const T pivot = runs[widest].data[lo[widest] + (hi[widest] - lo[widest]) / 2];
+    std::uint64_t weight_le = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const T* d = runs[r].data;
+      le[r] = static_cast<std::size_t>(
+          std::upper_bound(d + lo[r], d + hi[r], pivot, cmp) - d);
+      weight_le += runs[r].weight * le[r];
+    }
+    if (!reached(weight_le)) {  // the answer is above the pivot
+      std::copy_n(le, n, lo);
+      continue;
+    }
+    std::uint64_t weight_lt = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const T* d = runs[r].data;
+      hi[r] = static_cast<std::size_t>(
+          std::lower_bound(d + lo[r], d + le[r], pivot, cmp) - d);
+      weight_lt += runs[r].weight * hi[r];
+    }
+    if (reached(weight_lt)) continue;  // the answer is below the pivot
+    // The answer equals the pivot: walk its copies [hi, le) in merge order
+    // to the first one whose prefix weight reaches the target.
+    std::uint64_t before = weight_lt;
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::uint64_t w = runs[r].weight;
+      const std::size_t copies = le[r] - hi[r];
+      if (copies == 0 || !reached(before + w * copies)) {
+        before += w * copies;
+        continue;
+      }
+      std::size_t a = 1;
+      std::size_t b = copies;
+      while (a < b) {
+        const std::size_t m = a + (b - a) / 2;
+        if (reached(before + w * m)) {
+          b = m;
+        } else {
+          a = m + 1;
+        }
+      }
+      return runs[r].data[hi[r] + a - 1];
+    }
+    return pivot;  // unreachable: weight_le reached the target
+  }
 }
 
 // Reusable L-way merge.  Holds its cursor and tree storage across calls so a

@@ -190,7 +190,8 @@ class UpdaterHandle {
 // RAII query handle, uniform across engines.
 //
 // Thread-affinity rule: one handle per querying thread; the handle caches a
-// private snapshot (runs + merged summary) and is not thread-safe, while any
+// private snapshot (sorted runs, plus a summary merged once enough answers
+// have come from one snapshot) and is not thread-safe, while any
 // number of handles query the same sketch concurrently and wait-free.
 // Lifetime rule: the handle must not outlive the sketch; answers come from
 // the snapshot taken by the last refresh(), so call refresh() whenever newer

@@ -364,6 +364,155 @@ QC_TEST(push_tail_failure_leaves_quiesce_retryable) {
   CHECK_EQ(sk.size(), std::uint64_t{10});
 }
 
+// ----- all-or-nothing query refresh ------------------------------------------
+
+namespace {
+
+// Everything a querier answers from its current view.
+struct ViewAnswers {
+  std::uint64_t size = 0;
+  std::vector<double> quantiles;
+  std::vector<std::uint64_t> ranks;
+  qc::core::WeightedSummary<double> summary;
+
+  friend bool operator==(const ViewAnswers&, const ViewAnswers&) = default;
+};
+
+ViewAnswers answers_of(const qc::Quancurrent<double>::Querier& q) {
+  ViewAnswers a;
+  a.size = q.size();
+  for (int i = 0; i <= 20; ++i) a.quantiles.push_back(q.quantile(i / 20.0));
+  for (int v = -1; v <= 40; ++v) a.ranks.push_back(q.rank(static_cast<double>(v) * 25.0));
+  a.summary = q.summary();
+  return a;
+}
+
+// Feeds `count` values in [0, 1000) through the convenience updater, then
+// quiesces so the ladder and tail reflect all of them.
+void feed(qc::Quancurrent<double>& sk, std::uint32_t from, std::uint32_t count) {
+  for (std::uint32_t i = from; i < from + count; ++i) {
+    sk.update(static_cast<double>((i * 7919U) % 1000U));
+  }
+  sk.quiesce();
+}
+
+}  // namespace
+
+// A querier that has not answered yet answers its first questions straight
+// from its runs, so each failed refresh below is checked on a querier that
+// never answered before it: a refresh that damaged the runs would show in
+// the direct answers and in the summary merged from them.  The expected
+// answers come from a twin querier made at the same point.
+QC_TEST(failed_refresh_keeps_the_previous_view) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  qc::Quancurrent<double> sk(small_options(64, 16));
+  feed(sk, 0, 5000);
+  std::vector<qc::Quancurrent<double>::Querier> queriers;
+  for (int i = 0; i < 4; ++i) queriers.push_back(sk.make_querier());
+  const ViewAnswers before = answers_of(sk.make_querier());
+  CHECK_EQ(before.size, std::uint64_t{5000});
+
+  // Levels change: fail the 1st, 2nd, ... staged copy, so the failure lands
+  // before, between, and after partly staged levels and the tail.
+  feed(sk, 5000, 3000);
+  for (std::uint64_t hit = 1; hit <= 3; ++hit) {
+    auto& q = queriers[hit - 1];
+    inj.reset();  // arm_hit counts hits since the last reset
+    inj.arm_hit(Point::querier_copy_alloc, hit);
+    bool threw = false;
+    try {
+      q.refresh();
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+    inj.reset();
+    CHECK(threw);
+    CHECK(answers_of(q) == before);
+    q.refresh();
+    CHECK_EQ(q.size(), std::uint64_t{8000});
+    CHECK(answers_of(q) == answers_of(sk.make_querier()));
+  }
+
+  // Only the tail changes (8000 + 10 items: no new 2k batch): the tail copy
+  // is the one that fails.
+  auto& q = queriers[3];
+  q.refresh();
+  const ViewAnswers mid = answers_of(sk.make_querier());
+  feed(sk, 8000, 10);
+  inj.reset();
+  inj.arm_hit(Point::querier_copy_alloc, 1);
+  bool threw = false;
+  try {
+    q.refresh();
+  } catch (const std::bad_alloc&) {
+    threw = true;
+  }
+  inj.reset();
+  CHECK(threw);
+  CHECK(answers_of(q) == mid);
+  q.refresh();
+  CHECK_EQ(q.size(), std::uint64_t{8010});
+}
+
+QC_TEST(refresh_is_all_or_nothing_at_every_alloc_site) {
+  InjectorScope scope;
+  // Fail allocation n of a refresh, n = 1, 2, ... until one completes
+  // clean; each attempt replays the same change on a fresh sketch.
+  bool clean = false;
+  std::uint64_t n = 0;
+  while (!clean && ++n < 1000) {
+    qc::Quancurrent<double> sk(small_options(64, 16));
+    feed(sk, 0, 5000);
+    auto q = sk.make_querier();
+    const ViewAnswers before = answers_of(sk.make_querier());
+    feed(sk, 5000, 3333);
+    qc::test::alloc::fail_nth(n);
+    bool threw = false;
+    try {
+      q.refresh();
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+    const bool injected = qc::test::alloc::fired;
+    qc::test::alloc::disarm();
+    if (injected) {
+      CHECK(threw);
+      CHECK(answers_of(q) == before);
+    } else {
+      CHECK(answers_of(q) == answers_of(sk.make_querier()));
+      clean = true;
+    }
+  }
+  CHECK(clean);
+  std::fprintf(stderr, "qc chaos: querier refresh clean after %llu armed sites\n",
+               static_cast<unsigned long long>(n - 1));
+}
+
+QC_TEST(answers_come_from_runs_until_the_summary_pays) {
+  InjectorScope scope;
+  qc::Quancurrent<double> sk(small_options(64, 16));
+  feed(sk, 0, 40'000);
+  auto q = sk.make_querier();
+  const auto expected = answers_of(sk.make_querier());
+  // The first answers of a new view allocate nothing: they come straight
+  // from the runs, no summary is merged.
+  const std::uint64_t allocs = qc::test::alloc::total.load(std::memory_order_relaxed);
+  CHECK(q.quantile(0.5) == expected.quantiles[10]);
+  CHECK_EQ(q.rank(500.0), expected.ranks[21]);
+  CHECK_EQ(qc::test::alloc::total.load(std::memory_order_relaxed), allocs);
+  // A failed materialization keeps answering (directly), and a later
+  // answer merges the summary after all.
+  qc::test::alloc::fail_nth(1);
+  for (int i = 0; i < 10'000 && !qc::test::alloc::fired; ++i) {
+    CHECK(q.quantile(0.5) == expected.quantiles[10]);
+  }
+  CHECK(qc::test::alloc::fired);
+  qc::test::alloc::disarm();
+  for (int i = 0; i < 10'000; ++i) CHECK(q.quantile(0.25) == expected.quantiles[5]);
+  CHECK(qc::test::alloc::total.load(std::memory_order_relaxed) > allocs);
+}
+
 // ----- degradation under stalled readers ------------------------------------
 
 namespace {

@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <span>
 #include <thread>
 #include <vector>
@@ -235,13 +238,6 @@ QC_TEST(incremental_and_full_refresh_return_identical_summaries) {
     ++rounds;
   }
   CHECK(rounds >= 8u);
-
-  // The sort-baseline knob answers identically too (tie order may differ for
-  // duplicate items, but uniform doubles are duplicate-free).
-  auto baseline = sk.make_querier();
-  baseline.set_sort_baseline(true);
-  baseline.refresh_full();
-  CHECK(baseline.summary() == incremental.summary());
 }
 
 QC_TEST(incremental_refresh_is_noop_when_nothing_changed) {
@@ -265,6 +261,197 @@ QC_TEST(incremental_refresh_is_noop_when_nothing_changed) {
   q.refresh();
   CHECK_EQ(q.size(), 50'001u);
   CHECK_NEAR(q.summary().items().back(), 1e9, 0.0);
+}
+
+// ----- direct answers: exact against the merged summary ---------------------
+
+namespace {
+
+// Bit-for-bit equality: of several equal items (-0.0 == +0.0), a direct
+// answer must pick the very copy the summary picks.
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// The phi edge cases (out of range, zero, a hair above 0 or below 1, NaN)
+// plus an even grid.
+std::vector<double> probe_phis() {
+  std::vector<double> phis{-1.0, 0.0, 1e-12, 1.0 - 1e-15, 1.0, 2.0,
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (int i = 1; i < 100; ++i) phis.push_back(static_cast<double>(i) / 100.0);
+  return phis;
+}
+
+// Checks every direct answer over `runs` against the summary RunMerger
+// builds from them.
+template <typename Compare>
+void check_runs_against_summary(const std::vector<qc::core::RunRef<double>>& runs,
+                                const std::vector<double>& values, Compare cmp) {
+  const auto span = std::span<const qc::core::RunRef<double>>(runs);
+  qc::core::RunMerger<double, Compare> merger;
+  qc::core::WeightedSummary<double> summary;
+  merger.merge(span, summary, cmp);
+  std::vector<std::size_t> scratch(3 * runs.size());
+  for (const double phi : probe_phis()) {
+    const double direct = qc::core::runs_quantile(span, summary.total_weight(), phi,
+                                                  std::span<std::size_t>(scratch), cmp);
+    CHECK(same_bits(direct, qc::core::summary_quantile(summary, phi)));
+  }
+  for (const double v : values) {
+    CHECK_EQ(qc::core::runs_rank(span, v, cmp), qc::core::summary_rank(summary, v, cmp));
+  }
+}
+
+// Records `rounds` passes of quantile/rank answers from a querier's current
+// view BEFORE its summary exists — the early answers come straight from the
+// runs, the later ones (past the querier's merge cost rule) from the summary
+// it materializes — then checks them all against summary().
+template <typename Querier, typename Compare>
+void check_querier_against_summary(const Querier& q, const std::vector<double>& values,
+                                   Compare cmp, int rounds = 8) {
+  const auto phis = probe_phis();
+  std::vector<double> quantiles;
+  std::vector<std::uint64_t> ranks;
+  for (int r = 0; r < rounds; ++r) {
+    for (const double phi : phis) quantiles.push_back(q.quantile(phi));
+    for (const double v : values) ranks.push_back(q.rank(v));
+  }
+  const auto& summary = q.summary();
+  CHECK_EQ(summary.total_weight(), q.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  for (int r = 0; r < rounds; ++r) {
+    for (const double phi : phis) {
+      CHECK(same_bits(quantiles[i++], qc::core::summary_quantile(summary, phi)));
+    }
+    for (const double v : values) {
+      CHECK_EQ(ranks[j++], qc::core::summary_rank(summary, v, cmp));
+    }
+  }
+}
+
+std::vector<double> mod7_probes() {
+  std::vector<double> values;
+  for (int i = -2; i <= 18; ++i) values.push_back(static_cast<double>(i) / 2.0);
+  return values;
+}
+
+}  // namespace
+
+QC_TEST(direct_run_answers_match_merged_summary) {
+  qc::Xoshiro256 rng(47);
+  const auto values = mod7_probes();
+  for (int trial = 0; trial < 40; ++trial) {
+    // Heavy duplicates (values mod 7), weights 1..2^9, some empty runs.
+    const std::size_t num_runs = 1 + rng() % 12;
+    std::vector<std::vector<double>> data(num_runs);
+    std::vector<qc::core::RunRef<double>> less_runs, greater_runs;
+    for (std::size_t r = 0; r < num_runs; ++r) {
+      data[r].resize(rng() % 300);
+      for (auto& v : data[r]) v = static_cast<double>(rng() % 7);
+      less_runs.push_back({nullptr, data[r].size(), 1ULL << (rng() % 10)});
+    }
+    // Ascending copies for std::less, descending views of the same runs
+    // for std::greater.
+    std::vector<std::vector<double>> desc(num_runs);
+    for (std::size_t r = 0; r < num_runs; ++r) {
+      std::sort(data[r].begin(), data[r].end());
+      desc[r].assign(data[r].rbegin(), data[r].rend());
+      less_runs[r].data = data[r].data();
+      greater_runs.push_back({desc[r].data(), desc[r].size(), less_runs[r].weight});
+    }
+    check_runs_against_summary(less_runs, values, std::less<double>());
+    check_runs_against_summary(greater_runs, values, std::greater<double>());
+  }
+  // Equal items that differ in bits: the summary breaks the tie by run
+  // index, and the direct answer must return the same copy.
+  const std::vector<double> a{-1.0, 0.0, 0.0, 2.0};
+  const std::vector<double> b{-0.0, 0.0, -0.0, 0.0, 1.0};  // sorted: all equal
+  const std::vector<double> c{-0.0};
+  const std::vector<double> d{0.0};
+  check_runs_against_summary({{a.data(), a.size(), 2}, {b.data(), b.size(), 1},
+                              {c.data(), c.size(), 4}},
+                             {-0.0, 0.0, 1.0}, std::less<double>());
+  check_runs_against_summary({{b.data(), b.size(), 1}, {a.data(), a.size(), 2}},
+                             {-0.0, 0.0, 1.0}, std::less<double>());
+  check_runs_against_summary({{d.data(), 1, 3}, {c.data(), 1, 1}, {b.data(), 4, 2}},
+                             {-0.0, 0.0}, std::less<double>());
+  // No runs, and runs that are all empty.
+  check_runs_against_summary({}, {0.0}, std::less<double>());
+  check_runs_against_summary({{a.data(), 0, 1}, {b.data(), 0, 8}}, {0.0},
+                             std::less<double>());
+}
+
+QC_TEST(querier_answers_match_its_summary) {
+  const auto mod7 = mod7_probes();
+  {  // multi-level sketch, uniform values
+    qc::core::Quancurrent<double> sk(small_options(64, 8));
+    auto data = qc::stream::make_stream(Distribution::kUniform, 90'000, 53);
+    qc::bench::ingest_quancurrent(sk, data, 4, /*quiesce=*/true);
+    auto q = sk.make_querier();
+    std::vector<double> probes(data.begin(), data.begin() + 40);
+    probes.push_back(-1.0);
+    probes.push_back(2.0);
+    check_querier_against_summary(q, probes, std::less<double>());
+  }
+  {  // heavy duplicates under std::greater
+    qc::core::Quancurrent<double, std::greater<double>> sk(small_options(64, 8));
+    {
+      auto u = sk.make_updater(0);
+      for (int i = 0; i < 70'000; ++i) u.update(static_cast<double>((i * 13) % 7));
+    }
+    sk.quiesce();
+    auto q = sk.make_querier();
+    CHECK_EQ(q.size(), 70'000u);
+    CHECK(q.quantile(0.0) == 6.0);  // greater-first order
+    check_querier_against_summary(q, mod7, std::greater<double>());
+  }
+  {  // empty sketch
+    qc::core::Quancurrent<double> sk(small_options(64, 8));
+    auto q = sk.make_querier();
+    CHECK_EQ(q.size(), 0u);
+    CHECK_EQ(q.rank(1.0), 0u);
+    CHECK(q.quantile(0.5) == 0.0);
+    check_querier_against_summary(q, mod7, std::less<double>());
+  }
+  {  // tail-only sketch: fewer than 2k items never reach the ladder
+    qc::core::Quancurrent<double> sk(small_options(64, 8));
+    {
+      auto u = sk.make_updater(0);
+      for (int i = 0; i < 100; ++i) u.update(static_cast<double>(i % 7));
+    }
+    sk.quiesce();
+    CHECK_EQ(sk.tritmap().num_levels(), 0u);
+    auto q = sk.make_querier();
+    CHECK_EQ(q.size(), 100u);
+    check_querier_against_summary(q, mod7, std::less<double>());
+  }
+}
+
+QC_TEST(incremental_and_full_views_answer_identically) {
+  // Each round publishes new views; the first answers of a view come from
+  // its runs, so this compares the direct paths of an incremental view and
+  // a full re-copy, then both against the summary.
+  qc::core::Quancurrent<double> sk(small_options(64, 8));
+  auto incremental = sk.make_querier();
+  auto full = sk.make_querier();
+  const auto values = mod7_probes();
+  const auto phis = probe_phis();
+  std::uint32_t i = 0;
+  for (int round = 0; round < 12; ++round) {
+    {
+      auto u = sk.make_updater(static_cast<std::uint32_t>(round) % 4);
+      for (int n = 0; n < 4'111; ++n, ++i) u.update(static_cast<double>(i % 7) + 0.5);
+    }
+    sk.quiesce();
+    incremental.refresh();
+    full.refresh_full();
+    CHECK_EQ(incremental.size(), full.size());
+    for (const double phi : phis) {
+      CHECK(same_bits(incremental.quantile(phi), full.quantile(phi)));
+    }
+    for (const double v : values) CHECK_EQ(incremental.rank(v), full.rank(v));
+    CHECK(incremental.summary() == full.summary());
+    check_querier_against_summary(incremental, values, std::less<double>(), 1);
+  }
 }
 
 QC_TEST(sequential_sketch_summary_uses_prefix_weights) {
