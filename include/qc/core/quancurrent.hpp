@@ -1184,7 +1184,10 @@ class Quancurrent {
 
   // ----- binary serde -------------------------------------------------------
 
-  // Bytes serialize() will emit for the current query-visible state.
+  // Bytes serialize() will emit for the current query-visible state: exact
+  // on a quiesced sketch, a lock-free probe under concurrent ingestion (it
+  // reads only the tritmap and the tail length, so the image taken next may
+  // be larger).
   std::size_t serialized_size() const QC_EXCLUDES(latch_) {
     serde::Writer counter;
     write_payload(counter);
@@ -1743,7 +1746,8 @@ class Quancurrent {
   }
 
   // Emits the serde image; shared by serialize() and serialized_size() (the
-  // latter passes a measuring writer), so the two can never disagree.
+  // latter passes a measuring writer), so on a quiesced sketch the two can
+  // never disagree.
   void write_payload(serde::Writer& w) const QC_EXCLUDES(latch_) {
     serde::write_header(w, serde::Engine::concurrent,
                         static_cast<std::uint8_t>(sizeof(T)));
@@ -1760,6 +1764,23 @@ class Quancurrent {
     w.put(opts_.seed);
     w.put(opts_.topology.nodes);
     w.put(opts_.topology.threads_per_node);
+    if (w.measuring()) {
+      // Sizing reads no contents, so it takes no lock: the rng state has a
+      // fixed width, the ladder is k items for each run the tritmap counts,
+      // and the tail length is an atomic.  Under concurrent ingestion the
+      // result is a probe — installs may grow the ladder before the image is
+      // taken, which callers absorb with headroom or a retry.
+      const Tritmap tm = tritmap_.load(std::memory_order_acquire);
+      w.put(std::array<std::uint64_t, 4>{});
+      w.put(tm.raw());
+      std::size_t runs = 0;
+      for (std::uint32_t level = 1; level < kLevels; ++level) runs += tm.trit(level);
+      w.put_bytes(nullptr, runs * opts_.k * sizeof(T));
+      const std::uint64_t tail = tail_size_.load(std::memory_order_acquire);
+      w.put(tail);
+      w.put_bytes(nullptr, static_cast<std::size_t>(tail) * sizeof(T));
+      return;
+    }
     {
       // Freeze publication while the ladder (and the parity rng installs
       // mutate) is imaged: only the latch holder writes either, and queriers

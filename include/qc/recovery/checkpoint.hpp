@@ -27,7 +27,11 @@
 // generation until one verifies.  Snapshots ride the engine's under-latch
 // serialize path: concurrent queriers stay wait-free for the whole
 // checkpoint, updaters only contend with serialize exactly as they already
-// do with merge_into.
+// do with merge_into.  The image is built without staging copies: each
+// shard's serde image is serialized straight into the container buffer
+// (ContainerWriter::emplace_shard) and checksummed there, and its size comes
+// from a lock-free probe, so one encode holds the install latch once, for
+// the ladder copy.
 //
 // Transient I/O errors (and injected ones) retry the whole attempt with
 // bounded exponential backoff — the sleeping cousin of common/backoff.hpp's
@@ -99,25 +103,32 @@ concept ShardedEngine = requires(const S& s) {
 
 namespace detail {
 
-// serialize with the size/serialize race retried, as qc::to_bytes does —
-// under concurrent ingestion the payload can grow between the two calls.
+// Frames one sketch's serde image as shard chunk `index`, serialized in
+// place into the container (no staging blob).  The size comes from
+// serialized_size(), which takes no lock and stores nothing; the image is
+// then taken under the install latch, once.  Installs that land in between
+// can grow the ladder, so the chunk gets two k-item runs of headroom (each
+// install adds at most one run); a ladder that outgrew even that makes
+// serialize() report 0, and the chunk is retried with a fresh size, as
+// qc::to_bytes does.  Engines without a k (the sequential sketches) cannot
+// grow concurrently and get none.
 //
-// Capability note (common/annotations.hpp): serialize()/serialized_size()
-// take the sketch's install latch internally (QC_EXCLUDES on their side), so
-// the under-latch snapshot discipline — no allocation, no blocking while the
-// ladder is frozen — is enforced where the latch lives.  This helper, and
-// the Checkpointer above it, must therefore never be called with that latch
+// Capability note (common/annotations.hpp): serialize() takes the sketch's
+// install latch internally (QC_EXCLUDES on its side), so the under-latch
+// snapshot discipline — no allocation, no blocking while the ladder is
+// frozen — is enforced where the latch lives.  This helper, and the
+// Checkpointer above it, must therefore never be called with that latch
 // held; holding it here would deadlock in write_payload's LatchGuard.
 template <typename Sketch>
-std::vector<std::byte> sketch_bytes(const Sketch& sk) {
-  std::vector<std::byte> out;
-  std::size_t written = 0;
-  do {
-    out.resize(sk.serialized_size());
-    written = sk.serialize(out);
-  } while (written == 0 && !out.empty());
-  out.resize(written);
-  return out;
+void add_sketch_shard(ContainerWriter& w, std::uint32_t index, const Sketch& sk) {
+  std::size_t headroom = 0;
+  if constexpr (requires { sk.options().k; }) {
+    headroom = 2 * static_cast<std::size_t>(sk.options().k) *
+               sizeof(typename Sketch::value_type);
+  }
+  while (!w.emplace_shard(index, sk.serialized_size() + headroom,
+                          [&](std::span<std::byte> out) { return sk.serialize(out); })) {
+  }
 }
 
 inline std::string gen_filename(const std::string& name, std::uint64_t gen) {
@@ -175,24 +186,22 @@ inline std::vector<std::pair<std::uint64_t, std::string>> list_generations(
 // The full container image for one sketch at one generation.  Sharded
 // engines get one chunk per shard (each shard serialized under its own
 // latch — per-shard consistent, facade-level a momentary cut, same as any
-// cross-shard query); everything else is a single-shard container.
+// cross-shard query); everything else is a single-shard container.  The
+// manifest goes first, so its advisory total_elements is the size() read
+// before any shard is imaged.
 template <typename Sketch>
 std::vector<std::byte> encode_checkpoint(const Sketch& sketch,
                                          std::uint64_t generation) {
   ContainerWriter w(generation);
   if constexpr (ShardedEngine<Sketch>) {
     const std::uint32_t shards = sketch.num_shards();
-    std::vector<std::vector<std::byte>> blobs;
-    blobs.reserve(shards);
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      blobs.push_back(detail::sketch_bytes(sketch.shard(s)));
-    }
     w.add_manifest(SketchKind::sharded, shards, sketch.size());
-    for (std::uint32_t s = 0; s < shards; ++s) w.add_shard(s, blobs[s]);
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      detail::add_sketch_shard(w, s, sketch.shard(s));
+    }
   } else {
-    const std::vector<std::byte> blob = detail::sketch_bytes(sketch);
     w.add_manifest(SketchKind::single, 1, sketch.size());
-    w.add_shard(0, blob);
+    detail::add_sketch_shard(w, 0, sketch);
   }
   return std::move(w).finish();
 }

@@ -35,6 +35,7 @@
 // their fault points in recovery/io.hpp.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -123,11 +124,19 @@ inline void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
   out.push_back(static_cast<std::byte>(v & 0xFFu));
   out.push_back(static_cast<std::byte>((v >> 8) & 0xFFu));
 }
+inline void set_u32(std::byte* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
+}
+inline void set_u64(std::byte* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
+}
 inline void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
+  out.resize(out.size() + 4);
+  set_u32(out.data() + out.size() - 4, v);
 }
 inline void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
+  out.resize(out.size() + 8);
+  set_u64(out.data() + out.size() - 8, v);
 }
 inline std::uint16_t get_u16(const std::byte* p) {
   return static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[0]) |
@@ -149,7 +158,9 @@ inline std::uint64_t get_u64(const std::byte* p) {
 // Builds a container image in memory: header, then chunks in call order,
 // then (finish()) the commit record.  The caller owns chunk ordering —
 // manifest first, shard chunks in index order — which checkpoint encoding
-// does and parse_container() enforces.
+// does and parse_container() enforces.  Every chunk is framed in place: its
+// header is reserved, the payload is written straight into the image after
+// it, and the header is patched once the CRC over that span is known.
 class ContainerWriter {
  public:
   explicit ContainerWriter(std::uint64_t generation) : generation_(generation) {
@@ -161,45 +172,78 @@ class ContainerWriter {
 
   void add_manifest(SketchKind kind, std::uint32_t shard_count,
                     std::uint64_t total_elements) {
-    std::vector<std::byte> payload;
-    payload.reserve(kManifestPayloadBytes);
-    detail::put_u32(payload, static_cast<std::uint32_t>(kind));
-    detail::put_u32(payload, shard_count);
-    detail::put_u64(payload, total_elements);
-    add_chunk(ChunkType::manifest, payload);
+    const std::size_t start = begin_chunk();
+    detail::put_u32(bytes_, static_cast<std::uint32_t>(kind));
+    detail::put_u32(bytes_, shard_count);
+    detail::put_u64(bytes_, total_elements);
+    end_chunk(ChunkType::manifest, start);
   }
 
   void add_shard(std::uint32_t shard_index, std::span<const std::byte> blob) {
-    std::vector<std::byte> payload;
-    payload.reserve(4 + blob.size());
-    detail::put_u32(payload, shard_index);
-    payload.insert(payload.end(), blob.begin(), blob.end());
-    add_chunk(ChunkType::shard, payload);
+    const std::size_t start = begin_chunk();
+    detail::put_u32(bytes_, shard_index);
+    bytes_.insert(bytes_.end(), blob.begin(), blob.end());
+    end_chunk(ChunkType::shard, start);
+  }
+
+  // A shard chunk whose serde image is written in place: `emit` gets the
+  // `capacity` bytes after the chunk header and shard_index and returns how
+  // many it wrote, as Quancurrent::serialize does.  A return of 0 means the
+  // image did not fit: the chunk is dropped again and the call returns
+  // false, so the caller can retry with a fresh size.  Frames the same bytes
+  // add_shard() does for the same image, without staging it elsewhere.
+  template <typename Emit>
+  bool emplace_shard(std::uint32_t shard_index, std::size_t capacity, Emit&& emit) {
+    const std::size_t start = begin_chunk();
+    detail::put_u32(bytes_, shard_index);
+    const std::size_t at = bytes_.size();
+    // Room for the commit chunk too, so a single-shard finish() never
+    // reallocates; geometric, so many shards stay linear.
+    const std::size_t need = at + capacity + kChunkHeaderBytes + kCommitPayloadBytes;
+    if (need > bytes_.capacity()) bytes_.reserve(std::max(need, 2 * bytes_.capacity()));
+    bytes_.resize(at + capacity);
+    const std::size_t written = emit(std::span<std::byte>(bytes_.data() + at, capacity));
+    if (written == 0) {
+      bytes_.resize(start);
+      return false;
+    }
+    bytes_.resize(at + written);
+    end_chunk(ChunkType::shard, start);
+    return true;
   }
 
   // Seals the container with the commit record and releases the image.
   std::vector<std::byte> finish() && {
-    std::vector<std::byte> payload;
-    payload.reserve(kCommitPayloadBytes);
-    detail::put_u64(payload, generation_);
-    detail::put_u32(payload, chunk_count_);
-    detail::put_u32(payload, 0);  // reserved
-    detail::put_u64(payload, payload_total_);
-    detail::put_u32(payload, crc32c(crc_seq_.data(), crc_seq_.size()));
-    add_chunk(ChunkType::commit, payload);
+    const std::size_t start = begin_chunk();
+    detail::put_u64(bytes_, generation_);
+    detail::put_u32(bytes_, chunk_count_);
+    detail::put_u32(bytes_, 0);  // reserved
+    detail::put_u64(bytes_, payload_total_);
+    detail::put_u32(bytes_, crc32c(crc_seq_.data(), crc_seq_.size()));
+    end_chunk(ChunkType::commit, start);
     return std::move(bytes_);
   }
 
  private:
-  void add_chunk(ChunkType type, std::span<const std::byte> payload) {
-    const std::uint32_t crc = crc32c(payload.data(), payload.size());
-    detail::put_u32(bytes_, static_cast<std::uint32_t>(type));
-    detail::put_u32(bytes_, crc);
-    detail::put_u64(bytes_, payload.size());
-    bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+  // Reserves a chunk header; the payload follows it directly.
+  std::size_t begin_chunk() {
+    const std::size_t start = bytes_.size();
+    bytes_.resize(start + kChunkHeaderBytes);
+    return start;
+  }
+
+  // Checksums the payload written since begin_chunk() and fills in the
+  // header in front of it.
+  void end_chunk(ChunkType type, std::size_t start) {
+    std::byte* hdr = bytes_.data() + start;
+    const std::size_t len = bytes_.size() - start - kChunkHeaderBytes;
+    const std::uint32_t crc = crc32c(hdr + kChunkHeaderBytes, len);
+    detail::set_u32(hdr, static_cast<std::uint32_t>(type));
+    detail::set_u32(hdr + 4, crc);
+    detail::set_u64(hdr + 8, len);
     if (type != ChunkType::commit) {
       detail::put_u32(crc_seq_, crc);
-      payload_total_ += payload.size();
+      payload_total_ += len;
       ++chunk_count_;
     }
   }

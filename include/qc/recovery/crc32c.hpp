@@ -6,11 +6,21 @@
 // and is the polynomial storage formats standardized on (iSCSI, ext4, Btrfs,
 // LevelDB tables), so a container inspected by external tooling checks out.
 //
-// Software path: a constexpr-generated 256-entry reflected table, one byte
-// per step — ~1 GB/s, far above checkpoint I/O rates.  When the TU is built
-// with SSE4.2 enabled the hardware crc32 instruction takes over (8 bytes per
-// step); both paths produce identical digests (the known-answer test in
-// test_recovery pins the standard vector "123456789" -> 0xE3069283).
+// Two paths, picked at run time:
+//
+//   * x86-64 with SSE4.2: the hardware crc32 instruction, 8 bytes per step
+//     (~7.5 GB/s on a 4-core x86-64 dev host), compiled through a
+//     `target("sse4.2")` function attribute and chosen once per process by
+//     a cached __builtin_cpu_supports probe.
+//   * Everywhere else: detail::crc32c_portable, a constexpr-generated
+//     256-entry reflected table, one byte per step (~0.35 GB/s on the same
+//     host: ~96% of a snapshot encode when it ran there).
+//
+// The choice is made at run time because no build passes -msse4.2: a
+// compile-time `#if __SSE4_2__` branch is never compiled in.  Both paths
+// produce identical digests: test_recovery pins the standard vector
+// "123456789" -> 0xE3069283 and checks the dispatched digest against
+// crc32c_portable across lengths, start offsets and chained seeds.
 #pragma once
 
 #include <array>
@@ -18,7 +28,8 @@
 #include <cstdint>
 #include <cstring>
 
-#if defined(__SSE4_2__)
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define QC_CRC32C_X86 1
 #include <nmmintrin.h>
 #endif
 
@@ -40,27 +51,53 @@ constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
 
 inline constexpr std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table();
 
+// The table path: one byte per step, any target.
+inline std::uint32_t crc32c_portable(const void* data, std::size_t n,
+                                     std::uint32_t seed = 0) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t crc = ~seed;
+  while (n-- != 0) crc = kCrc32cTable[(crc ^ *p++) & 0xFFu] ^ (crc >> 8);
+  return ~crc;
+}
+
+#if defined(QC_CRC32C_X86)
+// The hardware path: only ever called after have_sse42() said yes.
+__attribute__((target("sse4.2"))) inline std::uint32_t crc32c_sse42(const void* data,
+                                                                    std::size_t n,
+                                                                    std::uint32_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t crc = ~seed;
+  while (n >= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+    p += 8;
+    n -= 8;
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  while (n-- != 0) crc32 = _mm_crc32_u8(crc32, *p++);
+  return ~crc32;
+}
+
+inline bool have_sse42() {
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return yes;
+}
+#endif
+
 }  // namespace detail
 
 // Digest of [data, data+n).  Pass a previous digest as `seed` to checksum a
 // discontiguous byte sequence incrementally: crc32c(b, crc32c(a)) equals
 // crc32c(a ++ b).
 inline std::uint32_t crc32c(const void* data, std::size_t n, std::uint32_t seed = 0) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = ~seed;
-#if defined(__SSE4_2__)
-  while (n >= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p, sizeof(word));
-    crc = static_cast<std::uint32_t>(_mm_crc32_u64(crc, word));
-    p += 8;
-    n -= 8;
-  }
-  while (n-- != 0) crc = _mm_crc32_u8(crc, *p++);
-#else
-  while (n-- != 0) crc = detail::kCrc32cTable[(crc ^ *p++) & 0xFFu] ^ (crc >> 8);
+#if defined(QC_CRC32C_X86)
+  if (detail::have_sse42()) return detail::crc32c_sse42(data, n, seed);
 #endif
-  return ~crc;
+  return detail::crc32c_portable(data, n, seed);
 }
 
 }  // namespace qc::recovery

@@ -18,7 +18,12 @@
 //
 // Writer doubles as a size counter: constructed without a buffer it performs
 // no stores and just advances the cursor, so `serialized_size()` and
-// `serialize()` share one payload-emission function and can never disagree.
+// `serialize()` share one payload-emission function and agree on any
+// quiesced sketch.  Since a measuring writer never reads what it is handed,
+// an engine may size its image from the shape alone (Quancurrent passes
+// null for its ladder and tail and so sizes without taking its install
+// latch); the checkpoint encoder serializes straight into the container
+// with headroom for what a live sketch gains in between.
 #pragma once
 
 #include <cstddef>
@@ -88,7 +93,8 @@ class Writer {
         ok_ = false;
         return;
       }
-      std::memcpy(buf_ + pos_, data, n);
+      // n == 0 may come with a null `data` (an empty tail's data()).
+      if (n != 0) std::memcpy(buf_ + pos_, data, n);
       // Chaos builds only: model a bit flip between serialization and
       // deserialization (bad disk, bad NIC).  Corrupts the stored copy, never
       // the caller's data; a measuring writer stores nothing to corrupt.
@@ -122,7 +128,7 @@ class Reader {
 
   [[nodiscard]] bool get_bytes(void* out, std::size_t n) {
     if (cap_ - pos_ < n) return false;
-    std::memcpy(out, buf_ + pos_, n);
+    if (n != 0) std::memcpy(out, buf_ + pos_, n);
     pos_ += n;
     return true;
   }

@@ -2,7 +2,9 @@
 //
 // Two halves:
 //
-//   * Deterministic unit tests — the CRC32C known-answer vector, container
+//   * Unit tests — the CRC32C known-answer vector and the dispatched CRC
+//     against the portable table, in-place shard framing against framing a
+//     separate blob, encodes racing two updaters (run under TSan), container
 //     grammar enforcement (torn chunks, bit flips, missing/duplicate commit
 //     records, manifest mismatches), checkpoint retention + temp sweeping,
 //     corrupt-latest fallback with RecoveryReport reasons, transient-I/O
@@ -31,12 +33,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/inject.hpp"
@@ -113,6 +117,30 @@ QC_TEST(recovery_crc32c_known_answer_and_chaining) {
   // Incremental chaining equals the one-shot digest.
   const std::uint32_t head = rec::crc32c(digits, 4);
   CHECK_EQ(rec::crc32c(digits + 4, 5, head), 0xE3069283u);
+}
+
+QC_TEST(recovery_crc32c_dispatch_matches_portable_table) {
+  // The dispatched digest (the hardware crc32 instruction where the CPU has
+  // it) must equal the byte-at-a-time table on every length class the
+  // 8-byte steps split differently, at every start alignment, and chained.
+  std::vector<unsigned char> buf(288'994 + 8);
+  std::uint64_t x = 42;
+  for (auto& c : buf) c = static_cast<unsigned char>(x = splitmix64(x));
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (const std::size_t n : {4095, 4096, 4097, 288'994}) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const unsigned char* p = buf.data() + off;
+      const std::uint32_t want = rec::detail::crc32c_portable(p, n);
+      CHECK_EQ(rec::crc32c(p, n), want);
+      // Chained: any split point, seeded with the head's digest.
+      const std::size_t cut = (n * 5 + off) / 8;
+      CHECK_EQ(rec::crc32c(p + cut, n - cut, rec::crc32c(p, cut)), want);
+      CHECK_EQ(rec::crc32c(p, n, 0xDEADBEEFu),
+               rec::detail::crc32c_portable(p, n, 0xDEADBEEFu));
+    }
+  }
 }
 
 // One committed single-sketch container for the grammar tests below.
@@ -232,6 +260,109 @@ QC_TEST(recovery_container_commit_counts_chunks) {
                                       off + rec::kChunkHeaderBytes +
                                       static_cast<std::size_t>(len1)));
   CHECK(rec::parse_container(spliced, parsed).status == rec::Verify::commit_mismatch);
+}
+
+QC_TEST(recovery_in_place_framing_matches_blob_framing) {
+  // encode_checkpoint serializes each shard straight into the container;
+  // the bytes must equal framing a separately serialized blob.
+  qc::Quancurrent<double> single(small_options());
+  for (int i = 0; i < 30'011; ++i) single.update(static_cast<double>((i * 31) % 997));
+  single.quiesce();
+  rec::ContainerWriter want_single(5);
+  want_single.add_manifest(rec::SketchKind::single, 1, single.size());
+  want_single.add_shard(0, qc::to_bytes(single));
+  const std::vector<std::byte> want = std::move(want_single).finish();
+  CHECK(rec::encode_checkpoint(single, 5) == want);
+
+  // A size probe that comes up short (a ladder that grew past the headroom)
+  // drops the half-written chunk and retries; the image is unchanged.
+  struct ShortProbe {
+    const qc::Quancurrent<double>& sk;
+    mutable int probes = 0;
+    std::uint64_t size() const { return sk.size(); }
+    std::size_t serialized_size() const {
+      return ++probes == 1 ? sk.serialized_size() / 2 : sk.serialized_size();
+    }
+    std::size_t serialize(std::span<std::byte> out) const { return sk.serialize(out); }
+  };
+  const ShortProbe probe{single};
+  CHECK(rec::encode_checkpoint(probe, 5) == want);
+  CHECK_EQ(probe.probes, 2);
+
+  qc::ShardedQuancurrent<double> sharded(3, small_options());
+  {
+    auto u = sharded.make_updater(0);
+    auto v = sharded.make_updater(1);
+    for (int i = 0; i < 20'000; ++i) {
+      u.update(static_cast<double>(i));
+      v.update(static_cast<double>(-i));
+    }
+  }
+  sharded.quiesce();
+  rec::ContainerWriter want_sharded(6);
+  want_sharded.add_manifest(rec::SketchKind::sharded, 3, sharded.size());
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    want_sharded.add_shard(s, qc::to_bytes(sharded.shard(s)));
+  }
+  CHECK(rec::encode_checkpoint(sharded, 6) == std::move(want_sharded).finish());
+}
+
+QC_TEST(recovery_encode_under_live_ingest_parses_and_never_shrinks) {
+  // Two updaters ingest while this thread loops the lock-free size probe,
+  // serialize() and encode_checkpoint().  Installs land between probe and
+  // image, so a probe-sized serialize() may fail cleanly and the encoder
+  // leans on its headroom (its retry is forced deterministically in the
+  // framing test above); every image must still parse and deserialize, and
+  // successive images never shrink.
+  qc::Quancurrent<double> sk(small_options());
+  constexpr int kPerUpdater = 150'000;
+  std::atomic<int> running{2};
+  std::vector<std::thread> updaters;
+  for (std::uint32_t t = 0; t < 2; ++t) {
+    updaters.emplace_back([&, t] {
+      auto u = sk.make_updater(t);
+      std::uint64_t x = t;
+      for (int i = 0; i < kPerUpdater; ++i) {
+        u.update(static_cast<double>((x = splitmix64(x)) >> 11));
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::uint64_t last = 0, rounds = 0, gen = 0;
+  const auto check_image = [&](std::span<const std::byte> blob) {
+    auto back = qc::Quancurrent<double>::deserialize(blob);
+    CHECK(back != nullptr);
+    if (back == nullptr) return;
+    CHECK(back->size() >= last);
+    CHECK(back->size() <= 2u * kPerUpdater);
+    last = back->size();
+  };
+  while (running.load(std::memory_order_acquire) != 0 || rounds < 20) {
+    ++rounds;
+    std::vector<std::byte> blob(sk.serialized_size());
+    const std::size_t n = sk.serialize(blob);
+    CHECK(n <= blob.size());
+    if (n != 0) check_image(std::span<const std::byte>(blob.data(), n));
+    const std::vector<std::byte> image = rec::encode_checkpoint(sk, ++gen);
+    rec::Parsed parsed;
+    CHECK(rec::parse_container(image, parsed).ok());
+    CHECK_EQ(parsed.shard_blobs.size(), 1u);
+    if (parsed.shard_blobs.size() != 1) continue;
+    CHECK_EQ(parsed.generation, gen);
+    // The manifest's size() is read before the shard is imaged.
+    const std::uint64_t before = last;
+    check_image(parsed.shard_blobs[0]);
+    CHECK(parsed.manifest.total_elements >= before);
+    CHECK(parsed.manifest.total_elements <= last);
+  }
+  for (auto& t : updaters) t.join();
+  sk.quiesce();
+  const auto final_image = rec::encode_checkpoint(sk, ++gen);
+  rec::Parsed parsed;
+  CHECK(rec::parse_container(final_image, parsed).ok());
+  auto back = qc::Quancurrent<double>::deserialize(parsed.shard_blobs.at(0));
+  CHECK(back != nullptr);
+  if (back != nullptr) CHECK_EQ(back->size(), 2u * kPerUpdater);
 }
 
 // ----- checkpointer lifecycle ------------------------------------------------

@@ -100,6 +100,23 @@ QC_TEST(concurrent_roundtrip_preserves_tail) {
   CHECK_NEAR(q.quantile(1.0), 9.0, 1e-12);
 }
 
+QC_TEST(quiesced_serialized_size_matches_serialize_without_the_latch) {
+  // serialized_size() sizes the image from the tritmap and the tail length
+  // alone; on a quiesced sketch that must be exactly what serialize()
+  // writes — empty, tail-only, and multi-level with a tail.
+  for (const int n : {0, 10, 60'013}) {
+    qc::Quancurrent<double> sk(small_options(64, 8));
+    for (int i = 0; i < n; ++i) sk.update(static_cast<double>((i * 7919) % 1000));
+    sk.quiesce();
+    const std::uint64_t holds = sk.stats().latch_holds;
+    const std::size_t size = sk.serialized_size();
+    CHECK_EQ(sk.stats().latch_holds, holds);  // the probe took no latch
+    std::vector<std::byte> out(size + 64);
+    CHECK_EQ(sk.serialize(out), size);
+    CHECK_EQ(sk.stats().latch_holds, holds + 1);
+  }
+}
+
 QC_TEST(to_bytes_matches_manual_serialize) {
   qc::QuantilesSketch<double> sk(64);
   for (int i = 0; i < 5'000; ++i) sk.update(static_cast<double>(i));
