@@ -4,9 +4,9 @@
 //
 //   1. Checkpoint latency vs sketch size — how long does one checkpoint()
 //      (snapshot + CRC-framed encode + write + fsync + rename + dir fsync)
-//      take as the sketch grows?  The snapshot rides the under-latch
-//      serialize path, so retained bytes (~O(k log n)), not stream length,
-//      set the encode cost; the fsyncs set the floor.
+//      take as the sketch grows?  The snapshot rides serialize()'s ladder
+//      image, so retained bytes (~O(k log n)), not stream length, set the
+//      encode cost; the fsyncs set the floor.
 //   2. The ingest-throughput dip while checkpoints run — updaters contend
 //      with serialize exactly as they do with merge_into, so back-to-back
 //      checkpoints on a cadence shave some ingest throughput.  The dip, not

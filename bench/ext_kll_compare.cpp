@@ -55,8 +55,8 @@ int main() {
   Table t({"k", "classic_retained", "kll_retained", "classic_maxerr", "kll_maxerr",
            "classic_tput", "kll_tput"});
   for (std::uint32_t k : {64u, 256u, 1024u, 4096u}) {
-    sketch::QuantilesSketch<double> classic(k);
-    sketch::KllSketch<double> kll(k);
+    sequential::QuantilesSketch<double> classic(k);
+    sequential::KllSketch<double> kll(k);
     const Row rc = measure(classic, data);
     const Row rk = measure(kll, data);
     t.add_row({Table::integer(k), Table::integer(rc.retained), Table::integer(rk.retained),

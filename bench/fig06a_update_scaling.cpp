@@ -28,7 +28,7 @@ int main() {
 
   // Sequential baseline.
   const double seq_tput = bench::average_runs(scale.runs, [&] {
-    sketch::QuantilesSketch<double> seq(k);
+    sequential::QuantilesSketch<double> seq(k);
     return throughput(data.size(), bench::ingest_sequential(seq, data));
   });
 

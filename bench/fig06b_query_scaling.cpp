@@ -48,7 +48,7 @@ int main() {
                             /*quiesce=*/true);
 
   // Sequential baseline: one sketch queried from one thread.
-  sketch::QuantilesSketch<double> seq(k);
+  sequential::QuantilesSketch<double> seq(k);
   for (double x : data) seq.update(x);
   (void)seq.quantile(0.5);  // build the lazy summary outside the timed loop
   const std::uint64_t seq_queries = std::max<std::uint64_t>(total_queries / 100, 100);

@@ -56,7 +56,7 @@ double rms_rank_error_sequential(std::uint32_t k, std::uint64_t keys, std::uint3
   double sum_sq = 0;
   std::size_t count = 0;
   for (std::uint32_t r = 0; r < runs; ++r) {
-    sketch::QuantilesSketch<double> sk(k, 2000 + r);
+    sequential::QuantilesSketch<double> sk(k, 2000 + r);
     auto data = stream::make_stream(stream::Distribution::kUniform, keys, 5000 + r);
     for (double x : data) sk.update(x);
     stream::ExactQuantiles<double> exact(std::move(data));

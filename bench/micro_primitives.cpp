@@ -3,7 +3,7 @@
 // Query side: copy-only refresh (full re-copy vs. the O(1) incremental no-op)
 // and what a querier pays to materialize its summary; then, on runs shaped
 // like the sketch's view, the summary merge (loser tree vs. the global-sort
-// hole fallback) and direct-from-runs vs. summary quantile/rank — the
+// baseline) and direct-from-runs vs. summary quantile/rank — the
 // constants behind the querier's switch to its summary and behind
 // fig06b/fig06c.
 //
@@ -140,7 +140,7 @@ int main() {
         time_per_op(refresh_iters, [&] { core::sort_merge_runs(span, out, scratch); });
     t.add_row({"summary: RunMerger merge", micros(merge_t),
                "L=" + Table::integer(runs.size()) + " runs"});
-    t.add_row({"summary: sort_merge_runs (hole fallback)", micros(sort_t),
+    t.add_row({"summary: sort_merge_runs (global sort)", micros(sort_t),
                Table::num(sort_t / merge_t, 2) + "x vs merge"});
 
     merger.merge(span, out);

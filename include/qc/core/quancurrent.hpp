@@ -44,16 +44,17 @@
 // small tenants stay small and quiesce() can hand memory back.
 //
 // Interval-based reclamation (IBR).  Retired blocks stay readable until no
-// in-flight query snapshot can still reference them.  Blocks are tagged with
-// birth/retire epochs from a global epoch counter that the latch holder
-// advances every Options::ibr_epoch_freq allocations; updater and querier
-// handles announce the epoch they entered a read region at in per-handle
-// reservation slots.  Every Options::ibr_recl_freq retirements the latch
-// holder scans the announcements and frees exactly the retired blocks whose
-// retire epoch precedes every announced epoch (into a bounded reuse pool
-// first, the allocator after).  Queriers never block on growth OR
-// reclamation: they announce, load epoch-validated pointer snapshots, copy,
-// and clear — wait-free throughout.  ibr_stats() exposes the counters the
+// in-flight snapshot can still reference them.  Retired blocks are stamped
+// with a global epoch that the latch holder advances every
+// Options::ibr_epoch_freq allocations; updater and querier handles (and the
+// LadderImage behind serde and merge_into) announce the epoch they entered a
+// read region at in per-handle reservation slots.  Every
+// Options::ibr_recl_freq retirements the latch holder scans the
+// announcements and frees exactly the retired blocks whose retire epoch
+// precedes every announced epoch (into a bounded reuse pool first, the
+// allocator after).  Queriers never block on growth OR reclamation: they
+// announce, load epoch-validated pointer snapshots, copy, and clear —
+// wait-free throughout.  ibr_stats() exposes the counters the
 // abl_reclamation ablation sweeps.
 //
 // Publication protocol.  An install only writes slots that the currently
@@ -135,6 +136,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -228,13 +230,10 @@ class Quancurrent {
   static constexpr std::size_t kIbrSlotsPerChunk = 32;
   static constexpr std::size_t kFreeListCap = 64;  // reuse-pool bound
 
-  // One published k-item run.  Immutable once its pointer is published;
-  // birth/retire epochs bound its reclamation interval.  (The conservative
-  // free rule below only consults retire_epoch; birth_epoch is kept for
-  // diagnostics and the full interval-overlap variant.)
+  // One published k-item run, immutable once its pointer is published;
+  // retire_epoch is the epoch it was unpublished at (ibr_scan's free rule).
   struct LevelBlock {
     explicit LevelBlock(std::uint32_t k) : items(k) {}
-    std::uint64_t birth_epoch = 0;
     std::uint64_t retire_epoch = 0;
     std::vector<T> items;
   };
@@ -259,7 +258,7 @@ class Quancurrent {
   // so the Updater/Querier handles stay movable.
   class IbrSlotLease {
    public:
-    explicit IbrSlotLease(Quancurrent& sketch) : slot_(sketch.acquire_ibr_slot()) {}
+    explicit IbrSlotLease(const Quancurrent& sketch) : slot_(sketch.acquire_ibr_slot()) {}
     IbrSlotLease(const IbrSlotLease&) = delete;
     IbrSlotLease& operator=(const IbrSlotLease&) = delete;
     IbrSlotLease(IbrSlotLease&& other) noexcept
@@ -278,10 +277,10 @@ class Quancurrent {
   };
 
   // Scoped epoch announcement: pins the reclamation epoch for one read
-  // region (a query snapshot).  Two stores; never blocks.
+  // region (a query snapshot or a LadderImage).  Two stores; never blocks.
   class IbrPin {
    public:
-    IbrPin(Quancurrent& sketch, IbrSlot* slot) : slot_(slot) {
+    IbrPin(const Quancurrent& sketch, IbrSlot* slot) : slot_(slot) {
       // seq_cst load + store: the announcement must precede this handle's
       // subsequent slot-pointer loads in the single total order — that
       // ordering is what lets the reclaimer's scan prove the handle visible
@@ -873,22 +872,23 @@ class Quancurrent {
         assert(tm.trit(0) == 0);  // published tritmaps always have level 0 drained
         stage_levels(tm, force_full);
         stage_tail(force_full);
+        QC_INJECT_STALL(querier_recheck);  // chaos: an install here fails the attempt
         // The copy loads above are acquire, so this re-check load cannot be
         // reordered before them, and a copy that loaded a block a later
         // install published synchronizes with every earlier install's seq
         // advance (see stage_levels) — it cannot re-read `seq` here.
         const std::uint64_t check = s.install_seq_.load(std::memory_order_acquire);
         if (check == seq) {
-          stage_view(tm, /*holes=*/0);
+          stage_view(tm);
           commit(seq, /*holes=*/0);
           return;
         }
         if (attempt + 1 == kSnapshotRetries) {
           // Accept the snapshot; count the racing installs as holes, as the
-          // paper does.  Such a view is answered from a summary built by
-          // the global-sort fallback, and the cache is poisoned so the next
-          // refresh re-copies every level.
-          stage_view(tm, check - seq);
+          // paper does.  Every copied run came from an immutable block, so
+          // the view answers from its runs like any other; the cache is
+          // poisoned so the next refresh re-copies every level.
+          stage_view(tm);
           commit(kNever, check - seq);
           for (auto& c : cache_) c.epoch = kNever;
           if (s.opts_.collect_stats) {
@@ -990,12 +990,10 @@ class Quancurrent {
     // tail) in view_stage_, pointing into whichever buffer — committed or
     // staged — holds each part; commit's swaps keep those buffers in place.
     // The run order is deterministic, so incremental and full refreshes of
-    // the same snapshot produce identical views.  A view accepted with
-    // holes also gets its summary here, by the global-sort fallback.  All
-    // allocation happens here, before the commit.
-    void stage_view(Tritmap tm, std::uint64_t holes) {
-      auto& s = *sketch_;
-      const std::uint32_t k = s.opts_.k;
+    // the same snapshot produce identical views.  All allocation happens
+    // here, before the commit.
+    void stage_view(Tritmap tm) {
+      const std::uint32_t k = sketch_->opts_.k;
       view_stage_.clear();
       view_stage_.reserve(kMaxRuns);
       for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
@@ -1008,10 +1006,6 @@ class Quancurrent {
       }
       const std::vector<T>& tail = tail_staged_ ? tail_stage_ : tail_buf_;
       if (!tail.empty()) view_stage_.push_back({tail.data(), tail.size(), 1});
-      if (holes != 0) {
-        sort_merge_runs(std::span<const RunRef<T>>(view_stage_), summary_stage_,
-                        sort_scratch_, s.cmp_);
-      }
     }
 
     // Publishes the staged view.  No-throw: swaps, sums and scalar stores.
@@ -1034,8 +1028,7 @@ class Quancurrent {
         size_ += r.weight * r.size;
       }
       holes_ = holes;
-      summary_ready_ = holes != 0;
-      if (summary_ready_) std::swap(summary_, summary_stage_);
+      summary_ready_ = false;
       snap_seq_ = seq;
       answers_ = 0;
       const auto ceil_log2 = [](std::uint64_t x) {
@@ -1077,8 +1070,6 @@ class Quancurrent {
     std::uint64_t tail_stage_ver_ = kNever;
     bool tail_staged_ = false;
     std::vector<RunRef<T>> view_stage_;
-    WeightedSummary<T> summary_stage_;  // hole views only
-    std::vector<std::pair<T, std::uint64_t>> sort_scratch_;
   };
   Querier make_querier() { return Querier(*this); }
 
@@ -1108,75 +1099,42 @@ class Quancurrent {
   // Folds this sketch's query-visible state into `target`: every installed
   // level run replays through target's install queue as an install_run()
   // (one ordinary publish each — target's concurrent updaters keep ingesting
-  // and queriers on BOTH sketches stay wait-free, since the snapshot below
-  // never blocks the query path), and the weight-1 tail is appended to
+  // and queriers on BOTH sketches stay wait-free, since the LadderImage
+  // below never blocks the query path), and the weight-1 tail is appended to
   // target's tail.  Requires equal k; returns false (and changes nothing) on
   // a k mismatch or self-merge.  Elements still in this sketch's local or
   // gather buffers are invisible to the merge, exactly as they are to
   // queries (bounded relaxation) — quiesce() first for an exact fold.
   //
-  // Exception safety: may propagate bad_alloc.  From the snapshot phase
-  // (the reserves below) nothing has been installed and the target is
-  // untouched; from the install phase a PREFIX of the runs (and possibly
-  // not the tail) has been folded — the target remains internally
-  // consistent and answerable, but a blind retry would re-install that
-  // prefix, so callers under memory pressure should retry into a fresh
-  // target (the chaos suite's pattern).  Both sketches' latches are scoped
-  // and cannot leak.
+  // Exception safety: may propagate bad_alloc.  From the copy phase
+  // nothing has been installed and the target is untouched; from the
+  // install phase a PREFIX of the runs (and possibly not the tail) has been
+  // folded — the target remains internally consistent and answerable, but
+  // a blind retry would re-install that prefix, so callers under memory
+  // pressure should retry into a fresh target (the chaos suite's pattern).
   bool merge_into(Quancurrent& target) const QC_EXCLUDES(latch_, target.latch_) {
     if (&target == this || target.opts_.k != opts_.k) return false;
-    // Snapshot the installed ladder under the install latch: holding it
-    // stops any publish AND any reclamation (only the latch holder touches
-    // blocks), so reading through the slot pointers is safe and torn-free
-    // without touching the query path.  Keep the hold short — it stalls
-    // every installer: reserve from a pre-latch tritmap guess and retry in
-    // the unlikely event the ladder grew past it meanwhile.
     std::vector<T> run_items;
     std::vector<std::uint32_t> run_levels;
-    const auto count_runs = [](Tritmap tm) {
-      std::size_t runs = 0;
-      const std::uint32_t top = tm.num_levels();
-      for (std::uint32_t level = 1; level < top; ++level) runs += tm.trit(level);
-      return runs;
-    };
-    for (;;) {
-      // +4: headroom for installs cascading new levels while unlatched.
-      // All allocation happens HERE, outside the latch: a bad_alloc (real or
-      // injected) propagates with no latch held and nothing installed.
-      const std::size_t reserved =
-          std::min<std::size_t>(count_runs(tritmap_.load(std::memory_order_acquire)) + 4,
-                                2 * kLevels);
+    {  // the image is dropped before anything below can wait (its rules)
+      const LadderImage image(*this);
       QC_INJECT_OOM(merge_alloc);
-      run_items.reserve(reserved * opts_.k);
-      run_levels.reserve(reserved);
-      const LatchGuard guard(*this);
-      const Tritmap tm = tritmap_.load(std::memory_order_acquire);
-      if (count_runs(tm) > reserved) {
-        continue;  // ladder outgrew the guess; re-reserve and retry
-      }
-      const std::uint32_t top = tm.num_levels();
-      for (std::uint32_t level = 1; level < top; ++level) {
-        for (std::uint32_t slot = 0; slot < tm.trit(level); ++slot) {
-          const T* src = slot_ptr(level, slot);
-          // qc-lint-allow(no-alloc-under-latch): capacity reserved above,
-          // outside the latch; the retry loop guarantees it suffices.
-          run_items.insert(run_items.end(), src, src + opts_.k);
-          // qc-lint-allow(no-alloc-under-latch): same pre-reserve.
-          run_levels.push_back(level);
-        }
-      }
-      break;
+      run_items.reserve(image.run_count() * opts_.k);
+      run_levels.reserve(image.run_count());
+      image.for_each_run([&](const T* items, std::uint32_t level) {
+        run_items.insert(run_items.end(), items, items + opts_.k);
+        run_levels.push_back(level);
+      });
     }
     std::vector<T> tail_copy;
     {
       const sync::MutexLock lock(tail_mu_);
       tail_copy = tail_;
     }
-    for (std::size_t i = 0; i < run_levels.size(); ++i) {
-      target.install_run(run_levels[i],
-                         std::span<const T>(
-                             run_items.data() + i * static_cast<std::size_t>(opts_.k),
-                             opts_.k));
+    const T* run = run_items.data();
+    for (const std::uint32_t level : run_levels) {
+      target.install_run(level, std::span<const T>(run, opts_.k));
+      run += opts_.k;
     }
     if (!tail_copy.empty()) target.push_tail(tail_copy.data(), tail_copy.size());
     return true;
@@ -1199,8 +1157,9 @@ class Quancurrent {
   // the query-visible state — installed ladder plus tail — so, like a
   // query, it excludes elements still in local/gather buffers; quiesce()
   // first to capture everything.  Safe against concurrent queriers; under
-  // concurrent ingestion the image is a consistent point-in-time snapshot
-  // (taken under the install latch, off the query path).
+  // concurrent ingestion the ladder is a consistent point-in-time snapshot
+  // (a LadderImage, off the query path).  Throws bad_alloc only if the
+  // image's announcement slot needs a new chunk.
   std::size_t serialize(std::span<std::byte> out) const QC_EXCLUDES(latch_) {
     serde::Writer w(out);
     write_payload(w);
@@ -1422,12 +1381,6 @@ class Quancurrent {
     return b->items.data();
   }
 
-  const T* slot_ptr(std::uint32_t level, std::uint32_t slot) const QC_REQUIRES(latch_) {
-    const LevelBlock* b = slot_block(level, slot).load(std::memory_order_relaxed);
-    QC_CHECK(b != nullptr, "dereferencing an unpublished level slot");
-    return b->items.data();
-  }
-
   // ----- install latch: timed, watchdogged acquisition ----------------------
   // Every hold of latch_ goes through these helpers so hold time is always
   // observable (stats().latch_holds / latch_max_hold_ns /
@@ -1470,8 +1423,8 @@ class Quancurrent {
   }
 
   // Scoped hold for the paths that may throw under the latch (quiesce's
-  // retirement bookkeeping, merge snapshots): "the latch never leaks" is a
-  // failure-model guarantee, not a convention.
+  // retirement bookkeeping, deserialize's rebuild, LadderImage): "the latch
+  // never leaks" is a failure-model guarantee, not a convention.
   struct QC_SCOPED_CAPABILITY LatchGuard {
     explicit LatchGuard(const Quancurrent& s) QC_ACQUIRE(s.latch_) : s_(s) {
       s_.acquire_latch();
@@ -1482,12 +1435,64 @@ class Quancurrent {
     const Quancurrent& s_;
   };
 
+  // Point-in-time image of the installed ladder for serde and merge_into.
+  // One latch hold, O(levels), reads the rng state, the tritmap and the run
+  // pointers and announces an IBR pin; the k-runs are then read unlatched
+  // (published blocks are immutable; the pin keeps them from reclamation).
+  // Deadlock rules: pin only under the latch, never before acquiring it (a
+  // latch holder throttled by ibr_retire_cap waits on pins), and wait on
+  // nothing of this sketch while the image lives — not the latch, not
+  // tail_mu_ (quiesce holds it while it installs), not an install queue
+  // (flush_chunk's unpin follows the same rule).
+  class LadderImage {
+   public:
+    explicit LadderImage(const Quancurrent& s) : lease_(s) {
+      const LatchGuard guard(s);
+      pin_.emplace(s, lease_.slot());
+      rng_state_ = s.rng_.state();
+      tm_ = s.tritmap_.load(std::memory_order_relaxed);
+      for (std::uint32_t level = 1; level < tm_.num_levels(); ++level) {
+        for (std::uint32_t slot = 0; slot < tm_.trit(level); ++slot) {
+          const LevelBlock* b = s.slot_block(level, slot).load(std::memory_order_relaxed);
+          QC_CHECK(b != nullptr, "imaging an unpublished level slot");
+          runs_[count_++] = {b->items.data(), level};
+        }
+      }
+    }
+
+    std::array<std::uint64_t, 4> rng_state() const { return rng_state_; }
+    Tritmap tritmap() const { return tm_; }
+    std::size_t run_count() const { return count_; }
+
+    // Calls fn(items, level) for each k-run, in ladder order.
+    template <typename Fn>
+    void for_each_run(Fn&& fn) const {
+      for (std::size_t i = 0; i < count_; ++i) {
+        // Chaos builds: act between the latch release and the copy.
+        QC_INJECT_STALL(ladder_image_copy);
+        fn(runs_[i].items, runs_[i].level);
+      }
+    }
+
+   private:
+    struct Run {
+      const T* items;
+      std::uint32_t level;
+    };
+    IbrSlotLease lease_;  // declared first: outlives the pin
+    std::optional<IbrPin> pin_;
+    std::array<std::uint64_t, 4> rng_state_{};
+    Tritmap tm_{0};
+    std::array<Run, 2 * std::size_t{kLevels}> runs_{};
+    std::size_t count_ = 0;
+  };
+
   // ----- IBR: allocation, retirement, reclamation (latch_ held throughout,
   // except acquire_ibr_slot which is lock-free) -----------------------------
 
   // Hands out a block to fill: reuse pool first (proven-safe blocks, no
   // allocator traffic), `new` otherwise.  Advances the global reclamation
-  // epoch every ibr_epoch_freq allocations and stamps the block's birth.
+  // epoch every ibr_epoch_freq allocations.
   LevelBlock* alloc_block() QC_REQUIRES(latch_) {
     LevelBlock* b;
     if (!free_blocks_.empty()) {
@@ -1507,7 +1512,6 @@ class Quancurrent {
       ibr_epoch_.fetch_add(1, std::memory_order_seq_cst);
       ibr_epochs_.fetch_add(1, std::memory_order_relaxed);
     }
-    b->birth_epoch = ibr_epoch_.load(std::memory_order_relaxed);
     b->retire_epoch = 0;
     return b;
   }
@@ -1574,10 +1578,8 @@ class Quancurrent {
   // all announced epochs.  A reader holding a pointer into block B announced
   // an epoch a <= B's retire stamp r (it announced before loading the
   // pointer, and the pointer was unpublished before r was stamped), so
-  // r < min_announced implies no reader can still hold B.  This is the
-  // conservative epoch rule of interval-based reclamation — the birth/retire
-  // interval tags support the finer overlap rule, but the conservative one
-  // already bounds the retire list by the scan cadence.
+  // r < min_announced implies no reader can still hold B.  This
+  // conservative epoch rule bounds the retire list by the scan cadence.
   void ibr_scan() QC_REQUIRES(latch_) {
     ibr_scans_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t min_e = min_announced_epoch();
@@ -1722,7 +1724,7 @@ class Quancurrent {
 
   // Claims a free announcement slot, growing the chunk list when none is
   // free.  Lock-free; called once per handle construction.
-  IbrSlot* acquire_ibr_slot() {
+  IbrSlot* acquire_ibr_slot() const {
     for (IbrSlotChunk* c = ibr_chunks_.load(std::memory_order_acquire);
          c != nullptr; c = c->next.load(std::memory_order_acquire)) {
       for (IbrSlot& s : c->slots) {
@@ -1781,21 +1783,13 @@ class Quancurrent {
       w.put_bytes(nullptr, static_cast<std::size_t>(tail) * sizeof(T));
       return;
     }
-    {
-      // Freeze publication while the ladder (and the parity rng installs
-      // mutate) is imaged: only the latch holder writes either, and queriers
-      // never take the latch, so the query path is unaffected.  Scoped so
-      // the latch cannot leak (Writer::put never throws).
-      const LatchGuard guard(*this);
-      w.put(rng_.state());
-      const Tritmap tm = tritmap_.load(std::memory_order_acquire);
-      w.put(tm.raw());
-      const std::uint32_t top = tm.num_levels();
-      for (std::uint32_t level = 1; level < top; ++level) {
-        for (std::uint32_t slot = 0; slot < tm.trit(level); ++slot) {
-          w.put_bytes(slot_ptr(level, slot), opts_.k * sizeof(T));
-        }
-      }
+    {  // the image is dropped before tail_mu_ is taken (its rules)
+      const LadderImage image(*this);
+      w.put(image.rng_state());
+      w.put(image.tritmap().raw());
+      image.for_each_run([&](const T* items, std::uint32_t) {
+        w.put_bytes(items, opts_.k * sizeof(T));
+      });
     }
     const sync::MutexLock lock(tail_mu_);
     w.put(static_cast<std::uint64_t>(tail_.size()));
@@ -2063,7 +2057,7 @@ class Quancurrent {
       publish_slot(dest_level, dest_slot, nb, published);
       // Release the level's new epoch only after its publication so that a
       // querier reading this epoch (acquire) sees the new pointer; see
-      // Querier::collect_levels.
+      // Querier::stage_levels.
       level_epoch_[dest_level].store(epoch, std::memory_order_release);
       tm = tm.after_install_propagation(level);
       level = dest_level;
@@ -2091,7 +2085,7 @@ class Quancurrent {
 
   // level_epoch_[l]: epoch_counter_ value of the last batch cascade that
   // wrote level l's slots (not merely cleared them).  Queriers use it to
-  // reuse cached runs across refreshes; see Querier::collect_levels.
+  // reuse cached runs across refreshes; see Querier::stage_levels.
   std::array<std::atomic<std::uint64_t>, kLevels> level_epoch_{};
 
   // ----- IBR state.  The vectors and cadence counters are latch-protected;
@@ -2103,7 +2097,7 @@ class Quancurrent {
   std::vector<LevelBlock*> retired_ QC_GUARDED_BY(latch_);
   // proven-safe reuse pool (bounded)
   std::vector<LevelBlock*> free_blocks_ QC_GUARDED_BY(latch_);
-  std::atomic<IbrSlotChunk*> ibr_chunks_{nullptr};
+  mutable std::atomic<IbrSlotChunk*> ibr_chunks_{nullptr};  // const paths lease too
   std::atomic<std::uint64_t> ibr_epochs_{0};
   std::atomic<std::uint64_t> ibr_allocated_{0};
   std::atomic<std::uint64_t> ibr_reused_{0};
@@ -2140,8 +2134,8 @@ class Quancurrent {
   alignas(64) std::atomic<std::uint64_t> install_head_{0};
 
   // Install/drain path (one latch holder at a time), serialized by `latch_`.
-  // Mutable: const observers (serialize, merge_into's source snapshot) also
-  // freeze publication with it.  The LatchFlag doubles as the thread-safety
+  // Mutable: LadderImage (serialize, merge_into's source) takes it from
+  // const paths to read the run pointers.  The LatchFlag doubles as the thread-safety
   // capability every QC_REQUIRES/QC_GUARDED_BY in this class names; see
   // common/annotations.hpp for the model.
   mutable sync::LatchFlag latch_;

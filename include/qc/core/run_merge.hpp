@@ -606,9 +606,8 @@ class ChunkMerger {
 };
 
 // The pre-merge-engine summary construction — flatten every run into (item,
-// weight) pairs and globally sort.  Kept as (a) the fallback for snapshots
-// accepted with holes, whose runs may contain torn items and so may not be
-// sorted, and (b) the baseline micro_primitives benches against.
+// weight) pairs and globally sort.  Kept only as the reference the merge
+// tests compare against and the baseline micro_primitives benches against.
 template <typename T, typename Compare = std::less<T>>
 void sort_merge_runs(std::span<const RunRef<T>> runs, WeightedSummary<T>& out,
                      std::vector<std::pair<T, std::uint64_t>>& scratch,

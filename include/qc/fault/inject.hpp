@@ -5,7 +5,8 @@
 // defines NAMED INJECTION POINTS threaded through the hot paths —
 // allocation failure on the cascade/tail/query/merge/deserialize paths,
 // artificial stalls (a wedged latch holder, a parked querier, a preempted
-// gather writer, a full install ring), and serde byte corruption — plus a
+// gather writer, a full install ring, a paused ladder-image copy or snapshot
+// re-check), and serde byte corruption — plus a
 // process-wide Injector that decides, deterministically from a seed and a
 // per-point hit counter, whether each encounter fires.
 //
@@ -40,9 +41,10 @@ enum class Point : std::uint8_t {
   level_block_alloc = 0,  // alloc_block(): a LevelBlock `new` on the cascade
                           // or deserialize path fails
   tail_alloc,             // push_tail(): the tail vector's growth fails
-  querier_copy_alloc,     // Querier::collect_levels()/copy_tail(): a snapshot
+  querier_copy_alloc,     // Querier::stage_levels()/stage_tail(): a snapshot
                           // copy buffer's growth fails
-  merge_alloc,            // merge_into(): the source-snapshot reserve fails
+  merge_alloc,            // merge_into(): the run-buffer reserve fails
+                          // (ladder imaged and pinned, nothing installed)
   deserialize_alloc,      // deserialize(): a payload allocation fails
   install_queue_full,     // acquire_cell(): delay a producer as if the ring
                           // were full (backpressure path)
@@ -61,6 +63,10 @@ enum class Point : std::uint8_t {
                           // publish rename fails
   read_corrupt,           // recovery/io.hpp read_file(): one bit of the
                           // loaded checkpoint image rots
+  ladder_image_copy,      // LadderImage::for_each_run(): act before a run is
+                          // read, latch released, pin held
+  querier_recheck,        // Querier::refresh(): act between the copy and the
+                          // install-seq re-check (forces a failed attempt)
   kCount,
 };
 
@@ -82,6 +88,8 @@ inline const char* point_name(Point p) {
     case Point::fsync_fail: return "fsync_fail";
     case Point::rename_fail: return "rename_fail";
     case Point::read_corrupt: return "read_corrupt";
+    case Point::ladder_image_copy: return "ladder_image_copy";
+    case Point::querier_recheck: return "querier_recheck";
     case Point::kCount: break;
   }
   return "unknown";

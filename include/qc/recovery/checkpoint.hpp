@@ -24,14 +24,14 @@
 // before the data blocks — which the pre-rename fsync forbids — so every
 // surviving <name>.<gen>.qckp either passes full container verification or
 // proves media-level corruption, and recovery falls back generation by
-// generation until one verifies.  Snapshots ride the engine's under-latch
-// serialize path: concurrent queriers stay wait-free for the whole
-// checkpoint, updaters only contend with serialize exactly as they already
-// do with merge_into.  The image is built without staging copies: each
-// shard's serde image is serialized straight into the container buffer
-// (ContainerWriter::emplace_shard) and checksummed there, and its size comes
-// from a lock-free probe, so one encode holds the install latch once, for
-// the ladder copy.
+// generation until one verifies.  Snapshots ride the engine's ladder image,
+// the one merge_into uses: one install-latch hold per shard reads the run
+// pointers and pins an IBR epoch, and the runs are copied unlatched, so
+// concurrent queriers stay wait-free and a snapshot holds the latch for
+// O(levels), not O(k * runs).  The image is built without staging copies:
+// each shard's serde image is serialized straight into the container buffer
+// (ContainerWriter::emplace_shard) and checksummed there, and its size
+// comes from a lock-free probe.
 //
 // Transient I/O errors (and injected ones) retry the whole attempt with
 // bounded exponential backoff — the sleeping cousin of common/backoff.hpp's
@@ -105,20 +105,20 @@ namespace detail {
 
 // Frames one sketch's serde image as shard chunk `index`, serialized in
 // place into the container (no staging blob).  The size comes from
-// serialized_size(), which takes no lock and stores nothing; the image is
-// then taken under the install latch, once.  Installs that land in between
-// can grow the ladder, so the chunk gets two k-item runs of headroom (each
-// install adds at most one run); a ladder that outgrew even that makes
-// serialize() report 0, and the chunk is retried with a fresh size, as
-// qc::to_bytes does.  Engines without a k (the sequential sketches) cannot
+// serialized_size(), which takes no lock and stores nothing; the image
+// then takes the install latch once, to read the run pointers.  Installs
+// that land in between can grow the ladder, so the chunk gets two k-item
+// runs of headroom (each install adds at most one run); a ladder that
+// outgrew even that makes serialize() report 0, and the chunk is retried
+// with a fresh size, as qc::to_bytes does.  Engines without a k (the sequential sketches) cannot
 // grow concurrently and get none.
 //
 // Capability note (common/annotations.hpp): serialize() takes the sketch's
-// install latch internally (QC_EXCLUDES on its side), so the under-latch
-// snapshot discipline — no allocation, no blocking while the ladder is
-// frozen — is enforced where the latch lives.  This helper, and the
-// Checkpointer above it, must therefore never be called with that latch
-// held; holding it here would deadlock in write_payload's LatchGuard.
+// install latch internally (QC_EXCLUDES on its side), in its LadderImage, so
+// the image's rules — pin only under the latch, wait on nothing of the
+// sketch while pinned — are enforced where the latch lives.  This helper,
+// and the Checkpointer above it, must therefore never be called with that
+// latch held; the image would deadlock acquiring it.
 template <typename Sketch>
 void add_sketch_shard(ContainerWriter& w, std::uint32_t index, const Sketch& sk) {
   std::size_t headroom = 0;

@@ -406,8 +406,3 @@ class QuantilesSketch {
 };
 
 }  // namespace qc::sequential
-
-namespace qc {
-// Former name of the namespace; existing code and tests keep compiling.
-namespace sketch = sequential;
-}  // namespace qc

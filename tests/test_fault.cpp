@@ -8,6 +8,9 @@
 //     publication, and never violates the live_blocks() ledger;
 //   * deserialize and merge_into are exception-safe at EVERY allocation site
 //     (the fail-Nth loop: arm n = 1, 2, ... until a run completes clean);
+//   * serialize/merge_into copy the ladder after releasing the latch, kept
+//     safe by the image's pin, and a view accepted with holes answers from
+//     its runs;
 //   * a stalled querier keeps retired memory under Options::ibr_retire_cap
 //     with the episode reported through ibr_stats().degraded;
 //   * a wedged latch holder and a full install ring are observable through
@@ -511,6 +514,130 @@ QC_TEST(answers_come_from_runs_until_the_summary_pays) {
   qc::test::alloc::disarm();
   for (int i = 0; i < 10'000; ++i) CHECK(q.quantile(0.25) == expected.quantiles[5]);
   CHECK(qc::test::alloc::total.load(std::memory_order_relaxed) > allocs);
+}
+
+// ----- the ladder image and hole views ---------------------------------------
+
+namespace {
+// Stall-handler context: installs level-1 runs into `sk` from inside a
+// LadderImage copy, after checking that the copy runs unlatched.
+struct ImageRace {
+  qc::Quancurrent<double>* sk = nullptr;
+  bool fired = false;
+  bool latch_free = false;
+};
+
+void install_during_image_copy(Point p, void* ctx) {
+  if (p != Point::ladder_image_copy) return;
+  auto* race = static_cast<ImageRace*>(ctx);
+  race->fired = true;
+  race->latch_free = race->sk->stats().latch_current_hold_ns == 0;
+  if (!race->latch_free) return;  // installing now would self-deadlock
+  std::vector<double> run(race->sk->options().k, 2000.0);
+  // 256 level-1 runs carry through every imaged level at least twice, so
+  // each imaged block is displaced and retired.  (Single-threaded, so
+  // waiting on the latch here while the image is pinned cannot deadlock.)
+  for (int i = 0; i < 256; ++i) race->sk->install_run(1, run);
+}
+
+void publish_during_recheck(Point p, void* ctx) {
+  if (p != Point::querier_recheck) return;
+  auto* sk = static_cast<qc::Quancurrent<double>*>(ctx);
+  sk->install_run(1, std::vector<double>(sk->options().k, 3000.0));
+}
+}  // namespace
+
+// serialize() and merge_into() read the runs after the latch is released,
+// protected only by the image's pin.  Installs that land mid-copy displace
+// every imaged block, and ibr_recl_freq = 1 scans on every retirement, so
+// an unpinned block would be reclaimed (and reused) at once.  The image
+// must still be the one taken before those installs, byte for byte.
+QC_TEST(ladder_image_copies_off_the_latch_under_its_pin) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  qc::Options o = small_options(64, 16);
+  o.ibr_epoch_freq = 1;
+  o.ibr_recl_freq = 1;
+  qc::Quancurrent<double> sk(o);
+  feed(sk, 0, 5000);
+  const std::uint64_t imaged_runs = published_runs(sk);
+  std::vector<std::byte> before(sk.serialized_size());
+  CHECK_EQ(sk.serialize(before), before.size());
+  qc::Quancurrent<double> merged_before(o);
+  CHECK(sk.merge_into(merged_before));
+  std::vector<std::byte> merged_image(merged_before.serialized_size());
+  CHECK_EQ(merged_before.serialize(merged_image), merged_image.size());
+
+  ImageRace race{&sk};
+  inj.reset();  // arm_hit counts hits since the last reset
+  inj.set_stall_handler(&install_during_image_copy, &race);
+  const auto ibr = sk.ibr_stats();
+  inj.arm_hit(Point::ladder_image_copy, 1);
+  std::vector<std::byte> image(before.size());
+  CHECK_EQ(sk.serialize(image), image.size());
+  CHECK(race.fired);
+  CHECK(race.latch_free);
+  CHECK(sk.ibr_stats().retired - ibr.retired >= imaged_runs);
+  CHECK(sk.ibr_stats().scans > ibr.scans);
+  CHECK(image == before);
+  CHECK_EQ(sk.size(), std::uint64_t{5000} + 256 * 64 * 2);
+
+  // merge_into copies through the same image.  Rewind the source to the
+  // first image, then race the merge's copy the same way.
+  auto source = qc::Quancurrent<double>::deserialize(before);
+  CHECK(source != nullptr);
+  if (source == nullptr) return;
+  race = ImageRace{source.get()};
+  inj.reset();
+  inj.set_stall_handler(&install_during_image_copy, &race);
+  inj.arm_hit(Point::ladder_image_copy, 1);
+  qc::Quancurrent<double> merged(o);
+  CHECK(source->merge_into(merged));
+  CHECK(race.fired);
+  CHECK(race.latch_free);
+  std::vector<std::byte> merged_after(merged.serialized_size());
+  CHECK_EQ(merged.serialize(merged_after), merged_after.size());
+  CHECK(merged_after == merged_image);
+}
+
+// Every snapshot attempt fails validation (the stall publishes an install
+// between the copy and the re-check), so the refresh accepts the last one
+// with holes.  Its runs were copied from immutable blocks, so it answers
+// from them like any other view, consistently with its own summary.
+QC_TEST(hole_views_answer_from_their_runs) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  qc::Options o = small_options(64, 16);
+  o.collect_stats = true;
+  qc::Quancurrent<double> sk(o);
+  feed(sk, 0, 40'000);
+  auto q = sk.make_querier();
+  feed(sk, 40'000, 3000);
+  inj.set_stall_handler(&publish_during_recheck, &sk);
+  inj.set_probability(Point::querier_recheck, 1.0);
+  q.refresh();
+  CHECK_EQ(inj.counters(Point::querier_recheck).fires, std::uint64_t{8});
+  inj.reset();
+  CHECK(q.holes() > 0);
+  CHECK_EQ(sk.stats().holes, q.holes());
+
+  // The first answers of a view come straight from its runs (they allocate
+  // nothing); the summary is merged only afterwards.
+  const std::uint64_t allocs = qc::test::alloc::total.load(std::memory_order_relaxed);
+  const double median = q.quantile(0.5);
+  const double p90 = q.quantile(0.9);
+  const std::uint64_t rank = q.rank(500.0);
+  CHECK_EQ(qc::test::alloc::total.load(std::memory_order_relaxed), allocs);
+  const auto& summary = q.summary();
+  CHECK_EQ(q.size(), summary.total_weight());
+  CHECK(median == qc::core::summary_quantile(summary, 0.5));
+  CHECK(p90 == qc::core::summary_quantile(summary, 0.9));
+  CHECK_EQ(rank, qc::core::summary_rank(summary, 500.0));
+
+  // Without the stall the next refresh validates and sees everything.
+  q.refresh();
+  CHECK_EQ(q.holes(), std::uint64_t{0});
+  CHECK_EQ(q.size(), sk.size());
 }
 
 // ----- degradation under stalled readers ------------------------------------

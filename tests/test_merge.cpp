@@ -3,8 +3,12 @@
 // leveled install path it rides on, and wait-freedom of concurrent queriers
 // while a merge is in flight.
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util/workload.hpp"
@@ -218,6 +222,72 @@ QC_TEST(queriers_stay_live_during_concurrent_merge) {
   CHECK_EQ(target.size(), 4 * n);
   auto q = target.make_querier();
   CHECK_EQ(q.size(), 4 * n);
+}
+
+// a.merge_into(b) racing b.merge_into(a), with live updaters on both and
+// the smallest retire cap.  A merge that kept its ladder image (an IBR pin
+// on the source) while installing into the target could deadlock: each
+// sketch's latch holder throttles on the other merge's pin while that merge
+// waits on the first sketch's installs.  Merges drop the image first, so
+// every trial finishes; a hang is reported and aborts, since a deadlocked
+// thread cannot be joined.
+QC_TEST(crossed_merges_with_live_updaters_finish) {
+  qc::Options o = small_options(16, 8);  // a small k retires blocks fast
+  o.ibr_epoch_freq = 1;
+  o.ibr_recl_freq = 4;
+  o.ibr_retire_cap = 64;
+  constexpr int kTrials = 100;
+  constexpr int kRounds = 4;
+  std::atomic<int> finished{0};
+  std::uint64_t throttles = 0;
+  std::thread watchdog([&finished] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    while (finished.load(std::memory_order_acquire) < kTrials) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        std::fprintf(stderr, "crossed merges did not finish in 120 s (deadlock)\n");
+        std::abort();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  for (int trial = 0; trial < kTrials; ++trial) {
+    qc::Quancurrent<double> a(o), b(o);
+    std::atomic<bool> stop{false};
+    std::atomic<int> merged{0};
+    std::vector<std::thread> threads;
+    for (auto* sk : {&a, &b}) {
+      threads.emplace_back([sk, &stop] {
+        auto u = sk->make_updater(0);
+        for (std::uint32_t i = 0; !stop.load(std::memory_order_acquire); ++i) {
+          u.update(static_cast<double>(i % 10'000));
+        }
+        u.drain();
+      });
+    }
+    // Let the ladders grow a few levels before the merges start.
+    while (a.size() < 20'000 || b.size() < 20'000) std::this_thread::yield();
+    std::vector<std::thread> mergers;
+    for (auto [src, dst] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+      mergers.emplace_back([src = src, dst = dst, &merged] {
+        for (int r = 0; r < kRounds; ++r) {
+          if (src->merge_into(*dst)) merged.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (auto& t : mergers) t.join();
+    stop.store(true, std::memory_order_release);
+    for (auto& t : threads) t.join();
+    CHECK_EQ(merged.load(std::memory_order_relaxed), 2 * kRounds);
+    a.quiesce();
+    b.quiesce();
+    CHECK(!a.ibr_stats().degraded);
+    CHECK(!b.ibr_stats().degraded);
+    throttles += a.ibr_stats().throttle_waits + b.ibr_stats().throttle_waits;
+    finished.fetch_add(1, std::memory_order_release);
+  }
+  watchdog.join();
+  std::fprintf(stderr, "crossed merges: %d trials, %llu throttle episodes\n", kTrials,
+               static_cast<unsigned long long>(throttles));
 }
 
 QC_TEST_MAIN()

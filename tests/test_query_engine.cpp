@@ -455,7 +455,7 @@ QC_TEST(incremental_and_full_views_answer_identically) {
 }
 
 QC_TEST(sequential_sketch_summary_uses_prefix_weights) {
-  qc::sketch::QuantilesSketch<double> sk(128);
+  qc::sequential::QuantilesSketch<double> sk(128);
   auto data = qc::stream::make_stream(Distribution::kUniform, 30'000, 5);
   for (const double v : data) sk.update(v);
   const auto& s = sk.summary();

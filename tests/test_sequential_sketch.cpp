@@ -11,22 +11,22 @@ using qc::stream::Distribution;
 QC_TEST(merge_sorted_merges) {
   const std::vector<double> a{1, 3, 5};
   const std::vector<double> b{2, 3, 6};
-  const auto m = qc::sketch::merge_sorted(std::span<const double>(a),
+  const auto m = qc::sequential::merge_sorted(std::span<const double>(a),
                                           std::span<const double>(b));
   CHECK(m == (std::vector<double>{1, 2, 3, 3, 5, 6}));
 }
 
 QC_TEST(sample_odd_or_even_halves) {
   const std::vector<double> v{0, 1, 2, 3, 4, 5};
-  const auto even = qc::sketch::sample_odd_or_even(std::span<const double>(v), false);
-  const auto odd = qc::sketch::sample_odd_or_even(std::span<const double>(v), true);
+  const auto even = qc::sequential::sample_odd_or_even(std::span<const double>(v), false);
+  const auto odd = qc::sequential::sample_odd_or_even(std::span<const double>(v), true);
   CHECK(even == (std::vector<double>{0, 2, 4}));
   CHECK(odd == (std::vector<double>{1, 3, 5}));
 }
 
 QC_TEST(small_stream_is_exact) {
   // Below 2k elements nothing is compacted, so queries are exact.
-  qc::sketch::QuantilesSketch<double> sk(64);
+  qc::sequential::QuantilesSketch<double> sk(64);
   for (int i = 0; i < 100; ++i) sk.update(static_cast<double>(i));
   CHECK_EQ(sk.size(), 100u);
   CHECK_EQ(sk.retained(), 100u);
@@ -37,7 +37,7 @@ QC_TEST(small_stream_is_exact) {
 
 QC_TEST(weight_is_conserved_across_compactions) {
   const std::uint32_t k = 64;
-  qc::sketch::QuantilesSketch<double> sk(k);
+  qc::sequential::QuantilesSketch<double> sk(k);
   const auto data = qc::stream::make_stream(Distribution::kUniform, 50'000, 3);
   for (const double v : data) sk.update(v);
   CHECK_EQ(sk.size(), 50'000u);
@@ -56,7 +56,7 @@ QC_TEST(rank_error_within_eps_bound_k256_n1e5) {
   const std::uint32_t k = 256;
   const std::uint64_t n = 100'000;
   auto data = qc::stream::make_stream(Distribution::kUniform, n, 11);
-  qc::sketch::QuantilesSketch<double> sk(k);
+  qc::sequential::QuantilesSketch<double> sk(k);
   for (const double v : data) sk.update(v);
   qc::stream::ExactQuantiles<double> exact(std::move(data));
 
@@ -72,7 +72,7 @@ QC_TEST(rank_error_within_eps_bound_k256_n1e5) {
 QC_TEST(sorted_adversarial_stream_stays_accurate) {
   const std::uint32_t k = 256;
   auto data = qc::stream::make_stream(Distribution::kSorted, 100'000, 1);
-  qc::sketch::QuantilesSketch<double> sk(k);
+  qc::sequential::QuantilesSketch<double> sk(k);
   for (const double v : data) sk.update(v);
   qc::stream::ExactQuantiles<double> exact(std::move(data));
   for (const double phi : {0.1, 0.5, 0.9}) {

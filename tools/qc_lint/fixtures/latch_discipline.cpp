@@ -2,6 +2,8 @@
 // Never compiled — the QC_* trailers below are parsed textually by qc_lint.py,
 // exactly as they appear in the real engine headers.
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 struct Sketch {
@@ -37,6 +39,22 @@ struct Sketch {
       values_.push_back(1);              // qc-lint-expect: no-alloc-under-latch
     }
     after_.push_back(2);  // after the guard scope closes: fine
+  }
+
+  // Allocating declarations: an owning container with an initializer
+  // allocates just as push_back does.  Default construction, references and
+  // pointers allocate nothing.
+  void write_payload() {
+    const LatchGuard guard(*this);
+    std::vector<int> copy(values_);      // qc-lint-expect: no-alloc-under-latch
+    std::vector<int> assigned = values_; // qc-lint-expect: no-alloc-under-latch
+    std::string pad(64, 'x');            // qc-lint-expect: no-alloc-under-latch
+    std::vector<std::pair<int, long>> pairs{{1, 2L}};  // qc-lint-expect: no-alloc-under-latch
+    std::vector<int> empty;
+    std::vector<int> braced{};
+    const std::vector<int>& ref = values_;
+    const std::vector<int>* ptr = &values_;
+    use(copy, assigned, pad, pairs, empty, braced, ref, ptr);
   }
 
   // Designed exception, audited and justified at the site.

@@ -11,7 +11,9 @@ Four checks, each enforcing an invariant the compiler cannot see:
                           (correctness debt).
   no-alloc-under-latch    Nothing allocates in code reachable from a
                           QC_REQUIRES(latch_) function or inside a LatchGuard
-                          scope (the PR 4/7 pre-reserve rule).  Deliberate,
+                          scope (the pre-reserve rule): no allocating call,
+                          and no owning std container declared with an
+                          initializer (`std::vector<T> x(y);`).  Deliberate,
                           protocol-audited exceptions carry a
                           `// qc-lint-allow(no-alloc-under-latch): why` marker.
   no-blocking-under-latch Nothing blocks under the install latch: no mutex
@@ -77,6 +79,13 @@ ALLOC_TOKENS = [
     (re.compile(r"\bmake_shared\s*<"), "make_shared"),
     (re.compile(r"\bthrow\b"), "throw"),
 ]
+# Owning std containers: declaring one with an initializer (a copy, a size,
+# a fill) allocates as surely as push_back does.
+OWNING_CONTAINER_RE = re.compile(
+    r"\b(?:std::)?(vector|deque|list|forward_list|map|multimap|set|multiset|"
+    r"unordered_map|unordered_multimap|unordered_set|unordered_multiset|"
+    r"basic_string|string|wstring)\b")
+UNTEMPLATED_CONTAINERS = {"string", "wstring"}
 BLOCKING_TOKENS = [
     (re.compile(r"\block_guard\b"), "std::lock_guard"),
     (re.compile(r"\bunique_lock\b"), "std::unique_lock"),
@@ -480,6 +489,34 @@ def latch_reachable(funcs_by_name, seeds):
     return reach
 
 
+def owning_decls(text: str):
+    """Offsets of declarations of owning std containers that have an
+    initializer: `T x(args)`, `T x = expr` or `T x{args}`.  References,
+    pointers, parameters and default-constructed declarations (`T x;`,
+    `T x{};`) allocate nothing and are skipped."""
+    for m in OWNING_CONTAINER_RE.finditer(text):
+        if text[:m.start()].rstrip().endswith((".", "->")):
+            continue
+        i = m.end()
+        while i < len(text) and text[i] in " \t\n":
+            i += 1
+        if text[i:i + 1] == "<":
+            i = match_delim(text, i, "<", ">")
+        elif m.group(1) not in UNTEMPLATED_CONTAINERS:
+            continue
+        decl = re.match(r"\s*(" + IDENT + r")\s*([({=])", text[i:])
+        if not decl or decl.group(1) in KEYWORDS:
+            continue
+        opener = i + decl.end() - 1
+        if text[opener] != "=":
+            close = "(" if text[opener] == "(" else "{"
+            inner = text[opener + 1:match_delim(
+                text, opener, close, ")" if close == "(" else "}") - 1]
+            if not inner.strip():
+                continue
+        yield m
+
+
 def scan_region(path, fn, start, end, base_line, allow, funcs_by_name, out):
     text = fn.body[start:end]
 
@@ -493,6 +530,9 @@ def scan_region(path, fn, start, end, base_line, allow, funcs_by_name, out):
     for rex, what in ALLOC_TOKENS:
         for m in rex.finditer(text):
             emit("no-alloc-under-latch", m, what)
+    for m in owning_decls(text):
+        emit("no-alloc-under-latch", m,
+             f"std::{m.group(1)} declared with an initializer")
     for rex, what in BLOCKING_TOKENS:
         for m in rex.finditer(text):
             emit("no-blocking-under-latch", m, what)
