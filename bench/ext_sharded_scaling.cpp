@@ -4,17 +4,24 @@
 // and one install latch; past some thread count those shared points are the
 // bottleneck (fig06a's gather_waits/latch_spins).  ShardedQuancurrent splits
 // the stream across S independent sketches (thread-affinity routing) and
-// re-merges summaries at query time, so update throughput keeps scaling.
-// This driver sweeps threads over {1..max(16, QC_MAX_THREADS)} for a single
-// sketch vs S ∈ {2, 4} shards, then runs a mixed phase on S = 4 to show
-// cross-shard queries staying live (and lock-free) during ingestion.
+// answers queries from the union of the shards' run views, so update
+// throughput keeps scaling.  This bench sweeps threads over
+// {1..max(16, QC_MAX_THREADS)} for a single sketch vs S ∈ {2, 4} shards,
+// then runs a mixed phase on S = 4 to show cross-shard queries staying live
+// (and lock-free) during ingestion.  A rebuild-query arm then measures what
+// a fresh cross-shard query costs: each round installs one 2k batch into
+// one shard and times refresh() plus quantile + rank, for S = 4 and for a
+// single sketch at the same k.
 //
-// Writes BENCH_sharded.json when QC_BENCH_JSON is set.
+// Writes BENCH_sharded.json when QC_BENCH_JSON is set; the rebuild-query
+// percentiles are diagnostic counters, not gated.
 //
 // Env: QC_SCALE/QC_KEYS/QC_RUNS/QC_MAX_THREADS, QC_K, QC_B, QC_BENCH_JSON.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_util/harness.hpp"
 #include "bench_util/workload.hpp"
@@ -22,6 +29,45 @@
 #include "common/env.hpp"
 #include "common/fmt_table.hpp"
 #include "stream/generators.hpp"
+
+namespace {
+
+struct RebuildQuery {
+  double refresh_p50_us = 0.0;
+  double refresh_p90_us = 0.0;
+  double query_p50_us = 0.0;  // refresh + quantile + rank
+  double query_p90_us = 0.0;
+};
+
+// `rounds` rounds of: install_batch(round), then one timed fresh query on a
+// querier that lives across rounds, so every refresh rebuilds its view.
+template <typename Sketch, typename Install>
+RebuildQuery rebuild_query(Sketch& sk, Install install_batch, int rounds,
+                           const std::vector<double>& probes) {
+  using clock = std::chrono::steady_clock;
+  const auto us = [](clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+  auto q = sk.make_querier();
+  std::vector<double> refresh_us, query_us;
+  double sink = 0.0;
+  for (int r = 0; r < rounds; ++r) {
+    install_batch(r);
+    const double phi = static_cast<double>(r % 97 + 1) / 99.0;
+    const auto t0 = clock::now();
+    q.refresh();
+    const auto t1 = clock::now();
+    sink += q.quantile(phi) + static_cast<double>(q.rank(probes[r % probes.size()]));
+    const auto t2 = clock::now();
+    refresh_us.push_back(us(t1 - t0));
+    query_us.push_back(us(t2 - t0));
+  }
+  if (sink < 0) std::printf("%f\n", sink);  // keeps the answers live
+  return {qc::bench::percentile(refresh_us, 0.5), qc::bench::percentile(refresh_us, 0.9),
+          qc::bench::percentile(query_us, 0.5), qc::bench::percentile(query_us, 0.9)};
+}
+
+}  // namespace
 
 int main() {
   using namespace qc;
@@ -99,11 +145,57 @@ int main() {
               Table::mops(mixed.query_throughput).c_str(), mixed.refresh_p50_us,
               mixed.refresh_p99_us, static_cast<unsigned long long>(mixed.holes));
 
+  // Rebuild-query arm: the same stream prefilled into S = 4 shards and into
+  // one sketch, then one 2k batch per round (round-robin over the shards).
+  constexpr int kRounds = 400;
+  std::vector<std::vector<double>> batches(16);
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    batches[i] = stream::make_stream(stream::Distribution::kUniform, 2 * std::size_t{k},
+                                     100 + i);
+    std::sort(batches[i].begin(), batches[i].end());
+  }
+  const std::vector<double> probes(data.begin(), data.begin() + 64);
+  const std::uint32_t prefill_threads = std::min<std::uint32_t>(4, max_threads);
+  core::ShardedQuancurrent<double> rq_sharded(4, make_opts());
+  bench::ingest_quancurrent(rq_sharded, data, prefill_threads, /*quiesce=*/true);
+  const RebuildQuery rq4 = rebuild_query(
+      rq_sharded,
+      [&](int r) {
+        auto& shard = rq_sharded.shard(static_cast<std::uint32_t>(r) % 4);
+        shard.enqueue_batch(batches[static_cast<std::size_t>(r) % batches.size()]);
+        shard.drain_installs();
+      },
+      kRounds, probes);
+  core::Quancurrent<double> rq_single(make_opts());
+  bench::ingest_quancurrent(rq_single, data, prefill_threads, /*quiesce=*/true);
+  const RebuildQuery rq1 = rebuild_query(
+      rq_single,
+      [&](int r) {
+        rq_single.enqueue_batch(batches[static_cast<std::size_t>(r) % batches.size()]);
+        rq_single.drain_installs();
+      },
+      kRounds, probes);
+  std::printf("rebuild query (one 2k install per round, %d rounds):\n", kRounds);
+  std::printf("  S=4:    refresh p50=%.1fus p90=%.1fus  refresh+quantile+rank p50=%.1fus "
+              "p90=%.1fus\n",
+              rq4.refresh_p50_us, rq4.refresh_p90_us, rq4.query_p50_us, rq4.query_p90_us);
+  std::printf("  single: refresh p50=%.1fus p90=%.1fus  refresh+quantile+rank p50=%.1fus "
+              "p90=%.1fus\n",
+              rq1.refresh_p50_us, rq1.refresh_p90_us, rq1.query_p50_us, rq1.query_p90_us);
+
   json.counter("single_at_max_threads", single_at_max);
   json.counter("sharded4_at_max_threads", sharded4_at_max);
   json.counter("sharded4_speedup", sharded4_at_max / single_at_max);
   json.counter("mixed_update_tput", mixed.update_throughput);
   json.counter("mixed_query_tput", mixed.query_throughput);
+  json.counter("rebuild_refresh_p50_us_s4", rq4.refresh_p50_us);
+  json.counter("rebuild_refresh_p90_us_s4", rq4.refresh_p90_us);
+  json.counter("rebuild_query_p50_us_s4", rq4.query_p50_us);
+  json.counter("rebuild_query_p90_us_s4", rq4.query_p90_us);
+  json.counter("rebuild_refresh_p50_us_single", rq1.refresh_p50_us);
+  json.counter("rebuild_refresh_p90_us_single", rq1.refresh_p90_us);
+  json.counter("rebuild_query_p50_us_single", rq1.query_p50_us);
+  json.counter("rebuild_query_p90_us_single", rq1.query_p90_us);
 
   const std::string dir = bench::json_out_dir();
   if (!dir.empty()) {

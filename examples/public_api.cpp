@@ -71,7 +71,7 @@ int main() {
     }
   }
   sharded.quiesce();
-  auto sharded_q = sharded.make_querier();  // cross-shard merged summary
+  auto sharded_q = sharded.make_querier();  // answers from all shards' runs
   std::printf("sharded (S=4): n=%llu median~%.1f\n",
               static_cast<unsigned long long>(sharded_q.size()), sharded_q.quantile(0.5));
   return 0;

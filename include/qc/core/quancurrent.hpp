@@ -74,12 +74,10 @@
 // and a refresh re-copies only levels whose epoch or trit changed since the
 // querier's previous validated snapshot, and the tail (sorting it once per
 // copy) only when its version moved.  A refresh that finds both the install
-// seq and the tail version unchanged is O(1).  quantile/rank/cdf answer from
-// the view directly (core/run_merge.hpp runs_quantile/runs_rank: an exact
-// weighted selection and a weighted sum of per-run ranks), and switch to the
-// view's merged prefix-weight summary (tournament tree, O(R log L), then
-// O(log R) binary searches) once the view has served enough answers to pay
-// for the merge.  Both paths give bit-identical answers.
+// seq and the tail version unchanged is O(1).  quantile/rank/cdf answer
+// through a RunView (core/run_merge.hpp): from the runs directly, then from
+// the view's merged summary once enough answers pay for the merge, with
+// bit-identical results either way.
 //
 // Relaxation.  Elements still in local buffers, partially filled gather
 // buffers, or batches parked in the install queue are invisible to queries —
@@ -717,9 +715,7 @@ class Quancurrent {
   // Point-in-time view of the sketch.  refresh() snapshots the tritmap and
   // copies (or reuses) the referenced level runs plus the tail into a run
   // view: a list of sorted, weighted runs.  quantile/rank/cdf answer from
-  // that view without touching shared state — directly from the runs for
-  // the first few answers, from the view's merged summary once enough
-  // answers have been served to pay for merging it (see use_summary).
+  // that view (a RunView) without touching shared state.
   //
   // A handle is used by one thread at a time, including its const members:
   // summary() and the answers fill per-view caches.
@@ -729,7 +725,7 @@ class Quancurrent {
         : sketch_(&sketch),
           lease_(sketch),
           cache_(kLevels),
-          select_scratch_(3 * kMaxRuns),
+          view_(sketch.opts_.k, sketch.cmp_),
           stage_(kLevels) {
       refresh();
     }
@@ -746,40 +742,25 @@ class Quancurrent {
     // just slower to build.
     void refresh_full() { refresh_impl(/*force_full=*/true); }
 
-    std::uint64_t size() const { return size_; }
     std::uint64_t holes() const { return holes_; }
 
     // Bumps every time a refresh publishes a new view; an O(1) refresh
     // (nothing published, no tail churn) leaves it unchanged.
-    // Cross-sketch aggregators (ShardedQuancurrent::Querier) use it to skip
-    // re-merging shards whose views did not move.
+    // ShardedQuancurrent::Querier uses it to rebuild its cross-shard view
+    // only when some shard's view moved.
     std::uint64_t version() const { return version_; }
 
-    // The value-sorted summary of the current view, merged on first use
-    // (O(R log L)) and kept until the next new view.  May throw bad_alloc;
-    // the view stays answerable.
-    const WeightedSummary<T>& summary() const {
-      if (!summary_ready_) materialize();
-      return summary_;
-    }
+    // The current view's runs point into this handle's buffers.  A
+    // successful refresh keeps the previous view's buffers, unchanged, as
+    // the staging buffers of the refresh after it.
+    std::span<const RunRef<T>> runs() const { return view_.runs(); }
 
-    // Exact: the same item summary_quantile(summary(), phi) returns.
-    T quantile(double phi) const {
-      if (use_summary()) return summary_quantile(summary_, phi);
-      return runs_quantile(view(), size_, phi, std::span<std::size_t>(select_scratch_),
-                           sketch_->cmp_);
-    }
-
-    // Exact: the same weight summary_rank(summary(), v) returns.
-    std::uint64_t rank(const T& v) const {
-      if (use_summary()) return summary_rank(summary_, v, sketch_->cmp_);
-      return runs_rank(view(), v, sketch_->cmp_);
-    }
-
-    double cdf(const T& v) const {
-      return size_ == 0 ? 0.0
-                        : static_cast<double>(rank(v)) / static_cast<double>(size_);
-    }
+    // Answers from the current view; see RunView.
+    std::uint64_t size() const { return view_.size(); }
+    const WeightedSummary<T>& summary() const { return view_.summary(); }
+    T quantile(double phi) const { return view_.quantile(phi); }
+    std::uint64_t rank(const T& v) const { return view_.rank(v); }
+    double cdf(const T& v) const { return view_.cdf(v); }
 
    private:
     static constexpr std::uint32_t kSnapshotRetries = 8;
@@ -804,34 +785,6 @@ class Quancurrent {
       }
     };
 
-    std::span<const RunRef<T>> view() const { return runs_; }
-
-    // The cost rule behind the answer path.  Merging the view costs about
-    // R * log2(L) comparisons (loser tree over L runs, R items); a direct
-    // quantile about L * log2(k)^2 (log2(k) pivot rounds of L binary
-    // searches).  Once a view has served merge_after_ answers directly, the
-    // merge would have paid for itself, so the view switches to its
-    // summary.  A summary that cannot be allocated just keeps the view on
-    // the direct path.
-    bool use_summary() const {
-      if (summary_ready_) return true;
-      if (answers_ < merge_after_) {
-        ++answers_;
-        return false;
-      }
-      try {
-        materialize();
-      } catch (const std::bad_alloc&) {
-        return false;
-      }
-      return true;
-    }
-
-    void materialize() const {
-      merger_.merge(view(), summary_, sketch_->cmp_);
-      summary_ready_ = true;
-    }
-
     // Copy-only: a refresh stages the levels and the tail that changed into
     // buffers the current view does not reference, validates the snapshot,
     // and only then commits by swapping buffers (commit is no-throw).  A
@@ -840,14 +793,6 @@ class Quancurrent {
     // reclamation.
     void refresh_impl(bool force_full) {
       auto& s = *sketch_;
-      // Pin the reclamation epoch across every snapshot attempt: the
-      // slot-block pointers stage_levels loads below stay dereferenceable
-      // until the pin clears (IBR, file comment).  Two stores — the query
-      // path never blocks on growth or reclamation.
-      const IbrPin pin(s, lease_.slot());
-      // Chaos builds: park the reader HERE, pin held — the stalled-querier
-      // scenario the retire cap (Options::ibr_retire_cap) exists for.
-      QC_INJECT_STALL(querier_stall);
       staged_ = 0;
       tail_staged_ = false;
       for (std::uint32_t attempt = 0;; ++attempt) {
@@ -870,7 +815,17 @@ class Quancurrent {
         // (wrong answer), never an out-of-bounds slot; QC_CHECK here would
         // tax every snapshot attempt.
         assert(tm.trit(0) == 0);  // published tritmaps always have level 0 drained
-        stage_levels(tm, force_full);
+        {
+          // The pin keeps the blocks stage_levels loads from reclamation
+          // (IBR, file comment).  It clears before stage_tail takes
+          // tail_mu_: quiesce() installs under tail_mu_, and an install at
+          // ibr_retire_cap waits for every pin.
+          const IbrPin pin(s, lease_.slot());
+          // Chaos builds: park the reader HERE, pin held — the
+          // stalled-querier scenario the retire cap exists for.
+          QC_INJECT_STALL(querier_stall);
+          stage_levels(tm, force_full);
+        }
         stage_tail(force_full);
         QC_INJECT_STALL(querier_recheck);  // chaos: an install here fails the attempt
         // The copy loads above are acquire, so this re-check load cannot be
@@ -986,29 +941,28 @@ class Quancurrent {
       tail_staged_ = true;
     }
 
-    // Assembles the staged view's run list (level slots ascending, then the
-    // tail) in view_stage_, pointing into whichever buffer — committed or
-    // staged — holds each part; commit's swaps keep those buffers in place.
-    // The run order is deterministic, so incremental and full refreshes of
-    // the same snapshot produce identical views.  All allocation happens
-    // here, before the commit.
+    // Stages the view's run list (level slots ascending, then the tail),
+    // pointing into whichever buffer — committed or staged — holds each
+    // part; commit's swaps keep those buffers in place.  The run order is
+    // deterministic, so incremental and full refreshes of the same snapshot
+    // produce identical views.  All allocation happens here, before the
+    // commit.
     void stage_view(Tritmap tm) {
       const std::uint32_t k = sketch_->opts_.k;
-      view_stage_.clear();
-      view_stage_.reserve(kMaxRuns);
+      auto& runs = view_.stage(kMaxRuns);
       for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
         const LevelCache& c = (staged_ >> level & 1) != 0 ? stage_[level] : cache_[level];
         const std::uint32_t trit = std::min(c.copied, tm.trit(level));
         for (std::uint32_t slot = 0; slot < trit; ++slot) {
-          view_stage_.push_back({c.runs.data() + static_cast<std::size_t>(slot) * k, k,
-                                 1ULL << level});
+          runs.push_back({c.runs.data() + static_cast<std::size_t>(slot) * k, k,
+                          1ULL << level});
         }
       }
       const std::vector<T>& tail = tail_staged_ ? tail_stage_ : tail_buf_;
-      if (!tail.empty()) view_stage_.push_back({tail.data(), tail.size(), 1});
+      if (!tail.empty()) runs.push_back({tail.data(), tail.size(), 1});
     }
 
-    // Publishes the staged view.  No-throw: swaps, sums and scalar stores.
+    // Publishes the staged view.  No-throw: swaps and scalar stores.
     void commit(std::uint64_t seq, std::uint64_t holes) noexcept {
       for (std::uint64_t bits = staged_; bits != 0; bits &= bits - 1) {
         const auto level = static_cast<std::size_t>(std::countr_zero(bits));
@@ -1020,48 +974,24 @@ class Quancurrent {
       }
       staged_ = 0;
       tail_staged_ = false;
-      runs_.swap(view_stage_);
-      std::uint64_t items = 0;
-      size_ = 0;
-      for (const auto& r : runs_) {
-        items += r.size;
-        size_ += r.weight * r.size;
-      }
+      view_.commit();
       holes_ = holes;
-      summary_ready_ = false;
       snap_seq_ = seq;
-      answers_ = 0;
-      const auto ceil_log2 = [](std::uint64_t x) {
-        return std::max<std::uint64_t>(1, std::bit_width(x - 1));
-      };
-      const std::uint64_t lg_k = ceil_log2(sketch_->opts_.k);
-      merge_after_ = runs_.empty() ? 0
-                                   : items * ceil_log2(runs_.size()) /
-                                         (runs_.size() * lg_k * lg_k);
       ++version_;
     }
 
     Quancurrent* sketch_;
     IbrSlotLease lease_;  // this handle's epoch announcement slot
 
-    // The committed view: the runs answers read, the buffers they point
-    // into, and what the view was validated against.
+    // The committed view: the buffers its runs point into, what it was
+    // validated against, and the RunView answers read.
     std::vector<LevelCache> cache_;
     std::vector<T> tail_buf_;  // sorted tail copy
-    std::vector<RunRef<T>> runs_;
-    std::uint64_t size_ = 0;
+    RunView<T, Compare> view_;
     std::uint64_t holes_ = 0;
     std::uint64_t version_ = 0;
     std::uint64_t snap_seq_ = kNever;
     std::uint64_t tail_ver_ = kNever;
-
-    // Per-view answer state: the lazily merged summary and the cost rule.
-    mutable WeightedSummary<T> summary_;
-    mutable RunMerger<T, Compare> merger_;
-    mutable bool summary_ready_ = false;
-    mutable std::uint64_t answers_ = 0;
-    std::uint64_t merge_after_ = 0;
-    mutable std::vector<std::size_t> select_scratch_;  // runs_quantile's ranges
 
     // The view a refresh is building; nothing here is read by answers.
     std::vector<LevelCache> stage_;
@@ -1069,7 +999,6 @@ class Quancurrent {
     std::vector<T> tail_stage_;
     std::uint64_t tail_stage_ver_ = kNever;
     bool tail_staged_ = false;
-    std::vector<RunRef<T>> view_stage_;
   };
   Querier make_querier() { return Querier(*this); }
 

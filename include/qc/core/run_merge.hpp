@@ -21,12 +21,15 @@
 // runs_quantile answer straight from the sorted runs (a rank is the weighted
 // sum of per-run ranks) with the summary's exact results, at O(L log k) and
 // O(L log^2 k) per call instead of the O(R log L) merge up front.
+// RunView makes that choice for both query facades.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -254,46 +257,6 @@ class RunMerger {
         });
   }
 
-  // Merges S value-sorted weighted summaries (e.g. one per shard of a
-  // ShardedQuancurrent) into one combined summary, preserving each item's
-  // individual weight.  Ties break toward the lower part index, so the
-  // cross-shard summary is deterministic for a fixed shard order.
-  void merge_weighted(std::span<const WeightedSummary<T>* const> parts,
-                      WeightedSummary<T>& out, Compare cmp = Compare()) {
-    out.clear();
-    std::size_t total = 0;
-    wrefs_.clear();
-    for (const WeightedSummary<T>* p : parts) {
-      wrefs_.push_back({p->items().data(), p->size(), 1});
-      total += p->size();
-    }
-    out.reserve(total);
-    if (total == 0) return;
-    if (parts.size() == 1) {
-      const auto items = parts[0]->items();
-      const auto prefix = parts[0]->prefix_weights();
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        out.append(items[i], prefix[i] - (i == 0 ? 0 : prefix[i - 1]));
-      }
-      return;
-    }
-    runs_ = wrefs_;
-    cmp_ = cmp;
-    run_tree(
-        [this](std::size_t i, std::size_t j) {
-          const T& a = runs_[i].data[pos_[i]];
-          const T& b = runs_[j].data[pos_[j]];
-          if (cmp_(a, b)) return true;
-          if (cmp_(b, a)) return false;
-          return i < j;
-        },
-        [this, parts, &out](std::size_t w) {
-          const auto prefix = parts[w]->prefix_weights();
-          const std::size_t i = pos_[w];
-          out.append(runs_[w].data[i], prefix[i] - (i == 0 ? 0 : prefix[i - 1]));
-        });
-  }
-
   // Merges `runs` into the raw item array `out` (weights ignored), which must
   // hold at least the runs' total size.  Returns the number of items written.
   std::size_t merge_items(std::span<const RunRef<T>> runs, std::span<T> out,
@@ -376,11 +339,116 @@ class RunMerger {
   }
 
   std::span<const RunRef<T>> runs_;
-  std::vector<RunRef<T>> wrefs_;  // merge_weighted's synthesized run views
   Compare cmp_{};
   std::vector<std::size_t> pos_;
   std::vector<std::size_t> tree_;
   std::vector<std::size_t> win_;  // init-time scratch
+};
+
+// The answer side of a query view: sorted weighted runs pointing into
+// buffers the owner keeps alive, their total weight, the lazily merged
+// summary, and the cost rule that decides when merging pays.
+// Quancurrent::Querier answers through one over its level runs and tail;
+// ShardedQuancurrent::Querier over its shards' runs in shard order, which
+// breaks ties toward the lower shard exactly as merging the per-shard
+// summaries would.  One thread at a time, const members included.
+template <typename T, typename Compare = std::less<T>>
+class RunView {
+ public:
+  // `k` is the sketch's k, the cost rule's per-answer estimate.
+  explicit RunView(std::uint32_t k, Compare cmp = Compare())
+      : lg_k_(ceil_log2(k)), cmp_(cmp) {}
+
+  // Clears and returns the next view's run list, with room and answer
+  // scratch for `max_runs` runs, so neither commit() nor the new view's
+  // first answers allocate.  May throw; the current view keeps answering.
+  std::vector<RunRef<T>>& stage(std::size_t max_runs) {
+    staged_.clear();
+    staged_.reserve(max_runs);
+    if (scratch_.size() < 3 * max_runs) scratch_.resize(3 * max_runs);
+    return staged_;
+  }
+
+  // Publishes the staged run list.
+  void commit() noexcept {
+    runs_.swap(staged_);
+    std::uint64_t items = 0;
+    size_ = 0;
+    for (const auto& r : runs_) {
+      items += r.size;
+      size_ += r.weight * r.size;
+    }
+    summary_ready_ = false;
+    answers_ = 0;
+    merge_after_ = runs_.empty() ? 0
+                                 : items * ceil_log2(runs_.size()) /
+                                       (runs_.size() * lg_k_ * lg_k_);
+  }
+
+  std::span<const RunRef<T>> runs() const { return runs_; }
+  std::uint64_t size() const { return size_; }
+
+  // Merged on first use (O(R log L)) and kept until the next commit.  May
+  // throw bad_alloc; the view stays answerable.
+  const WeightedSummary<T>& summary() const {
+    if (!summary_ready_) materialize();
+    return summary_;
+  }
+
+  // Exact: bit-identical to summary_quantile / summary_rank on summary().
+  T quantile(double phi) const {
+    if (use_summary()) return summary_quantile(summary_, phi);
+    return runs_quantile(runs(), size_, phi, std::span<std::size_t>(scratch_), cmp_);
+  }
+  std::uint64_t rank(const T& v) const {
+    if (use_summary()) return summary_rank(summary_, v, cmp_);
+    return runs_rank(runs(), v, cmp_);
+  }
+
+  double cdf(const T& v) const {
+    return size_ == 0 ? 0.0 : static_cast<double>(rank(v)) / static_cast<double>(size_);
+  }
+
+ private:
+  static std::uint64_t ceil_log2(std::uint64_t x) {
+    return std::max<std::uint64_t>(1, std::bit_width(x - 1));
+  }
+
+  // The cost rule.  Merging costs about R * log2(L) comparisons (loser tree
+  // over L runs, R items), a direct quantile about L * log2(k)^2 (log2(k)
+  // pivot rounds of L binary searches).  After merge_after_ direct answers
+  // the merge has paid for itself, so the view switches to its summary; one
+  // that cannot be allocated keeps the view on the direct path.
+  bool use_summary() const {
+    if (summary_ready_) return true;
+    if (answers_ < merge_after_) {
+      ++answers_;
+      return false;
+    }
+    try {
+      materialize();
+    } catch (const std::bad_alloc&) {
+      return false;
+    }
+    return true;
+  }
+
+  void materialize() const {
+    merger_.merge(runs(), summary_, cmp_);
+    summary_ready_ = true;
+  }
+
+  std::uint64_t lg_k_;
+  Compare cmp_;
+  std::vector<RunRef<T>> runs_;
+  std::uint64_t size_ = 0;  // total weight of runs_
+  std::vector<RunRef<T>> staged_;
+  mutable WeightedSummary<T> summary_;
+  mutable RunMerger<T, Compare> merger_;
+  mutable bool summary_ready_ = false;
+  mutable std::uint64_t answers_ = 0;
+  std::uint64_t merge_after_ = 0;
+  mutable std::vector<std::size_t> scratch_;  // runs_quantile's ranges
 };
 
 // Views `data` as consecutive sorted chunks of `chunk` items (the last chunk

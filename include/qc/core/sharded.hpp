@@ -22,16 +22,13 @@
 //     summaries are also consumed individually, e.g. shipped to different
 //     aggregators).
 //
-// Queries.  Querier holds one wait-free per-shard querier plus a cross-shard
-// RunMerger pass: refresh() refreshes each shard (O(1) when that shard has
-// not published) and re-merges the per-shard weighted summaries only when at
-// least one of them actually rebuilt — queries take no lock anywhere, and
-// answers come from the same O(log R) binary searches as a single sketch.
+// Queries.  Querier holds one wait-free per-shard querier and answers from
+// the union of their run views through one RunView, the single sketch's
+// answer engine; no per-shard summary is ever merged.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <span>
@@ -152,65 +149,69 @@ class ShardedQuancurrent {
 
   // ----- queries -----------------------------------------------------------
 
-  // Cross-shard point-in-time view: one wait-free querier per shard plus a
-  // merged summary.  refresh() is incremental twice over — each shard
-  // querier reuses its cached runs, and the cross-shard merge is skipped
-  // entirely unless some shard actually rebuilt.  No lock anywhere on this
-  // path.
+  // Cross-shard point-in-time view: one wait-free querier per shard and a
+  // RunView over their run lists in shard order.  refresh() is incremental
+  // twice over: each shard querier reuses its cached runs, and the view is
+  // rebuilt, from run references rather than items, only when some shard's
+  // view moved.  No lock anywhere on this path.
   class Querier {
    public:
-    explicit Querier(ShardedQuancurrent& sketch) {
+    explicit Querier(ShardedQuancurrent& sketch) : view_(sketch.options().k) {
       inners_.reserve(sketch.num_shards());
       for (std::uint32_t s = 0; s < sketch.num_shards(); ++s) {
         inners_.push_back(sketch.shards_[s]->make_querier());
       }
       versions_.assign(inners_.size(), ~std::uint64_t{0});
-      refresh();
+      catch_up();
     }
 
+    // Refreshes every shard, then rebuilds the view if any shard's view
+    // moved.  If a shard throws bad_alloc the view is not rebuilt: it keeps
+    // answering exactly as before the call (unless an earlier refresh()
+    // threw too; the call then first caught up with the shards).
     void refresh() {
-      bool changed = false;
-      for (std::size_t s = 0; s < inners_.size(); ++s) {
-        inners_[s].refresh();
-        if (versions_[s] != inners_[s].version()) {
-          versions_[s] = inners_[s].version();
-          changed = true;
-        }
-      }
-      if (!changed) return;
-      parts_.clear();
-      for (const auto& q : inners_) parts_.push_back(&q.summary());
-      merger_.merge_weighted(
-          std::span<const WeightedSummary<T>* const>(parts_), summary_, cmp_);
+      catch_up();
+      for (auto& q : inners_) q.refresh();
+      catch_up();
     }
 
-    std::uint64_t size() const { return summary_.total_weight(); }
-
-    std::uint64_t holes() const {
-      std::uint64_t h = 0;
-      for (const auto& q : inners_) h += q.holes();
-      return h;
-    }
-
-    const WeightedSummary<T>& summary() const { return summary_; }
-
-    T quantile(double phi) const { return summary_quantile(summary_, phi); }
-
-    std::uint64_t rank(const T& v) const { return summary_rank(summary_, v, cmp_); }
-
-    double cdf(const T& v) const {
-      const std::uint64_t total = summary_.total_weight();
-      return total == 0 ? 0.0
-                        : static_cast<double>(rank(v)) / static_cast<double>(total);
-    }
+    std::uint64_t size() const { return view_.size(); }
+    std::uint64_t holes() const { return holes_; }
+    const WeightedSummary<T>& summary() const { return view_.summary(); }
+    T quantile(double phi) const { return view_.quantile(phi); }
+    std::uint64_t rank(const T& v) const { return view_.rank(v); }
+    double cdf(const T& v) const { return view_.cdf(v); }
 
    private:
+    // Rebuilds the view if any shard's view moved since the last rebuild.
+    // The view points into the shard queriers' buffers, so versions are
+    // recorded only once it is rebuilt.  After a refresh that threw, it may
+    // still point at a committed shard's previous buffers, which that
+    // shard's next refresh stages over; refresh() catches up first.
+    void catch_up() {
+      bool moved = false;
+      std::size_t runs = 0;
+      for (std::size_t s = 0; s < inners_.size(); ++s) {
+        moved = moved || versions_[s] != inners_[s].version();
+        runs += inners_[s].runs().size();
+      }
+      if (!moved) return;
+      auto& staged = view_.stage(runs);
+      for (const auto& q : inners_) {
+        staged.insert(staged.end(), q.runs().begin(), q.runs().end());
+      }
+      view_.commit();
+      holes_ = 0;
+      for (std::size_t s = 0; s < inners_.size(); ++s) {
+        versions_[s] = inners_[s].version();
+        holes_ += inners_[s].holes();
+      }
+    }
+
     std::vector<typename Shard::Querier> inners_;
     std::vector<std::uint64_t> versions_;
-    std::vector<const WeightedSummary<T>*> parts_;
-    RunMerger<T, Compare> merger_;
-    WeightedSummary<T> summary_;
-    Compare cmp_{};
+    RunView<T, Compare> view_;
+    std::uint64_t holes_ = 0;
   };
 
   Querier make_querier() { return Querier(*this); }

@@ -49,7 +49,7 @@ enum class Point : std::uint8_t {
   install_queue_full,     // acquire_cell(): delay a producer as if the ring
                           // were full (backpressure path)
   latch_stall,            // drain_one(): wedge the install-latch holder
-  querier_stall,          // Querier::refresh(): park a reader mid-snapshot,
+  querier_stall,          // Querier::refresh(): park a reader before a level copy,
                           // epoch pin held
   gather_stall,           // flush_chunk(): preempt a writer between its
                           // reservation and its commit

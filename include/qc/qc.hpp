@@ -191,8 +191,9 @@ class UpdaterHandle {
 //
 // Thread-affinity rule: one handle per querying thread; the handle caches a
 // private snapshot (sorted runs, plus a summary merged once enough answers
-// have come from one snapshot) and is not thread-safe, while any
-// number of handles query the same sketch concurrently and wait-free.
+// have come from one snapshot; for a sharded sketch, the union of its
+// shards' runs) and is not thread-safe, while any number of handles query
+// the same sketch concurrently and wait-free.
 // Lifetime rule: the handle must not outlive the sketch; answers come from
 // the snapshot taken by the last refresh(), so call refresh() whenever newer
 // data should become visible (it is O(1) when nothing changed).  For

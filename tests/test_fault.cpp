@@ -27,7 +27,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "qc.hpp"
@@ -381,7 +383,8 @@ struct ViewAnswers {
   friend bool operator==(const ViewAnswers&, const ViewAnswers&) = default;
 };
 
-ViewAnswers answers_of(const qc::Quancurrent<double>::Querier& q) {
+template <typename Querier>
+ViewAnswers answers_of(const Querier& q) {
   ViewAnswers a;
   a.size = q.size();
   for (int i = 0; i <= 20; ++i) a.quantiles.push_back(q.quantile(i / 20.0));
@@ -456,6 +459,81 @@ QC_TEST(failed_refresh_keeps_the_previous_view) {
   CHECK(answers_of(q) == mid);
   q.refresh();
   CHECK_EQ(q.size(), std::uint64_t{8010});
+}
+
+// A cross-shard view points into its shard queriers' buffers.  Shard 0's
+// refresh commits, then shard 1's fails: the cross-shard view must keep
+// answering from shard 0's previous buffers, exactly as before.  A second
+// failure after shard 0 stages again must not leave the view on buffers
+// that staging reused (ASan builds see any stale read), and the next clean
+// refresh catches up with every shard.
+QC_TEST(failed_sharded_refresh_keeps_the_previous_view) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  qc::ShardedQuancurrent<double> sk(2, small_options(64, 16));
+  feed(sk.shard(0), 0, 5000);
+  feed(sk.shard(1), 0, 5000);
+  auto q = sk.make_querier();
+  auto shard0 = sk.shard(0).make_querier();  // a twin of q's shard-0 querier
+  const auto shard1_before = sk.shard(1).make_querier();
+  const ViewAnswers before = answers_of(q);
+  CHECK_EQ(before.size, std::uint64_t{10'000});
+
+  // Copies shard 0's refresh makes: its twin refreshes through the same change.
+  const auto copies_of_shard0 = [&] {
+    inj.reset();
+    shard0.refresh();
+    return inj.counters(Point::querier_copy_alloc).hits;
+  };
+  const auto refresh_failing_shard1 = [&](std::uint64_t shard0_copies) {
+    inj.reset();
+    inj.arm_hit(Point::querier_copy_alloc, shard0_copies + 1);
+    bool threw = false;
+    try {
+      q.refresh();
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+    CHECK_EQ(inj.counters(Point::querier_copy_alloc).fires, std::uint64_t{1});
+    inj.reset();
+    return threw;
+  };
+
+  feed(sk.shard(0), 5000, 3000);  // new levels and a new tail in both shards
+  feed(sk.shard(1), 5000, 3000);
+  const std::uint64_t copies = copies_of_shard0();
+  CHECK(copies >= 2);
+  CHECK(refresh_failing_shard1(copies));
+  CHECK(answers_of(q) == before);
+
+  // Shard 0 publishes again and stages over its previous buffers; shard 1
+  // fails again.  The view caught up with shard 0's committed view first:
+  // its answers are those of shard 0 at 8000 items next to shard 1 at 5000.
+  const auto shard0_mid = sk.shard(0).make_querier();
+  feed(sk.shard(0), 8000, 4000);
+  CHECK(refresh_failing_shard1(copies_of_shard0()));
+  CHECK_EQ(q.size(), std::uint64_t{8000 + 5000});
+  std::vector<std::pair<double, std::uint64_t>> items;
+  for (const auto* part : {&shard0_mid.summary(), &shard1_before.summary()}) {
+    const auto prefix = part->prefix_weights();
+    for (std::size_t i = 0; i < part->size(); ++i) {
+      items.emplace_back(part->items()[i], prefix[i] - (i == 0 ? 0 : prefix[i - 1]));
+    }
+  }
+  std::stable_sort(items.begin(), items.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  qc::core::WeightedSummary<double> merged;
+  for (const auto& [v, w] : items) merged.append(v, w);
+  const ViewAnswers caught_up = answers_of(q);
+  CHECK(caught_up.summary == merged);
+  for (int i = 0; i <= 20; ++i) {
+    CHECK(caught_up.quantiles[static_cast<std::size_t>(i)] ==
+          qc::core::summary_quantile(merged, i / 20.0));
+  }
+
+  q.refresh();
+  CHECK_EQ(q.size(), std::uint64_t{12'000 + 8000});
+  CHECK(answers_of(q) == answers_of(sk.make_querier()));
 }
 
 QC_TEST(refresh_is_all_or_nothing_at_every_alloc_site) {
@@ -714,6 +792,63 @@ QC_TEST(stalled_querier_keeps_retired_memory_under_cap) {
   CHECK(!s.degraded);
   CHECK(s.retire_list_len <= cap);
   CHECK_EQ(s.live_blocks(), published_runs(sk));
+}
+
+// quiesce() installs the tail's full batches while holding tail_mu_, and an
+// install at ibr_retire_cap waits for every pin to clear.  A querier that
+// waited on tail_mu_ with its pin held would wait on quiesce() while
+// quiesce() waits on it.  The querier parks pinned until quiesce() has
+// degraded, then is released; both must finish.  A deadlocked thread cannot
+// be joined, so a watchdog aborts the binary on a hang.
+QC_TEST(pinned_querier_and_quiesce_do_not_deadlock) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  ParkedReader pr;
+  inj.set_stall_handler(&park_handler, &pr);
+  inj.arm_hit(Point::querier_stall, 1);  // the first refresh parks, pin held
+
+  qc::Options o = small_options(64, 16);
+  o.ibr_epoch_freq = 1;
+  o.ibr_recl_freq = 4;
+  o.ibr_retire_cap = 64;
+  qc::Quancurrent<double> sk(o);
+  // ~470 full 2k batches waiting in the tail for quiesce() to install.
+  constexpr std::uint32_t kItems = 60'000;
+  std::vector<double> items(kItems);
+  for (std::uint32_t i = 0; i < kItems; ++i) items[i] = static_cast<double>(i % 1000);
+  sk.push_tail(items.data(), items.size());
+
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&finished] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!finished.load(std::memory_order_acquire)) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        std::fprintf(stderr, "pinned querier vs quiesce did not finish in 60 s (deadlock)\n");
+        std::abort();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+
+  std::uint64_t seen = 0;
+  std::thread reader([&] {
+    auto q = sk.make_querier();  // parks inside its first refresh
+    seen = q.size();
+  });
+  CHECK(wait_until([&] { return pr.parked.load(std::memory_order_acquire); }, 10'000));
+  std::thread quiescer([&] { sk.quiesce(); });
+  CHECK(wait_until([&] { return sk.ibr_stats().degraded; }, 10'000));
+  pr.release.store(true, std::memory_order_release);
+  reader.join();
+  quiescer.join();
+  finished.store(true, std::memory_order_release);
+  watchdog.join();
+  inj.reset();
+
+  CHECK(seen <= kItems);
+  CHECK_EQ(sk.size(), std::uint64_t{kItems});
+  CHECK_EQ(sk.make_querier().size(), std::uint64_t{kItems});
+  CHECK(!sk.ibr_stats().degraded);
 }
 
 // ----- latch + queue observability -------------------------------------------

@@ -1,8 +1,13 @@
-// ShardedQuancurrent: routing (affinity + hash), cross-shard query merging,
-// weight conservation, accuracy against the exact oracle, and incremental
-// cross-shard refresh.
+// ShardedQuancurrent: routing (affinity + hash), cross-shard answers from
+// the union of the shards' run views (bit-identical to merging the
+// per-shard summaries), weight conservation, accuracy against the exact
+// oracle, and incremental cross-shard refresh.
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util/workload.hpp"
@@ -22,6 +27,78 @@ qc::Options small_options(std::uint32_t k, std::uint32_t b) {
   o.collect_stats = true;
   o.topology = qc::numa::Topology::virtual_nodes(2, 2);
   return o;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// The reference cross-shard summary: every shard's own summary, merged with
+// ties toward the lower shard (and, within a shard, in summary order).  A
+// stable sort of the shard-ordered concatenation gives exactly that order.
+template <typename Sketch, typename Compare>
+qc::core::WeightedSummary<double> merged_shard_summaries(Sketch& sk, Compare cmp) {
+  struct Item {
+    double value;
+    std::uint64_t weight;
+  };
+  std::vector<Item> all;
+  for (std::uint32_t s = 0; s < sk.num_shards(); ++s) {
+    const auto q = sk.shard(s).make_querier();
+    const auto& part = q.summary();
+    const auto items = part.items();
+    const auto prefix = part.prefix_weights();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      all.push_back({items[i], prefix[i] - (i == 0 ? 0 : prefix[i - 1])});
+    }
+  }
+  std::stable_sort(all.begin(), all.end(),
+                   [&cmp](const Item& a, const Item& b) { return cmp(a.value, b.value); });
+  qc::core::WeightedSummary<double> out;
+  for (const Item& it : all) out.append(it.value, it.weight);
+  return out;
+}
+
+std::vector<double> probe_phis() {
+  std::vector<double> phis{-1.0, 0.0, 1e-12, 1.0 - 1e-15, 1.0, 2.0,
+                           std::numeric_limits<double>::quiet_NaN()};
+  for (int i = 0; i <= 2000; ++i) phis.push_back(static_cast<double>(i) / 2000.0);
+  return phis;
+}
+
+// Checks a cross-shard querier against the reference merge, bit for bit:
+// several rounds of answers recorded before summary() is first asked for
+// (the early ones come from the runs, the later ones from the lazily
+// merged union), then the summary itself.
+template <typename Sketch, typename Compare>
+void check_against_merged_shards(Sketch& sk, const std::vector<double>& values,
+                                 Compare cmp) {
+  const auto ref = merged_shard_summaries(sk, cmp);
+  auto q = sk.make_querier();
+  CHECK_EQ(q.size(), ref.total_weight());
+  for (int round = 0; round < 3; ++round) {
+    for (const double phi : probe_phis()) {
+      CHECK(same_bits(q.quantile(phi), qc::core::summary_quantile(ref, phi)));
+    }
+    for (const double v : values) {
+      const std::uint64_t rank = qc::core::summary_rank(ref, v, cmp);
+      CHECK_EQ(q.rank(v), rank);
+      const double total = static_cast<double>(ref.total_weight());
+      CHECK(q.cdf(v) == (total == 0 ? 0.0 : static_cast<double>(rank) / total));
+    }
+  }
+  CHECK(q.summary() == ref);
+}
+
+std::vector<double> mod7_probes() {
+  std::vector<double> values{-0.0, 0.0};
+  for (int i = -2; i <= 18; ++i) values.push_back(static_cast<double>(i) / 2.0);
+  return values;
+}
+
+// Feeds `count` values f(0, s), f(1, s), ... into shard s and drains them.
+template <typename Sketch, typename Fn>
+void feed_shard(Sketch& sk, std::uint32_t shard, int count, Fn f) {
+  auto u = sk.shard(shard).make_updater(0);
+  for (int i = 0; i < count; ++i) u.update(f(i, static_cast<int>(shard)));
 }
 
 }  // namespace
@@ -124,6 +201,87 @@ QC_TEST(cross_shard_summary_equals_single_sketch_union) {
   CHECK(std::is_sorted(summary.items().begin(), summary.items().end()));
   CHECK(std::is_sorted(summary.prefix_weights().begin(), summary.prefix_weights().end()));
   CHECK_EQ(summary.total_weight(), 20'000u);
+}
+
+QC_TEST(cross_shard_answers_equal_the_merged_shard_summaries) {
+  const auto values = mod7_probes();
+  {  // heavy duplicates (values mod 7), multi-level shards of unequal size
+    qc::ShardedQuancurrent<double> sk(3, small_options(64, 8));
+    for (std::uint32_t s = 0; s < 3; ++s) {
+      feed_shard(sk, s, 20'000 + 7'919 * static_cast<int>(s),
+                 [](int i, int shard) { return static_cast<double>((i * 13 + shard) % 7); });
+    }
+    sk.quiesce();
+    check_against_merged_shards(sk, values, std::less<double>());
+  }
+  {  // -0.0 and +0.0 compare equal but differ in bits: the tie-break must
+     // pick the lower shard's copy, as the merged summaries do
+    qc::ShardedQuancurrent<double> sk(3, small_options(64, 8));
+    for (std::uint32_t s = 0; s < 3; ++s) {
+      feed_shard(sk, s, 12'000, [](int i, int shard) {
+        const double signed_zero = shard == 1 ? -0.0 : 0.0;
+        const double pattern[5] = {-0.0, 0.0, 1.0, -1.0, signed_zero};
+        return pattern[(i + shard) % 5];
+      });
+    }
+    sk.quiesce();
+    check_against_merged_shards(sk, values, std::less<double>());
+  }
+  {  // std::greater
+    qc::ShardedQuancurrent<double, std::greater<double>> sk(2, small_options(64, 8));
+    for (std::uint32_t s = 0; s < 2; ++s) {
+      feed_shard(sk, s, 30'000,
+                 [](int i, int shard) { return static_cast<double>((i * 3 + shard) % 7); });
+    }
+    sk.quiesce();
+    check_against_merged_shards(sk, values, std::greater<double>());
+    CHECK(sk.make_querier().quantile(0.0) == 6.0);  // greater-first order
+  }
+  {  // a multi-level shard, an empty shard and a tail-only shard
+    qc::ShardedQuancurrent<double> sk(3, small_options(64, 8));
+    feed_shard(sk, 0, 25'000, [](int i, int) { return static_cast<double>(i % 7); });
+    feed_shard(sk, 2, 100, [](int i, int) { return static_cast<double>(i % 7) + 0.5; });
+    sk.quiesce();
+    CHECK_EQ(sk.shard(1).size(), 0u);
+    CHECK_EQ(sk.shard(2).tritmap().num_levels(), 0u);
+    check_against_merged_shards(sk, values, std::less<double>());
+  }
+  {  // every shard empty
+    qc::ShardedQuancurrent<double> sk(2, small_options(64, 8));
+    check_against_merged_shards(sk, values, std::less<double>());
+    CHECK(sk.make_querier().quantile(0.5) == 0.0);
+  }
+}
+
+QC_TEST(moved_sharded_querier_answers_identically) {
+  qc::ShardedQuancurrent<double> sk(3, small_options(64, 8));
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    feed_shard(sk, s, 9'000,
+               [](int i, int shard) { return static_cast<double>((i + shard) % 7); });
+  }
+  sk.quiesce();
+  auto q = sk.make_querier();
+  q.refresh();
+  const auto values = mod7_probes();
+  std::vector<double> quantiles;
+  std::vector<std::uint64_t> ranks;
+  for (const double phi : probe_phis()) quantiles.push_back(q.quantile(phi));
+  for (const double v : values) ranks.push_back(q.rank(v));
+  const std::uint64_t size = q.size();
+
+  auto moved = std::move(q);
+  CHECK_EQ(moved.size(), size);
+  std::size_t i = 0;
+  for (const double phi : probe_phis()) CHECK(same_bits(moved.quantile(phi), quantiles[i++]));
+  i = 0;
+  for (const double v : values) CHECK_EQ(moved.rank(v), ranks[i++]);
+
+  // The moved handle keeps refreshing: new data in one shard shows up.
+  feed_shard(sk, 1, 5'000, [](int i, int) { return static_cast<double>(i % 7); });
+  sk.quiesce();
+  moved.refresh();
+  CHECK_EQ(moved.size(), size + 5'000);
+  CHECK(moved.summary() == merged_shard_summaries(sk, std::less<double>()));
 }
 
 QC_TEST(cross_shard_refresh_is_incremental) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """qc-lint: repo-specific static checks for the Quancurrent engine.
 
-Four checks, each enforcing an invariant the compiler cannot see:
+Five checks, each enforcing an invariant the compiler cannot see:
 
   explicit-memory-order   Every atomic operation names its memory order.  The
                           snapshot-validation and IBR correctness arguments in
@@ -19,6 +19,15 @@ Four checks, each enforcing an invariant the compiler cannot see:
   no-blocking-under-latch Nothing blocks under the install latch: no mutex
                           acquisition, no sleeps, no file I/O, and no call to
                           a QC_EXCLUDES(latch_) function (self-deadlock).
+  no-wait-while-pinned    Nothing waits on the sketch while an IBR pin is
+                          held: after an `IbrPin` or `LadderImage`
+                          declaration, to the end of its scope, no statement
+                          takes tail_mu_ (MutexLock), the install latch
+                          (LatchGuard, acquire_latch) or an install-queue
+                          wait (drain_until, acquire_cell, drain_installs),
+                          directly or through the call graph.  A latch
+                          holder throttled at ibr_retire_cap waits for every
+                          pin, so a pinned waiter deadlocks against it.
   qc-check-over-assert    In engine headers, every bare assert() carries a
                           justification marker tying it to the documented
                           QC_CHECK-vs-assert policy (common/check.hpp):
@@ -54,6 +63,7 @@ CHECKS = (
     "explicit-memory-order",
     "no-alloc-under-latch",
     "no-blocking-under-latch",
+    "no-wait-while-pinned",
     "qc-check-over-assert",
 )
 
@@ -98,6 +108,19 @@ BLOCKING_TOKENS = [
     (re.compile(r"\busleep\b|\bnanosleep\b"), "sleep syscall"),
     (re.compile(r"[.\->]\s*join\s*\(\s*\)"), "thread join"),
 ]
+
+# What can wait on the sketch: its mutex, its install latch, and its
+# install-queue waits.
+SKETCH_WAIT_TOKENS = [
+    (re.compile(r"\bMutexLock\b"), "sync::MutexLock"),
+    (re.compile(r"\bLatchGuard\b"), "LatchGuard"),
+    (re.compile(r"\bacquire_latch\s*\("), "acquire_latch()"),
+    (re.compile(r"\bdrain_until\s*\("), "drain_until()"),
+    (re.compile(r"\bacquire_cell\s*\("), "acquire_cell()"),
+    (re.compile(r"\bdrain_installs\s*\("), "drain_installs()"),
+]
+# A declared IBR pin: the scoped announcement or the image that holds one.
+PIN_DECL_RE = re.compile(r"\b(?:IbrPin|LadderImage)\s+[A-Za-z_]\w*\s*[({=;]")
 
 KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
@@ -427,22 +450,9 @@ def latched_regions(fn: Function):
     """(start, end) offsets in fn.body that run under the install latch."""
     if fn.requires_latch:
         return [(0, len(fn.body))]
-    regions = []
-    for m in re.finditer(r"\bLatchGuard\b", fn.body):
-        # region: from the guard to the close of its enclosing brace scope
-        depth = 0
-        i = m.end()
-        n = len(fn.body)
-        while i < n:
-            if fn.body[i] == "{":
-                depth += 1
-            elif fn.body[i] == "}":
-                depth -= 1
-                if depth < 0:
-                    break
-            i += 1
-        regions.append((m.start(), i))
-    return regions
+    # region: from the guard to the close of its enclosing brace scope
+    return [(m.start(), scope_end(fn.body, m.end()))
+            for m in re.finditer(r"\bLatchGuard\b", fn.body)]
 
 
 def body_calls(body: str):
@@ -487,6 +497,62 @@ def latch_reachable(funcs_by_name, seeds):
                 reach.add(callee)
                 work.append(callee)
     return reach
+
+
+def scope_end(body: str, pos: int) -> int:
+    """Offset of the brace that closes the scope enclosing `pos`."""
+    depth = 0
+    for i in range(pos, len(body)):
+        if body[i] == "{":
+            depth += 1
+        elif body[i] == "}":
+            depth -= 1
+            if depth < 0:
+                return i
+    return len(body)
+
+
+def waiting_functions(funcs_by_name):
+    """Names of functions that can wait on the sketch: a SKETCH_WAIT_TOKENS
+    match in the body, or a plain call to such a function."""
+    wait = {name for name, fns in funcs_by_name.items()
+            if any(rex.search(fn.body) for fn in fns
+                   for rex, _ in SKETCH_WAIT_TOKENS)}
+    changed = True
+    while changed:
+        changed = False
+        for name, fns in funcs_by_name.items():
+            if name not in wait and any(body_calls(fn.body) & wait
+                                        for fn in fns):
+                wait.add(name)
+                changed = True
+    return wait
+
+
+def check_pinned(path, fn, base_line, allow, waiting, out):
+    """Flags waits on the sketch after an IbrPin/LadderImage declaration,
+    up to the end of the scope that declares it."""
+    for decl in PIN_DECL_RE.finditer(fn.body):
+        start, end = decl.end(), scope_end(fn.body, decl.end())
+        text = fn.body[start:end]
+
+        def emit(m, what):
+            line = base_line + fn.body[:start + m.start()].count("\n")
+            if not allowed(allow, "no-wait-while-pinned", line):
+                out.append(Violation(path, line, "no-wait-while-pinned",
+                                     f"{what} while an IBR pin is held "
+                                     f"(in {fn.name})"))
+
+        for rex, what in SKETCH_WAIT_TOKENS:
+            for m in rex.finditer(text):
+                emit(m, what)
+        for m in re.finditer(r"(" + IDENT + r")\s*\(", text):
+            callee = m.group(1)
+            prev = text[:m.start()].rstrip()
+            if prev.endswith((".", "->")) and not prev.endswith("this->"):
+                continue
+            if callee in waiting:
+                emit(m, f"call to {callee}(), which can wait on the sketch")
 
 
 def owning_decls(text: str):
@@ -638,6 +704,7 @@ def run_checks(paths, fixture_mode=False):
     seeds = {fn.name for fns in per_file_funcs.values()
              for fn in fns if fn.requires_latch}
     reach = latch_reachable(funcs_by_name, seeds)
+    waiting = waiting_functions(funcs_by_name)
 
     violations = []
     for p in paths:
@@ -654,6 +721,7 @@ def run_checks(paths, fixture_mode=False):
                 for (s, e) in latched_regions(fn):
                     scan_region(p, fn, s, e, base, allow, funcs_by_name,
                                 violations)
+            check_pinned(p, fn, base, allow, waiting, violations)
         engine = is_engine_header(p) or (fixture_mode and p.endswith(".hpp"))
         violations += check_assert(p, clean, allow, engine)
     # one diagnostic per (file, line, check)
