@@ -5,9 +5,9 @@
 # -> BENCH_ingest_micro with the Gather&Sort sweep,
 # fig07c -> BENCH_rho, ext_sharded_scaling -> BENCH_sharded, fig10_vs_fcds
 # -> BENCH_fig10 with the Quancurrent-vs-FCDS matched-relaxation sweep,
-# ext_kll_compare -> BENCH_kll, ext_theta_scaling -> BENCH_theta,
-# ext_checkpoint -> BENCH_checkpoint with checkpoint latency vs sketch size
-# and the ingest dip under a checkpoint cadence, abl_propagation ->
+# ext_kll_compare -> BENCH_kll, ext_checkpoint -> BENCH_checkpoint with
+# checkpoint latency vs sketch size and the ingest dip under a checkpoint
+# cadence, abl_propagation ->
 # BENCH_abl_propagation, abl_reclamation ->
 # BENCH_abl_reclamation with the IBR cadence sweep) drop their JSON into
 # QC_BENCH_JSON (default: the build dir), where CI picks them up as
@@ -47,7 +47,7 @@ fi
 
 for json in BENCH_ingest.json BENCH_query.json BENCH_ingest_micro.json \
             BENCH_rho.json BENCH_sharded.json BENCH_fig10.json \
-            BENCH_kll.json BENCH_theta.json BENCH_checkpoint.json \
+            BENCH_kll.json BENCH_checkpoint.json \
             BENCH_abl_propagation.json BENCH_abl_reclamation.json; do
   if [ -f "${QC_BENCH_JSON}/${json}" ]; then
     echo "perf artifact: ${QC_BENCH_JSON}/${json}"

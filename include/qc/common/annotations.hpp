@@ -27,10 +27,6 @@
 //     unsorted tail vector; lock-free mirrors (`tail_size_`,
 //     `tail_version_`) stay plain atomics and are intentionally unguarded.
 //
-//   * ConcurrentTheta hand-off (theta/concurrent_theta.hpp) — `mu_` guards
-//     the shared ThetaSketch; `theta_cache_` is the unguarded relaxed
-//     mirror updaters read.
-//
 //   * FCDS propagator role (baselines/fcds.hpp) — a `sync::Role` phantom
 //     capability.  The ladder state (base buffer, levels, mergers, RNG) is
 //     QC_GUARDED_BY(propagator_role_) and the rebuild/publish path is

@@ -46,14 +46,16 @@
 // Interval-based reclamation (IBR).  Retired blocks stay readable until no
 // in-flight snapshot can still reference them.  Retired blocks are stamped
 // with a global epoch that the latch holder advances every
-// Options::ibr_epoch_freq allocations; updater and querier handles (and the
-// LadderImage behind serde and merge_into) announce the epoch they entered a
-// read region at in per-handle reservation slots.  Every
+// Options::ibr_epoch_freq allocations.  Only the readers of level blocks
+// announce: a LadderImage (serde, merge_into, and every Querier refresh
+// attempt) stores the epoch it entered its read region at in a per-handle
+// reservation slot.  Updaters never announce: the blocks a flush touches
+// are touched by the latch holder, which is the reclaimer.  Every
 // Options::ibr_recl_freq retirements the latch holder scans the
 // announcements and frees exactly the retired blocks whose retire epoch
 // precedes every announced epoch (into a bounded reuse pool first, the
 // allocator after).  Queriers never block on growth OR reclamation: they
-// announce, load epoch-validated pointer snapshots, copy, and clear —
+// announce, load the run pointers, validate them, copy, and clear —
 // wait-free throughout.  ibr_stats() exposes the counters the
 // abl_reclamation ablation sweeps.
 //
@@ -61,10 +63,11 @@
 // published tritmap marks empty (checked in every build), then flips the
 // tritmap old -> new with one CAS and advances install_seq_ by one, so a
 // query that loads the tritmap sees a fully consistent levels description.
-// Queries re-validate the install sequence number after copying; if an
-// install raced past them they retry, and after a bounded number of attempts
-// they accept the snapshot and report the racing installs as holes (counted,
-// never crashed on), mirroring the paper's hole analysis (§4.1).
+// Queries validate the run pointers they loaded against the install
+// sequence number before they copy a single run; if an install raced past
+// them they retry, and after a bounded number of attempts they accept the
+// snapshot and report the racing installs as holes (counted, never crashed
+// on), mirroring the paper's hole analysis (§4.1).
 //
 // Query engine.  Every published level slot is a sorted k-run (the KLL
 // compactor invariant), so a snapshot is a set of sorted runs, not a bag of
@@ -253,7 +256,7 @@ class Quancurrent {
   };
 
   // RAII ownership of one announcement slot for a handle's lifetime; movable
-  // so the Updater/Querier handles stay movable.
+  // so the Querier handle stays movable.
   class IbrSlotLease {
    public:
     explicit IbrSlotLease(const Quancurrent& sketch) : slot_(sketch.acquire_ibr_slot()) {}
@@ -292,6 +295,95 @@ class Quancurrent {
 
    private:
     IbrSlot* slot_;
+  };
+
+  // Point-in-time image of the installed ladder: the tritmap, each level's
+  // install epoch and the run pointers, read under an IBR pin.  It is the
+  // only reader of ladder slot pointers off the install latch.  The k-runs
+  // are read through the pointers after the load (published blocks are
+  // immutable; the pin keeps them from reclamation).  Two entry points
+  // share one loader:
+  //   * LadderImage(s) (serialize, merge_into) loads under one latch hold,
+  //     O(levels), because it also reads the rng state; the image is exact.
+  //   * LadderImage(s, slot, tm) (Querier::refresh) takes no latch and pins
+  //     through the querier's own slot.  The caller validates the image
+  //     against install_seq_ before it copies; complete() is false when the
+  //     loader met a slot a racing quiesce() had unpublished, and tritmap()
+  //     then ends that level at the slot.
+  // Deadlock rules: pin under the latch or with no lock held, never before
+  // acquiring the latch (a latch holder throttled by ibr_retire_cap waits
+  // on pins), and wait on nothing of this sketch while the image lives —
+  // not the latch, not tail_mu_ (quiesce holds it while it installs), not
+  // an install queue.
+  class LadderImage {
+   public:
+    explicit LadderImage(const Quancurrent& s) : lease_(std::in_place, s) {
+      const LatchGuard guard(s);
+      rng_state_ = s.rng_.state();
+      load(s, lease_->slot(), s.tritmap_.load(std::memory_order_relaxed));
+      QC_CHECK(complete_, "imaging an unpublished level slot");
+    }
+
+    LadderImage(const Quancurrent& s, IbrSlot* slot, Tritmap tm) { load(s, slot, tm); }
+
+    std::array<std::uint64_t, 4> rng_state() const { return rng_state_; }
+    Tritmap tritmap() const { return tm_; }
+    bool complete() const { return complete_; }
+    std::size_t run_count() const { return count_; }
+    std::uint64_t epoch(std::uint32_t level) const { return epochs_[level]; }
+    const T* run(std::uint32_t level, std::uint32_t slot) const {
+      return blocks_[static_cast<std::size_t>(level) * 2 + slot]->items.data();
+    }
+
+    // Calls fn(items, level) for each k-run, in ladder order.
+    template <typename Fn>
+    void for_each_run(Fn&& fn) const {
+      const std::uint32_t top = tm_.num_levels();
+      for (std::uint32_t level = 1; level < top; ++level) {
+        for (std::uint32_t slot = 0; slot < tm_.trit(level); ++slot) {
+          // Chaos builds: act between the load and the copy.
+          QC_INJECT_STALL(ladder_image_copy);
+          fn(run(level, slot), level);
+        }
+      }
+    }
+
+   private:
+    // Announces the pin, then loads each level's epoch (acquire) before its
+    // pointers (seq_cst: in the single total order they follow the
+    // announcement, which is what lets the reclaimer's scan prove the
+    // blocks cannot be freed under us; see the IBR section of the file
+    // comment).  A cascade releases a level's epoch only after publishing
+    // its block, so an epoch read here is never newer than the pointers.
+    void load(const Quancurrent& s, IbrSlot* slot, Tritmap tm) {
+      pin_.emplace(s, slot);
+      tm_ = tm;
+      const std::uint32_t top = tm.num_levels();
+      for (std::uint32_t level = 1; level < top; ++level) {
+        epochs_[level] = s.level_epoch_[level].load(std::memory_order_acquire);
+        for (std::uint32_t i = 0; i < tm.trit(level); ++i) {
+          const LevelBlock* b = s.slot_block(level, i).load(std::memory_order_seq_cst);
+          if (b == nullptr) {
+            tm_ = tm_.with_trit(level, i);
+            complete_ = false;
+            break;
+          }
+          // Only the pointer: a block is dereferenced when its run is read,
+          // so levels a refresh reuses cost no cache miss here.
+          blocks_[static_cast<std::size_t>(level) * 2 + i] = b;
+          ++count_;
+        }
+      }
+    }
+
+    std::optional<IbrSlotLease> lease_;  // declared first: outlives the pin
+    std::optional<IbrPin> pin_;
+    std::array<std::uint64_t, 4> rng_state_{};
+    Tritmap tm_{0};
+    bool complete_ = true;
+    std::size_t count_ = 0;
+    std::array<std::uint64_t, Tritmap::kMaxLevels> epochs_{};
+    std::array<const LevelBlock*, 2 * std::size_t{Tritmap::kMaxLevels}> blocks_{};
   };
 
  public:
@@ -333,9 +425,10 @@ class Quancurrent {
 
   // Every block (published, retired, or pooled) and every announcement chunk
   // is owned by the sketch.  The convenience handles are torn down FIRST:
-  // the updater drains into the tail and both release announcement slots
-  // that live inside the chunks deleted below.  External handles must not
-  // outlive the sketch (they hold a raw back-pointer already).
+  // the updater drains into the tail, and the querier releases an
+  // announcement slot that lives inside the chunks deleted below.  External
+  // handles must not outlive the sketch (they hold a raw back-pointer
+  // already).
   ~Quancurrent() {
     self_querier_.reset();
     self_updater_.reset();
@@ -360,7 +453,6 @@ class Quancurrent {
    public:
     Updater(Quancurrent& sketch, std::uint32_t thread_index)
         : sketch_(&sketch),
-          lease_(sketch),
           node_(sketch.opts_.topology.node_of(thread_index)),
           b_(sketch.opts_.b),
           net_merge_(sketch.opts_.b > 16 && sketch.opts_.b % 16 == 0),
@@ -372,7 +464,6 @@ class Quancurrent {
     Updater& operator=(const Updater&) = delete;
     Updater(Updater&& other) noexcept
         : sketch_(std::exchange(other.sketch_, nullptr)),
-          lease_(std::move(other.lease_)),
           node_(other.node_),
           b_(other.b_),
           net_merge_(other.net_merge_),
@@ -450,17 +541,16 @@ class Quancurrent {
         }
         merger_.merge(std::span<const T>(local_), 16, std::span<T>(sorted_),
                       sketch_->cmp_);
-        sketch_->flush_chunk(node_, sorted_.data(), b_, lease_.slot());
+        sketch_->flush_chunk(node_, sorted_.data(), b_);
         count_ = 0;
         return;
       }
       batch_sort(std::span<T>(local_), sort_aux_, sketch_->cmp_);
-      sketch_->flush_chunk(node_, local_.data(), b_, lease_.slot());
+      sketch_->flush_chunk(node_, local_.data(), b_);
       count_ = 0;
     }
 
     Quancurrent* sketch_;
-    IbrSlotLease lease_;  // this handle's epoch announcement slot
     std::uint32_t node_;
     std::uint32_t b_;
     bool net_merge_;  // pre-sort via 16-networks + chunk merge (16 | b)
@@ -769,39 +859,36 @@ class Quancurrent {
     static constexpr std::size_t kMaxRuns = 2 * std::size_t{Tritmap::kMaxLevels} + 1;
 
     // Private copy of one level's occupied slots, tagged with the install
-    // epoch the copy reflects.  Valid for reuse while the level's published
-    // epoch and trit both still match: slot contents change only through
-    // installs, and every batch cascade that writes a level stores a fresh
-    // epoch.
+    // epoch and trit the copy reflects.  Valid for reuse while the level's
+    // published epoch and trit both still match: slot contents change only
+    // through installs, and every batch cascade that writes a level stores a
+    // fresh epoch.
     struct LevelCache {
       std::uint64_t epoch = kNever;
-      std::uint32_t trit = 0;    // trit the copy was made under
-      std::uint32_t copied = 0;  // runs actually copied (< trit on a racing
-                                 // shrink: the snapshot then fails validation)
-      std::vector<T> runs;       // copied sorted k-runs, slot-major
+      std::uint32_t trit = 0;  // runs in the copy
+      std::vector<T> runs;     // copied sorted k-runs, slot-major
 
-      bool matches(std::uint64_t e, std::uint32_t t) const {
-        return epoch == e && trit == t && copied == t;
-      }
+      bool matches(std::uint64_t e, std::uint32_t t) const { return epoch == e && trit == t; }
     };
 
-    // Copy-only: a refresh stages the levels and the tail that changed into
-    // buffers the current view does not reference, validates the snapshot,
-    // and only then commits by swapping buffers (commit is no-throw).  A
-    // bad_alloc anywhere before the commit leaves the previous view intact;
-    // the pin clears on unwind (RAII) so a failed refresh can never stall
-    // reclamation.
+    // Copy-only: a refresh stages the tail and the changed levels into
+    // buffers the current view does not reference, and only then commits by
+    // swapping buffers (commit is no-throw).  Each attempt takes a
+    // LadderImage and validates it before copying a single run, so a failed
+    // attempt costs O(levels) loads.  A bad_alloc anywhere before the commit
+    // leaves the previous view intact; the image's pin clears on unwind
+    // (RAII) so a failed refresh can never stall reclamation.
     void refresh_impl(bool force_full) {
       auto& s = *sketch_;
-      staged_ = 0;
       tail_staged_ = false;
       for (std::uint32_t attempt = 0;; ++attempt) {
         // Snapshot validation uses the install sequence number, not tritmap
         // equality: the tritmap word can return to a previous value (ABA)
         // after several installs, but install_seq_ is monotonic, so
-        // seq-stable implies no install published during the copy.  An
-        // install only writes slots its pre-publish tritmap marks empty, so
-        // every run copied under a stable seq was stable.
+        // seq-stable implies no install published between this load and the
+        // re-check.  An install only writes slots its pre-publish tritmap
+        // marks empty, so every pointer of a seq-stable image is the one
+        // `tm` describes.
         const std::uint64_t seq = s.install_seq_.load(std::memory_order_acquire);
         if (!force_full && seq == snap_seq_ &&
             s.tail_version_.load(std::memory_order_acquire) == tail_ver_) {
@@ -809,110 +896,80 @@ class Quancurrent {
           // snapshot: the view is already current.
           return;
         }
+        // Before the image, unpinned: quiesce() installs under tail_mu_, and
+        // an install at ibr_retire_cap waits for every pin.
+        stage_tail(force_full);
         const Tritmap tm = s.tritmap_.load(std::memory_order_acquire);
         // qc-lint-allow(qc-check-over-assert): ladder-shape documentation on
         // the snapshot retry loop — a violation reads a stale level-0 view
         // (wrong answer), never an out-of-bounds slot; QC_CHECK here would
         // tax every snapshot attempt.
         assert(tm.trit(0) == 0);  // published tritmaps always have level 0 drained
-        {
-          // The pin keeps the blocks stage_levels loads from reclamation
-          // (IBR, file comment).  It clears before stage_tail takes
-          // tail_mu_: quiesce() installs under tail_mu_, and an install at
-          // ibr_retire_cap waits for every pin.
-          const IbrPin pin(s, lease_.slot());
-          // Chaos builds: park the reader HERE, pin held — the
-          // stalled-querier scenario the retire cap exists for.
-          QC_INJECT_STALL(querier_stall);
-          stage_levels(tm, force_full);
-        }
-        stage_tail(force_full);
+        const LadderImage image(s, lease_.slot(), tm);
+        // Chaos builds: park the reader HERE, pin held — the stalled-querier
+        // scenario the retire cap exists for.
+        QC_INJECT_STALL(querier_stall);
         QC_INJECT_STALL(querier_recheck);  // chaos: an install here fails the attempt
-        // The copy loads above are acquire, so this re-check load cannot be
-        // reordered before them, and a copy that loaded a block a later
-        // install published synchronizes with every earlier install's seq
-        // advance (see stage_levels) — it cannot re-read `seq` here.
+        // The image's pointer loads are seq_cst, so this re-check cannot be
+        // reordered before them, and loading a block a later install
+        // published synchronizes with every earlier install's seq advance:
+        // such an image cannot re-read `seq` here.
         const std::uint64_t check = s.install_seq_.load(std::memory_order_acquire);
-        if (check == seq) {
-          stage_view(tm);
+        const bool valid = check == seq && image.complete();
+        if (!valid && attempt + 1 < kSnapshotRetries) {
+          if (s.opts_.collect_stats) {
+            s.stat_query_retries_.fetch_add(1, std::memory_order_relaxed);
+          }
+          continue;
+        }
+        stage_levels(image, force_full);
+        stage_view(image.tritmap());
+        if (valid) {
           commit(seq, /*holes=*/0);
           return;
         }
-        if (attempt + 1 == kSnapshotRetries) {
-          // Accept the snapshot; count the racing installs as holes, as the
-          // paper does.  Every copied run came from an immutable block, so
-          // the view answers from its runs like any other; the cache is
-          // poisoned so the next refresh re-copies every level.
-          stage_view(tm);
-          commit(kNever, check - seq);
-          for (auto& c : cache_) c.epoch = kNever;
-          if (s.opts_.collect_stats) {
-            s.stat_holes_.fetch_add(holes_, std::memory_order_relaxed);
-          }
-          return;
-        }
+        // The last attempt is accepted; the racing installs count as holes,
+        // as in the paper.  Every copied run came from an immutable block,
+        // so the view answers from its runs like any other; the cache is
+        // poisoned so the next refresh re-copies every level.
+        commit(kNever, check - seq);
+        for (auto& c : cache_) c.epoch = kNever;
         if (s.opts_.collect_stats) {
-          s.stat_query_retries_.fetch_add(1, std::memory_order_relaxed);
+          s.stat_holes_.fetch_add(holes_, std::memory_order_relaxed);
         }
+        return;
       }
     }
 
-    // Copies the occupied slots of every level the tritmap references into
-    // stage_, skipping levels whose committed copy is still current (and
-    // levels an earlier attempt of this refresh already staged under the
-    // same tags).  The epoch is loaded (acquire) before the pointer loads: a
-    // batch cascade publishes a level's epoch with a release store *after*
-    // publishing its block, so a copy tagged with epoch E always reflects
-    // the epoch-E publication whenever E is still the level's published
-    // epoch.  (A later cascade republishing the level while we copy leaves
-    // our copy tagged with the OLD epoch and stores a new one, so the level
-    // is re-copied.)
-    void stage_levels(Tritmap tm, bool force_full) {
-      auto& s = *sketch_;
-      const std::uint32_t k = s.opts_.k;
+    // Copies, through the image's run pointers (its pin still held), the
+    // occupied slots of every level whose committed copy no longer matches
+    // the image's epoch and trit.  The image loaded each level's epoch
+    // (acquire) before its pointers, and a batch cascade publishes a level's
+    // epoch with a release store after publishing its block, so a copy
+    // tagged with epoch E reflects the epoch-E publication whenever E is
+    // still the level's published epoch.
+    void stage_levels(const LadderImage& image, bool force_full) {
+      const std::uint32_t k = sketch_->opts_.k;
+      const Tritmap tm = image.tritmap();
       const std::uint32_t top = tm.num_levels();
+      staged_ = 0;
       for (std::uint32_t level = 1; level < top; ++level) {
-        const std::uint64_t bit = std::uint64_t{1} << level;
-        const std::uint64_t epoch =
-            s.level_epoch_[level].load(std::memory_order_acquire);
+        const std::uint64_t epoch = image.epoch(level);
         const std::uint32_t trit = tm.trit(level);
-        if (!force_full && cache_[level].matches(epoch, trit)) {
-          staged_ &= ~bit;
-          continue;
-        }
+        if (!force_full && cache_[level].matches(epoch, trit)) continue;
         LevelCache& c = stage_[level];
-        if ((staged_ & bit) != 0 && c.matches(epoch, trit)) continue;
         // A bad_alloc on this growth ends the refresh before anything is
         // committed.
         QC_INJECT_OOM(querier_copy_alloc);
         c.runs.resize(static_cast<std::size_t>(trit) * k);
-        std::uint32_t copied = 0;
         for (std::uint32_t slot = 0; slot < trit; ++slot) {
-          // seq_cst pointer load: in the single total order it follows this
-          // handle's epoch announcement, which is what lets the reclaimer's
-          // scan prove the block cannot be freed under us (IBR, file
-          // comment).  Published blocks are immutable, so the memcpy can
-          // never tear.  If a later install republished the slot, loading
-          // the NEW pointer makes the seq advance of the install that
-          // emptied it visible to refresh_impl's re-check (seq_cst
-          // store/load pair), which rejects the snapshot; loading the OLD
-          // pointer yields content consistent with the tritmap we copied
-          // under.
-          const LevelBlock* blk =
-              s.slot_block(level, slot).load(std::memory_order_seq_cst);
-          if (blk == nullptr) break;  // racing unpublish: this snapshot
-                                      // cannot validate, stop copying
           std::memcpy(c.runs.data() + static_cast<std::size_t>(slot) * k,
-                      blk->items.data(), k * sizeof(T));
-          ++copied;
+                      image.run(level, slot), k * sizeof(T));
         }
-        c.runs.resize(static_cast<std::size_t>(copied) * k);
         c.epoch = epoch;
         c.trit = trit;
-        c.copied = copied;
-        staged_ |= bit;
+        staged_ |= std::uint64_t{1} << level;
       }
-      staged_ &= (std::uint64_t{1} << top) - 1;  // levels above top: none
     }
 
     // Bulk-copies the tail under tail_mu_ (memcpy, not per-element appends)
@@ -952,8 +1009,7 @@ class Quancurrent {
       auto& runs = view_.stage(kMaxRuns);
       for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
         const LevelCache& c = (staged_ >> level & 1) != 0 ? stage_[level] : cache_[level];
-        const std::uint32_t trit = std::min(c.copied, tm.trit(level));
-        for (std::uint32_t slot = 0; slot < trit; ++slot) {
+        for (std::uint32_t slot = 0; slot < tm.trit(level); ++slot) {
           runs.push_back({c.runs.data() + static_cast<std::size_t>(slot) * k, k,
                           1ULL << level});
         }
@@ -1302,8 +1358,7 @@ class Quancurrent {
 
   // Writer-side view of a published slot's items; callers hold latch_, so
   // the block cannot be retired (let alone reclaimed) underneath them.
-  // Queriers never use this — they take epoch-protected slot_block()
-  // pointer snapshots instead.
+  // Readers off the latch go through LadderImage instead.
   T* slot_ptr(std::uint32_t level, std::uint32_t slot) QC_REQUIRES(latch_) {
     LevelBlock* b = slot_block(level, slot).load(std::memory_order_relaxed);
     QC_CHECK(b != nullptr, "dereferencing an unpublished level slot");
@@ -1362,58 +1417,6 @@ class Quancurrent {
     LatchGuard& operator=(const LatchGuard&) = delete;
     ~LatchGuard() QC_RELEASE() { s_.release_latch(); }
     const Quancurrent& s_;
-  };
-
-  // Point-in-time image of the installed ladder for serde and merge_into.
-  // One latch hold, O(levels), reads the rng state, the tritmap and the run
-  // pointers and announces an IBR pin; the k-runs are then read unlatched
-  // (published blocks are immutable; the pin keeps them from reclamation).
-  // Deadlock rules: pin only under the latch, never before acquiring it (a
-  // latch holder throttled by ibr_retire_cap waits on pins), and wait on
-  // nothing of this sketch while the image lives — not the latch, not
-  // tail_mu_ (quiesce holds it while it installs), not an install queue
-  // (flush_chunk's unpin follows the same rule).
-  class LadderImage {
-   public:
-    explicit LadderImage(const Quancurrent& s) : lease_(s) {
-      const LatchGuard guard(s);
-      pin_.emplace(s, lease_.slot());
-      rng_state_ = s.rng_.state();
-      tm_ = s.tritmap_.load(std::memory_order_relaxed);
-      for (std::uint32_t level = 1; level < tm_.num_levels(); ++level) {
-        for (std::uint32_t slot = 0; slot < tm_.trit(level); ++slot) {
-          const LevelBlock* b = s.slot_block(level, slot).load(std::memory_order_relaxed);
-          QC_CHECK(b != nullptr, "imaging an unpublished level slot");
-          runs_[count_++] = {b->items.data(), level};
-        }
-      }
-    }
-
-    std::array<std::uint64_t, 4> rng_state() const { return rng_state_; }
-    Tritmap tritmap() const { return tm_; }
-    std::size_t run_count() const { return count_; }
-
-    // Calls fn(items, level) for each k-run, in ladder order.
-    template <typename Fn>
-    void for_each_run(Fn&& fn) const {
-      for (std::size_t i = 0; i < count_; ++i) {
-        // Chaos builds: act between the latch release and the copy.
-        QC_INJECT_STALL(ladder_image_copy);
-        fn(runs_[i].items, runs_[i].level);
-      }
-    }
-
-   private:
-    struct Run {
-      const T* items;
-      std::uint32_t level;
-    };
-    IbrSlotLease lease_;  // declared first: outlives the pin
-    std::optional<IbrPin> pin_;
-    std::array<std::uint64_t, 4> rng_state_{};
-    Tritmap tm_{0};
-    std::array<Run, 2 * std::size_t{kLevels}> runs_{};
-    std::size_t count_ = 0;
   };
 
   // ----- IBR: allocation, retirement, reclamation (latch_ held throughout,
@@ -1741,30 +1744,8 @@ class Quancurrent {
   // the final slot becomes the batch owner and runs Gather&Sort (a multiway
   // merge of the buffer's pre-sorted b-chunks straight into an install-queue
   // cell), reopens the ordinal, and hands the batch to the installer.
-  void flush_chunk(std::uint32_t node_idx, const T* items, std::uint32_t count,
-                   IbrSlot* slot = nullptr) QC_EXCLUDES(latch_) {
-    // Updater-side epoch announcement (relaxed): a flush can end up holding
-    // the install latch and touching blocks, but the latch already excludes
-    // the reclaimer, so this is defense-in-depth that also keeps the
-    // abl_reclamation accounting honest about writer-side read regions.  A
-    // stale announcement only delays reclamation — the safe direction.
-    //
-    // CRITICAL: the announcement must be CLEARED before every wait in this
-    // function (the ordinal wait, acquire_cell, drain_until).  A parked
-    // producer holding a pinned epoch would deadlock against the retire-cap
-    // throttle: the latch holder waits for all pins to advance while the
-    // producer waits for the latch holder to drain.  Clearing is safe — the
-    // waits touch no level blocks (gather slots and install cells are
-    // sketch-owned arrays, not IBR-managed blocks).
-    const auto unpin = [slot] {
-      if (slot != nullptr) {
-        slot->announced.store(kIdleEpoch, std::memory_order_relaxed);
-      }
-    };
-    if (slot != nullptr) {
-      slot->announced.store(ibr_epoch_.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-    }
+  void flush_chunk(std::uint32_t node_idx, const T* items, std::uint32_t count)
+      QC_EXCLUDES(latch_) {
     Node& node = *nodes_[node_idx];
     const std::uint64_t gen = node.cur.load(std::memory_order_acquire);
     Gather& gb = *node.bufs[gen % opts_.rho];
@@ -1782,7 +1763,6 @@ class Quancurrent {
       if (opts_.collect_stats) {
         stat_gather_waits_.fetch_add(1, std::memory_order_relaxed);
       }
-      unpin();  // the owner we wait on may itself be throttled (see above)
       Backoff backoff;
       while (gb.ordinal.load(std::memory_order_acquire) != ord) backoff.spin();
     }
@@ -1805,7 +1785,6 @@ class Quancurrent {
       if (opts_.serialize_propagation) {
         serialized = std::unique_lock<std::mutex>(prop_mu_);
       }
-      unpin();  // acquire_cell and drain_until both park (see above)
       const std::uint64_t cell_pos = acquire_cell();
       InstallCell& cell = install_q_[cell_pos & (opts_.install_queue - 1)];
       cell.level = 0;
@@ -1815,7 +1794,6 @@ class Quancurrent {
       cell.seq.store(cell_pos + 1, std::memory_order_release);
       drain_until(cell_pos);
     }
-    unpin();
   }
 
   // Claims the next install-queue ticket and waits (backpressure) until its
@@ -1985,8 +1963,8 @@ class Quancurrent {
       for (std::uint32_t i = 0; i < opts_.k; ++i) dest[i] = source[2 * i + parity];
       publish_slot(dest_level, dest_slot, nb, published);
       // Release the level's new epoch only after its publication so that a
-      // querier reading this epoch (acquire) sees the new pointer; see
-      // Querier::stage_levels.
+      // reader loading this epoch (acquire) sees the new pointer; see
+      // LadderImage::load.
       level_epoch_[dest_level].store(epoch, std::memory_order_release);
       tm = tm.after_install_propagation(level);
       level = dest_level;

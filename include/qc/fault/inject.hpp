@@ -49,8 +49,9 @@ enum class Point : std::uint8_t {
   install_queue_full,     // acquire_cell(): delay a producer as if the ring
                           // were full (backpressure path)
   latch_stall,            // drain_one(): wedge the install-latch holder
-  querier_stall,          // Querier::refresh(): park a reader before a level copy,
-                          // epoch pin held
+  querier_stall,          // Querier::refresh(): park a reader right after its
+                          // LadderImage loaded the run pointers, pin held,
+                          // before the re-check and any copy
   gather_stall,           // flush_chunk(): preempt a writer between its
                           // reservation and its commit
   serde_corrupt,          // serde::Writer::put_bytes(): flip one bit in an
@@ -65,8 +66,10 @@ enum class Point : std::uint8_t {
                           // loaded checkpoint image rots
   ladder_image_copy,      // LadderImage::for_each_run(): act before a run is
                           // read, latch released, pin held
-  querier_recheck,        // Querier::refresh(): act between the copy and the
-                          // install-seq re-check (forces a failed attempt)
+  querier_recheck,        // Querier::refresh(): act between the image's
+                          // pointer loads and the install-seq re-check, pin
+                          // held (an install here fails the attempt, and
+                          // the attempt then copies nothing)
   kCount,
 };
 

@@ -1,6 +1,6 @@
 // Baselines subsystem (fig10/ext benches): the FCDS concurrent quantiles
-// baseline, the KLL sequential baseline, the Theta distinct-count pair, and
-// the relaxation algebra that matches fig10's buffer sizes to a target r.
+// baseline, the KLL sequential baseline, and the relaxation algebra that
+// matches fig10's buffer sizes to a target r.
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -14,8 +14,6 @@
 #include "sequential/quantiles_sketch.hpp"
 #include "stream/exact_quantiles.hpp"
 #include "stream/generators.hpp"
-#include "theta/concurrent_theta.hpp"
-#include "theta/theta_sketch.hpp"
 
 namespace {
 
@@ -264,69 +262,6 @@ QC_TEST(fcds_wait_free_reader_sees_monotone_snapshots) {
   CHECK_EQ(f.size(), n);
   CHECK(f.publishes() > 10);  // the storm actually flipped buffers repeatedly
   CHECK(reads.load(std::memory_order_relaxed) > 0);  // post-join: no ordering
-}
-
-// ----- Theta -----------------------------------------------------------------
-
-QC_TEST(theta_estimate_within_kmv_error) {
-  const std::uint32_t k = 1024;
-  const std::uint64_t n = 100'000;
-  theta::ThetaSketch sk(k);
-  for (std::uint64_t i = 0; i < n; ++i) sk.update(i);
-  const double est = sk.estimate();
-  const double rel = std::abs(est - static_cast<double>(n)) / static_cast<double>(n);
-  // KMV sigma ~ 1/sqrt(k-2) ~ 3.1%; 5 sigma covers the fixed hash draw.
-  CHECK(rel < 0.16);
-  CHECK(sk.retained() <= 2ull * k);
-
-  // Duplicates are invisible to a distinct counter.
-  theta::ThetaSketch dup(k);
-  for (int pass = 0; pass < 3; ++pass) {
-    for (std::uint64_t i = 0; i < n; ++i) dup.update(i);
-  }
-  const double dup_est = dup.estimate();
-  CHECK(std::abs(dup_est - static_cast<double>(n)) / static_cast<double>(n) < 0.16);
-
-  // Below k distinct keys the sketch is exact.
-  theta::ThetaSketch small(k);
-  for (std::uint64_t i = 0; i < 100; ++i) small.update(i * 7919);
-  CHECK_NEAR(small.estimate(), 100.0, 1e-9);
-}
-
-QC_TEST(concurrent_theta_matches_sequential_estimate) {
-  const std::uint32_t k = 1024;
-  const std::uint32_t threads = 4;
-  const std::uint64_t per_thread = 50'000;
-  const std::uint64_t n = threads * per_thread;
-
-  theta::ConcurrentTheta::Options o;
-  o.k = k;
-  o.b = 16;
-  theta::ConcurrentTheta sk(o);
-  std::vector<std::thread> pool;
-  for (std::uint32_t t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      auto up = sk.make_updater();
-      for (std::uint64_t i = t * per_thread; i < (t + 1) * per_thread; ++i) {
-        up.update(i);
-      }
-      up.flush();
-    });
-  }
-  for (auto& t : pool) t.join();
-  sk.drain();
-  const double est = sk.estimate();
-  CHECK(std::abs(est - static_cast<double>(n)) / static_cast<double>(n) < 0.16);
-
-  // The same keys through the sequential sketch land on the same estimate:
-  // the wrapper's filter + batched hand-off lose no survivor the sequential
-  // path would have kept (both see the full distinct hash set).
-  theta::ThetaSketch seq(k);
-  for (std::uint64_t i = 0; i < n; ++i) seq.update(i);
-  CHECK_NEAR(est, seq.estimate(), seq.estimate() * 0.05);
-
-  // theta actually tightened below 2^64 (the filter was exercised).
-  CHECK(sk.theta() < ~std::uint64_t{0});
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 //   * serialize/merge_into copy the ladder after releasing the latch, kept
 //     safe by the image's pin, and a view accepted with holes answers from
 //     its runs;
+//   * a refresh attempt that fails validation copies no run;
 //   * a stalled querier keeps retired memory under Options::ibr_retire_cap
-//     with the episode reported through ibr_stats().degraded;
+//     with the episode reported through ibr_stats().degraded, and a parked
+//     writer pins nothing;
 //   * a wedged latch holder and a full install ring are observable through
 //     stats() (watchdog trips, queue-full waits) without a debugger.
 //
@@ -623,6 +625,42 @@ void publish_during_recheck(Point p, void* ctx) {
   auto* sk = static_cast<qc::Quancurrent<double>*>(ctx);
   sk->install_run(1, std::vector<double>(sk->options().k, 3000.0));
 }
+
+// Publishes at the first `installs` re-checks only.
+struct RecheckRace {
+  qc::Quancurrent<double>* sk = nullptr;
+  int installs = 0;
+};
+
+void publish_during_early_rechecks(Point p, void* ctx) {
+  auto* race = static_cast<RecheckRace*>(ctx);
+  if (p != Point::querier_recheck || race->installs == 0) return;
+  --race->installs;
+  publish_during_recheck(p, race->sk);
+}
+
+// Publishes at each re-check.  At the last one it first serializes the
+// sketch, then installs 256 level-1 runs, which displace every block the
+// querier's image points to.
+struct DisplacingRace {
+  qc::Quancurrent<double>* sk = nullptr;
+  int rechecks = 0;
+  std::vector<std::byte> image{};
+};
+
+void displace_before_last_copy(Point p, void* ctx) {
+  if (p != Point::querier_recheck) return;
+  auto* race = static_cast<DisplacingRace*>(ctx);
+  auto& sk = *race->sk;
+  if (++race->rechecks < 8) {
+    publish_during_recheck(p, &sk);
+    return;
+  }
+  race->image.resize(sk.serialized_size());
+  CHECK_EQ(sk.serialize(race->image), race->image.size());
+  const std::vector<double> run(sk.options().k, 2000.0);
+  for (int i = 0; i < 256; ++i) sk.install_run(1, run);
+}
 }  // namespace
 
 // serialize() and merge_into() read the runs after the latch is released,
@@ -718,17 +756,87 @@ QC_TEST(hole_views_answer_from_their_runs) {
   CHECK_EQ(q.size(), sk.size());
 }
 
+// Attempts 1-7 fail validation (an install lands before each re-check) and
+// attempt 8 validates.  Only the validated image is copied from, so the
+// refresh copies each changed level and the tail once: exactly as many
+// copies as a twin querier makes when it refreshes through the same change
+// with no race.
+QC_TEST(failed_validation_copies_no_runs) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  qc::Options o = small_options(64, 16);
+  o.collect_stats = true;
+  qc::Quancurrent<double> sk(o);
+  feed(sk, 0, 40'000);
+  auto q = sk.make_querier();
+  auto twin = sk.make_querier();
+  feed(sk, 40'000, 3000);  // new levels and a new tail
+
+  RecheckRace race{&sk, 7};
+  inj.reset();  // counters count from here
+  inj.set_stall_handler(&publish_during_early_rechecks, &race);
+  inj.set_probability(Point::querier_recheck, 1.0);
+  q.refresh();
+  CHECK_EQ(inj.counters(Point::querier_recheck).fires, std::uint64_t{8});
+  const std::uint64_t copies = inj.counters(Point::querier_copy_alloc).hits;
+  inj.reset();
+  CHECK_EQ(race.installs, 0);
+  CHECK_EQ(q.holes(), std::uint64_t{0});
+  CHECK_EQ(sk.stats().query_retries, std::uint64_t{7});
+
+  twin.refresh();
+  const std::uint64_t twin_copies = inj.counters(Point::querier_copy_alloc).hits;
+  CHECK(twin_copies >= 2);  // at least one level and the tail
+  CHECK_EQ(copies, twin_copies);
+  CHECK_EQ(q.size(), sk.size());
+  CHECK(answers_of(q) == answers_of(twin));
+}
+
+// A hole view is copied after the last attempt's re-check, through the
+// pointers its image loaded.  Installs at that re-check displace every
+// imaged block, and ibr_recl_freq = 1 scans at every retirement, so a
+// block the image did not pin would be reclaimed and reused before the
+// copy.  The view must equal the sketch as it stood when the image was
+// taken.
+QC_TEST(hole_view_copies_under_the_image_pin) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  qc::Options o = small_options(64, 16);
+  o.ibr_epoch_freq = 1;
+  o.ibr_recl_freq = 1;
+  qc::Quancurrent<double> sk(o);
+  feed(sk, 0, 5000);
+  auto q = sk.make_querier();
+  feed(sk, 5000, 3000);
+
+  DisplacingRace race{&sk};
+  inj.reset();
+  inj.set_stall_handler(&displace_before_last_copy, &race);
+  inj.set_probability(Point::querier_recheck, 1.0);
+  const auto ibr = sk.ibr_stats();
+  q.refresh();
+  inj.reset();
+  CHECK_EQ(race.rechecks, 8);
+  CHECK(q.holes() > 0);
+  CHECK(sk.ibr_stats().scans > ibr.scans);
+  const auto imaged = qc::Quancurrent<double>::deserialize(race.image);
+  CHECK(imaged != nullptr);
+  if (imaged == nullptr) return;
+  CHECK(answers_of(q) == answers_of(imaged->make_querier()));
+}
+
 // ----- degradation under stalled readers ------------------------------------
 
 namespace {
 struct ParkedReader {
+  Point point = Point::querier_stall;  // where the thread parks
   std::atomic<bool> parked{false};
   std::atomic<bool> release{false};
 };
 
 void park_handler(Point p, void* ctx) {
-  if (p != Point::querier_stall) return;
   auto* pr = static_cast<ParkedReader*>(ctx);
+  if (p != pr->point) return;
   pr->parked.store(true, std::memory_order_release);
   while (!pr->release.load(std::memory_order_acquire)) {
     std::this_thread::yield();
@@ -792,6 +900,54 @@ QC_TEST(stalled_querier_keeps_retired_memory_under_cap) {
   CHECK(!s.degraded);
   CHECK(s.retire_list_len <= cap);
   CHECK_EQ(s.live_blocks(), published_runs(sk));
+}
+
+// A writer parked between its gather reservation and its commit reads no
+// level block, so it must not hold reclamation back.  While a node-0 writer
+// is parked there, a node-1 updater ingests far more retirements than
+// ibr_retire_cap; it finishes with no throttle episode.  The writer is
+// released whatever the checks say, so a failing run cannot hang.
+QC_TEST(parked_writer_does_not_pin_reclamation) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  ParkedReader pw;
+  pw.point = Point::gather_stall;
+  inj.set_stall_handler(&park_handler, &pw);
+  inj.arm_hit(Point::gather_stall, 1);  // the first flush parks
+
+  qc::Options o = small_options(64, 16);  // 2 virtual nodes, 2 threads each
+  o.ibr_epoch_freq = 1;
+  o.ibr_recl_freq = 4;
+  o.ibr_retire_cap = 64;
+  qc::Quancurrent<double> sk(o);
+
+  std::atomic<bool> written{false};
+  std::thread writer([&] {
+    auto u = sk.make_updater(0);  // node 0; the b-th update flushes and parks
+    for (std::uint32_t i = 0; i < o.b; ++i) u.update(static_cast<double>(i));
+    written.store(true, std::memory_order_release);
+  });
+  CHECK(wait_until([&] { return pw.parked.load(std::memory_order_acquire); }, 10'000));
+
+  constexpr std::uint32_t kItems = 60'000;
+  std::atomic<bool> ingested{false};
+  std::thread ingest([&] {
+    auto u = sk.make_updater(2);  // node 1
+    for (std::uint32_t i = 0; i < kItems; ++i) u.update(static_cast<double>(i));
+    u.drain();
+    ingested.store(true, std::memory_order_release);
+  });
+  CHECK(wait_until([&] { return ingested.load(std::memory_order_acquire); }, 10'000));
+  CHECK(!written.load(std::memory_order_acquire));  // still parked
+  CHECK_EQ(sk.ibr_stats().throttle_waits, std::uint64_t{0});
+
+  pw.release.store(true, std::memory_order_release);
+  ingest.join();
+  writer.join();
+  inj.reset();
+  sk.quiesce();
+  CHECK_EQ(sk.size(), std::uint64_t{kItems} + o.b);
+  CHECK(!sk.ibr_stats().degraded);
 }
 
 // quiesce() installs the tail's full batches while holding tail_mu_, and an

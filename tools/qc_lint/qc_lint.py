@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """qc-lint: repo-specific static checks for the Quancurrent engine.
 
-Five checks, each enforcing an invariant the compiler cannot see:
+Six checks, each enforcing an invariant the compiler cannot see:
 
   explicit-memory-order   Every atomic operation names its memory order.  The
                           snapshot-validation and IBR correctness arguments in
@@ -28,6 +28,15 @@ Five checks, each enforcing an invariant the compiler cannot see:
                           directly or through the call graph.  A latch
                           holder throttled at ibr_retire_cap waits for every
                           pin, so a pinned waiter deadlocks against it.
+  ladder-read-through-image
+                          Off the install latch, ladder slot pointers are
+                          read only through LadderImage: a slot_block() call
+                          must sit in a QC_REQUIRES(latch_) function, after a
+                          LatchGuard in its scope, or in a member of
+                          LadderImage.  The image owns the pin and the
+                          epoch-before-pointer load order that its callers'
+                          seq validation rests on; a second reader would
+                          have to repeat both.
   qc-check-over-assert    In engine headers, every bare assert() carries a
                           justification marker tying it to the documented
                           QC_CHECK-vs-assert policy (common/check.hpp):
@@ -64,6 +73,7 @@ CHECKS = (
     "no-alloc-under-latch",
     "no-blocking-under-latch",
     "no-wait-while-pinned",
+    "ladder-read-through-image",
     "qc-check-over-assert",
 )
 
@@ -121,6 +131,9 @@ SKETCH_WAIT_TOKENS = [
 ]
 # A declared IBR pin: the scoped announcement or the image that holds one.
 PIN_DECL_RE = re.compile(r"\b(?:IbrPin|LadderImage)\s+[A-Za-z_]\w*\s*[({=;]")
+# The one type allowed to read ladder slot pointers off the latch.
+IMAGE_CLASS_RE = re.compile(r"\b(?:class|struct)\s+LadderImage\b[^;{]*\{")
+SLOT_READ_RE = re.compile(r"\bslot_block\s*\(")
 
 KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
@@ -555,6 +568,28 @@ def check_pinned(path, fn, base_line, allow, waiting, out):
                 emit(m, f"call to {callee}(), which can wait on the sketch")
 
 
+def image_spans(clean: str):
+    """(start, end) offsets of every LadderImage class body in a file."""
+    return [(m.end() - 1, match_delim(clean, m.end() - 1, "{", "}"))
+            for m in IMAGE_CLASS_RE.finditer(clean)]
+
+
+def check_ladder_reads(path, fn, base_line, allow, images, out):
+    """Flags slot_block() calls outside the latch and outside LadderImage."""
+    if fn.requires_latch or any(s <= fn.body_offset < e for s, e in images):
+        return
+    latched = latched_regions(fn)
+    for m in SLOT_READ_RE.finditer(fn.body):
+        if any(s <= m.start() < e for s, e in latched):
+            continue
+        line = base_line + fn.body[:m.start()].count("\n")
+        if not allowed(allow, "ladder-read-through-image", line):
+            out.append(Violation(path, line, "ladder-read-through-image",
+                                 "slot_block() read off the latch outside "
+                                 f"LadderImage (in {fn.name}); load ladder "
+                                 "pointers through a LadderImage"))
+
+
 def owning_decls(text: str):
     """Offsets of declarations of owning std containers that have an
     initializer: `T x(args)`, `T x = expr` or `T x{args}`.  References,
@@ -711,6 +746,7 @@ def run_checks(paths, fixture_mode=False):
         clean, allow = cleans[p], allows[p]
         violations += check_memory_order(p, clean, atomics, flags, scalars,
                                          allow)
+        images = image_spans(clean)
         for fn in per_file_funcs[p]:
             base = line_of(clean, fn.body_offset)
             if fn.requires_latch or (fn.name in reach
@@ -722,6 +758,7 @@ def run_checks(paths, fixture_mode=False):
                     scan_region(p, fn, s, e, base, allow, funcs_by_name,
                                 violations)
             check_pinned(p, fn, base, allow, waiting, violations)
+            check_ladder_reads(p, fn, base, allow, images, violations)
         engine = is_engine_header(p) or (fixture_mode and p.endswith(".hpp"))
         violations += check_assert(p, clean, allow, engine)
     # one diagnostic per (file, line, check)
