@@ -2,7 +2,7 @@
 // Paper parameters: 1 or 2 update threads, a sweep of query threads,
 // k = 1024, b = 16, 10M updates after a 10M prefill.  Shows how updates and
 // queries interfere: installs force queriers off the O(1) incremental
-// refresh path onto tritmap-diff re-copies, and snapshot retries/holes
+// refresh path onto tritmap-diff re-references, and snapshot retries/holes
 // appear as installs race refreshes.
 //
 // Reports both throughputs plus refresh p50/p99 and hole/retry counts via

@@ -1,11 +1,11 @@
 // Micro-benchmarks for the engine's primitives, covering both hot paths.
 //
-// Query side: copy-only refresh (full re-copy vs. the O(1) incremental no-op)
-// and what a querier pays to materialize its summary; then, on runs shaped
-// like the sketch's view, the summary merge (loser tree vs. the global-sort
-// baseline) and direct-from-runs vs. summary quantile/rank — the
-// constants behind the querier's switch to its summary and behind
-// fig06b/fig06c.
+// Query side: reference-only refresh (full re-reference vs. the O(1)
+// incremental no-op) and what a querier pays to materialize its summary;
+// then, on runs shaped like the sketch's view, the summary merge (loser
+// tree vs. the global-sort baseline) and direct-from-runs vs. summary
+// quantile/rank — the constants behind the querier's switch to its summary
+// and behind fig06b/fig06c.
 //
 // Ingest side: the owner's Gather&Sort cost — multiway merge of pre-sorted
 // b-chunks vs. the full-sort baseline (radix batch_sort and std::sort) across
@@ -75,7 +75,7 @@ int main() {
 
   Table t({"case", "time/op", "note"});
 
-  // ----- query path: copy-only refresh on a quiesced sketch ----------------
+  // ----- query path: reference-only refresh on a quiesced sketch -----------
   core::Options o;
   o.k = k;
   o.b = b;
@@ -87,7 +87,7 @@ int main() {
       50'000'000 / std::max<std::uint64_t>(retained, 1), 10, 2000);
 
   auto q = sk.make_querier();
-  const double copy_refresh =
+  const double full_refresh =
       time_per_op(refresh_iters, [&] { q.refresh_full(); });
   const double incr_refresh = time_per_op(refresh_iters * 100, [&] { q.refresh(); });
   // A querier merges its summary on first use after a refresh.
@@ -96,11 +96,11 @@ int main() {
     keep(q.summary().size());
   });
 
-  t.add_row({"refresh: copy-only (refresh_full)", micros(copy_refresh),
+  t.add_row({"refresh: reference-only (refresh_full)", micros(full_refresh),
              "R=" + Table::integer(retained)});
   t.add_row({"refresh: incremental (no change)", nanos(incr_refresh), "O(1) fast path"});
   t.add_row({"refresh + summary materialization", micros(summary_refresh),
-             "merge share " + micros(summary_refresh - copy_refresh)});
+             "merge share " + micros(summary_refresh - full_refresh)});
 
   // ----- query path: direct vs summary answers over the sketch's run shape --
   //

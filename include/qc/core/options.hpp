@@ -37,7 +37,8 @@ struct Options {
   // Interval-based reclamation cadence for the elastic level blocks.  The
   // ladder's k-item arrays are allocated on demand (not preallocated) and a
   // rewritten slot's displaced block is RETIRED, not freed: it stays readable
-  // until no in-flight query snapshot can still reference it.  Two knobs
+  // until no in-flight query snapshot can still load it and no query view
+  // references it.  Two knobs
   // govern the bookkeeping, both counted at the install latch holder:
   //
   //   * ibr_epoch_freq — advance the global reclamation epoch once every this
@@ -45,8 +46,8 @@ struct Options {
   //     bookkeeping but blocks stay unreclaimable longer, raising the peak
   //     retire-list size (ibr_stats().peak_unreclaimed).
   //   * ibr_recl_freq — run a reclamation scan (compare every retired block's
-  //     retire epoch against all announced reader epochs, free the safe ones)
-  //     once every this many retirements.  Smaller values bound the live
+  //     retire epoch against all announced reader epochs, free the safe ones
+  //     no view references) once every this many retirements.  Smaller values bound the live
   //     block count tighter at the cost of more scans (ibr_stats().scans).
   //
   // Clamped to [1, kMaxIbrFreq]: 0 would never advance/scan (an unbounded
@@ -63,8 +64,11 @@ struct Options {
   // below the cap — a reader really is stalled — the sketch enters DEGRADED
   // mode (ibr_stats().degraded): ingest throttles at the install latch until
   // a scan succeeds, so retired memory stays <= cap * k * sizeof(T) instead
-  // of growing without bound.  Queries are unaffected (they never take the
-  // latch).  0 disables the cap (unbounded retire list); nonzero values
+  // of growing without bound.  Retired blocks that only idle query views
+  // still reference (ibr_stats().held_blocks) are not counted: they are
+  // bounded per querier, and a view that is never refreshed must not stall
+  // ingest.  Queries are unaffected (they never take the latch).  0
+  // disables the cap (unbounded retire list); nonzero values
   // are clamped to >= 64 so the cap can never sit below one cascade's
   // worst-case retirement burst.
   std::uint32_t ibr_retire_cap = 4096;

@@ -37,50 +37,58 @@
 // LevelBlock.  A cascade that writes a slot fills a FRESH block (plain
 // stores, invisible until publication), publishes it with one pointer store,
 // and RETIRES the displaced block — published blocks are never mutated, so a
-// querier that reached a block through its pointer can copy it without ever
-// observing a torn run.  Construction allocates no level storage at all:
-// blocks appear as the stream grows (under the install latch, which is the
-// only allocation/retirement site) and disappear through reclamation, so
-// small tenants stay small and quiesce() can hand memory back.
+// querier that reached a block through its pointer can read it, and keep
+// reading it, without ever observing a torn run.  Construction allocates no
+// level storage at all: blocks appear as the stream grows (under the
+// install latch, which is the only allocation/retirement site) and
+// disappear through reclamation, so small tenants stay small and quiesce()
+// can hand memory back.
 //
-// Interval-based reclamation (IBR).  Retired blocks stay readable until no
-// in-flight snapshot can still reference them.  Retired blocks are stamped
-// with a global epoch that the latch holder advances every
-// Options::ibr_epoch_freq allocations.  Only the readers of level blocks
-// announce: a LadderImage (serde, merge_into, and every Querier refresh
-// attempt) stores the epoch it entered its read region at in a per-handle
-// reservation slot.  Updaters never announce: the blocks a flush touches
-// are touched by the latch holder, which is the reclaimer.  Every
+// Interval-based reclamation (IBR) plus view references.  Retired blocks
+// stay readable until no in-flight image can still load them and no query
+// view references them.  Retired blocks are stamped with a global epoch
+// that the latch holder advances every Options::ibr_epoch_freq
+// allocations.  Only the readers of level blocks announce: a LadderImage
+// (serde, merge_into, and every Querier refresh attempt) stores the epoch
+// it entered its read region at in a per-handle reservation slot.
+// Updaters never announce: the blocks a flush touches are touched by the
+// latch holder, which is the reclaimer.  A querier's view outlives its
+// image: before the image's pin is dropped, the querier raises the
+// `readers` count of every block the view points into, and drops it when
+// a later refresh (or the handle's destruction) lets the view go.  Every
 // Options::ibr_recl_freq retirements the latch holder scans the
-// announcements and frees exactly the retired blocks whose retire epoch
-// precedes every announced epoch (into a bounded reuse pool first, the
-// allocator after).  Queriers never block on growth OR reclamation: they
-// announce, load the run pointers, validate them, copy, and clear —
-// wait-free throughout.  ibr_stats() exposes the counters the
-// abl_reclamation ablation sweeps.
+// announcements, then the reader counts, and reclaims exactly the retired
+// blocks whose retire epoch precedes every announced epoch and whose count
+// is 0 (into a bounded reuse pool first, the allocator after); a block
+// only views keep is held on the retire list outside the retire cap.
+// Queriers never block on growth OR reclamation: they announce, load the
+// run pointers, validate them, reference the blocks, and clear — wait-free
+// throughout.  ibr_stats() exposes the counters the abl_reclamation
+// ablation sweeps.
 //
 // Publication protocol.  An install only writes slots that the currently
 // published tritmap marks empty (checked in every build), then flips the
 // tritmap old -> new with one CAS and advances install_seq_ by one, so a
 // query that loads the tritmap sees a fully consistent levels description.
 // Queries validate the run pointers they loaded against the install
-// sequence number before they copy a single run; if an install raced past
-// them they retry, and after a bounded number of attempts they accept the
-// snapshot and report the racing installs as holes (counted, never crashed
-// on), mirroring the paper's hole analysis (§4.1).
+// sequence number before they reference a single block; if an install
+// raced past them they retry, and after a bounded number of attempts they
+// accept the snapshot and report the racing installs as holes (counted,
+// never crashed on), mirroring the paper's hole analysis (§4.1).
 //
 // Query engine.  Every published level slot is a sorted k-run (the KLL
 // compactor invariant), so a snapshot is a set of sorted runs, not a bag of
-// items.  Querier::refresh only copies: it publishes a run view (the sorted
-// weighted runs plus size()).  It is incremental: each level carries an
+// items.  Querier::refresh copies no level run: it publishes a run view (the
+// sorted weighted runs plus size()) whose level runs point into the
+// published blocks it references.  It is incremental: each level carries an
 // install epoch (a counter unique to the last batch cascade that wrote it),
-// and a refresh re-copies only levels whose epoch or trit changed since the
-// querier's previous validated snapshot, and the tail (sorting it once per
-// copy) only when its version moved.  A refresh that finds both the install
-// seq and the tail version unchanged is O(1).  quantile/rank/cdf answer
-// through a RunView (core/run_merge.hpp): from the runs directly, then from
-// the view's merged summary once enough answers pay for the merge, with
-// bit-identical results either way.
+// and a refresh re-references only levels whose epoch or trit changed since
+// the querier's previous validated snapshot, and copies the tail (sorting
+// it once per copy) only when its version moved.  A refresh that finds
+// both the install seq and the tail version unchanged is O(1).
+// quantile/rank/cdf answer through a RunView (core/run_merge.hpp): from the
+// runs directly, then from the view's merged summary once enough answers
+// pay for the merge, with bit-identical results either way.
 //
 // Relaxation.  Elements still in local buffers, partially filled gather
 // buffers, or batches parked in the install queue are invisible to queries —
@@ -110,17 +118,24 @@
 //     retried.  Only ~Updater, which must not throw, drops the residue after
 //     bounded retries (counted in stats().oom_dropped_items, warned on
 //     stderr).
-//   * Querier::refresh may propagate bad_alloc; it is all-or-nothing: the
-//     changed levels and the tail are staged in buffers the current view
-//     does not reference and committed by swap, so the previous view keeps
-//     answering exactly as before.  A summary that cannot be allocated
-//     leaves the querier answering directly from its runs.
-//   * A stalled reader cannot pin unbounded memory: when the retire list
-//     would exceed Options::ibr_retire_cap, the latch holder forces a scan
-//     and, if the scan cannot help, throttles ingest (ibr_stats().degraded,
-//     forced_scans, throttle_waits) until the reader unpins — retired
-//     memory stays <= cap blocks.  ibr_stats().pinned_epoch_age says how
-//     far the oldest pin lags.
+//   * Querier::refresh may propagate bad_alloc from its tail copy, its only
+//     allocation, which runs before it references or releases any block;
+//     it is all-or-nothing: the changed levels and the tail are staged
+//     where the current view does not read them and committed by swap, so
+//     the previous view keeps answering exactly as before.  A summary that
+//     cannot be allocated leaves the querier answering directly from its
+//     runs.
+//   * A stalled reader cannot pin unbounded memory: when the blocks
+//     awaiting the epoch rule would exceed Options::ibr_retire_cap, the
+//     latch holder forces a scan and, if the scan cannot help, throttles
+//     ingest (ibr_stats().degraded, forced_scans, throttle_waits) until
+//     the reader unpins — those stay <= cap blocks.
+//     ibr_stats().pinned_epoch_age says how far the oldest pin lags.  A
+//     querier that holds its view and never refreshes pins no epoch and
+//     never throttles ingest: it keeps at most the blocks of its view and
+//     of the view its last refresh replaced, 2 x 2 x kMaxLevels, the
+//     memory a private copy of both views would take
+//     (ibr_stats().held_blocks counts the retired ones).
 #pragma once
 
 #include <algorithm>
@@ -194,8 +209,8 @@ struct Stats {
 
 // Counters behind Quancurrent::ibr_stats() — the observable surface of the
 // interval-based reclamation scheme (see the file comment) and the axes the
-// abl_reclamation ablation sweeps.  Every field is monotonic; live_blocks()
-// is the derived point-in-time holding.
+// abl_reclamation ablation sweeps.  The counters are monotonic; the fields
+// marked point-in-time below and live_blocks() are observations.
 struct IbrStats {
   std::uint64_t epochs = 0;     // global reclamation-epoch advances
   std::uint64_t allocated = 0;  // LevelBlocks obtained from the allocator
@@ -208,10 +223,12 @@ struct IbrStats {
 
   // Stalled-handle detection (Options::ibr_retire_cap; failure-model section
   // of the file comment).  forced_scans / throttle_waits are monotone; the
-  // last three are point-in-time observations, not counters.
+  // last four are point-in-time observations, not counters.
   std::uint64_t forced_scans = 0;     // off-cadence scans forced by the cap
   std::uint64_t throttle_waits = 0;   // throttle episodes (ingest paused)
-  std::uint64_t retire_list_len = 0;  // current retire-list length
+  std::uint64_t retire_list_len = 0;  // retired blocks awaiting the epoch rule
+  std::uint64_t held_blocks = 0;      // retired blocks past every pin that
+                                      // only query views keep (not capped)
   std::uint64_t pinned_epoch_age = 0;  // epochs the oldest announced pin lags
                                        // the global epoch (0 = no pin / fresh)
   bool degraded = false;  // cap reached and a scan could not free below it
@@ -233,9 +250,16 @@ class Quancurrent {
 
   // One published k-item run, immutable once its pointer is published;
   // retire_epoch is the epoch it was unpublished at (ibr_scan's free rule).
+  // `readers` counts the query views that reference the block (a Querier
+  // takes one per block under its image's pin, see stage_levels); a
+  // retired block is reclaimed only at 0.  `held` marks a retired block
+  // past every pin that only views keep (latch-protected, like
+  // retire_epoch).
   struct LevelBlock {
     explicit LevelBlock(std::uint32_t k) : items(k) {}
     std::uint64_t retire_epoch = 0;
+    mutable std::atomic<std::uint32_t> readers{0};
+    bool held = false;
     std::vector<T> items;
   };
 
@@ -307,9 +331,9 @@ class Quancurrent {
   //     O(levels), because it also reads the rng state; the image is exact.
   //   * LadderImage(s, slot, tm) (Querier::refresh) takes no latch and pins
   //     through the querier's own slot.  The caller validates the image
-  //     against install_seq_ before it copies; complete() is false when the
-  //     loader met a slot a racing quiesce() had unpublished, and tritmap()
-  //     then ends that level at the slot.
+  //     against install_seq_ before it references a block; complete() is
+  //     false when the loader met a slot a racing quiesce() had unpublished,
+  //     and tritmap() then ends that level at the slot.
   // Deadlock rules: pin under the latch or with no lock held, never before
   // acquiring the latch (a latch holder throttled by ibr_retire_cap waits
   // on pins), and wait on nothing of this sketch while the image lives —
@@ -331,8 +355,11 @@ class Quancurrent {
     bool complete() const { return complete_; }
     std::size_t run_count() const { return count_; }
     std::uint64_t epoch(std::uint32_t level) const { return epochs_[level]; }
+    const LevelBlock* block(std::uint32_t level, std::uint32_t slot) const {
+      return blocks_[static_cast<std::size_t>(level) * 2 + slot];
+    }
     const T* run(std::uint32_t level, std::uint32_t slot) const {
-      return blocks_[static_cast<std::size_t>(level) * 2 + slot]->items.data();
+      return block(level, slot)->items.data();
     }
 
     // Calls fn(items, level) for each k-run, in ladder order.
@@ -616,11 +643,15 @@ class Quancurrent {
     }
     // Give memory back.  Unpublish every slot the published tritmap no
     // longer references (cascades leave consumed slots published so lagging
-    // queriers can still copy them; quiesce is where they are let go), then
-    // scan, then return the reuse pool to the allocator.  Afterwards — with
-    // no reader mid-snapshot — ibr_stats().live_blocks() equals the number
-    // of tritmap-referenced runs exactly (the eventual-reclamation test's
-    // invariant).
+    // queriers can still reference them; quiesce is where they are let go),
+    // then scan, then return the reuse pool to the allocator.  Afterwards,
+    // with no refresh in flight, ibr_stats().live_blocks() equals the
+    // number of tritmap-referenced runs plus ibr_stats().held_blocks, the
+    // retired blocks query views still reference.  With every querier
+    // destroyed or refreshed, held_blocks is 0: a refresh keeps the view it
+    // replaced until the next refresh, so a querier whose last refresh
+    // found nothing new since the ladder last changed references only
+    // published blocks (the eventual-reclamation tests' invariant).
     const LatchGuard guard(*this);  // scoped: the latch cannot leak on a throw
     // Make the unpublish loop's retirements no-throw up front (<= 2 * kLevels
     // of them); a bad_alloc here propagates with nothing retired yet.
@@ -705,6 +736,7 @@ class Quancurrent {
     s.forced_scans = ibr_forced_scans_.load(std::memory_order_relaxed);
     s.throttle_waits = ibr_throttle_waits_.load(std::memory_order_relaxed);
     s.retire_list_len = retire_list_len_.load(std::memory_order_relaxed);
+    s.held_blocks = held_blocks_.load(std::memory_order_relaxed);
     s.degraded = degraded_.load(std::memory_order_relaxed);
     // Stalled-handle detection: a healthy pin lags the global epoch by at
     // most a scan cadence or two; an age that keeps growing names the
@@ -714,6 +746,20 @@ class Quancurrent {
     const std::uint64_t cur = ibr_epoch_.load(std::memory_order_relaxed);
     s.pinned_epoch_age = (min_e == kIdleEpoch || min_e >= cur) ? 0 : cur - min_e;
     return s;
+  }
+
+  // References query views hold on this sketch's level blocks: the reader
+  // counts of every published and retired block, summed under the install
+  // latch.  A diagnostic for tests of the refresh's reference protocol.
+  std::uint64_t view_references() const QC_EXCLUDES(latch_) {
+    const LatchGuard guard(*this);
+    std::uint64_t refs = 0;
+    for (const auto& slot : slot_blocks_) {
+      const LevelBlock* b = slot.load(std::memory_order_relaxed);
+      if (b != nullptr) refs += b->readers.load(std::memory_order_relaxed);
+    }
+    for (const LevelBlock* b : retired_) refs += b->readers.load(std::memory_order_relaxed);
+    return refs;
   }
 
   // ----- install queue hooks -----------------------------------------------
@@ -802,13 +848,16 @@ class Quancurrent {
 
   // ----- queries -----------------------------------------------------------
 
-  // Point-in-time view of the sketch.  refresh() snapshots the tritmap and
-  // copies (or reuses) the referenced level runs plus the tail into a run
-  // view: a list of sorted, weighted runs.  quantile/rank/cdf answer from
-  // that view (a RunView) without touching shared state.
+  // Point-in-time view of the sketch.  refresh() snapshots the tritmap,
+  // references (or keeps) the published level blocks it names, and copies
+  // the tail, into a run view: a list of sorted, weighted runs.
+  // quantile/rank/cdf answer from that view (a RunView) without touching
+  // shared state.
   //
   // A handle is used by one thread at a time, including its const members:
-  // summary() and the answers fill per-view caches.
+  // summary() and the answers fill per-view caches.  It must not outlive
+  // its sketch: destroying it releases its references to the sketch's
+  // blocks.
   class Querier {
    public:
     explicit Querier(Quancurrent& sketch)
@@ -817,19 +866,33 @@ class Quancurrent {
           cache_(kLevels),
           view_(sketch.opts_.k, sketch.cmp_),
           stage_(kLevels) {
+      // Room for every view's run list and answer scratch, so the tail copy
+      // is the only step of a refresh that can throw.
+      view_.stage(kMaxRuns);
       refresh();
     }
 
-    // Incremental refresh: reuses level runs cached by earlier refreshes
+    Querier(const Querier&) = delete;
+    Querier& operator=(const Querier&) = delete;
+    // Vector moves leave the source's level lists empty, so a moved-from
+    // handle releases nothing.
+    Querier(Querier&&) noexcept = default;
+    Querier& operator=(Querier&&) = delete;
+    ~Querier() {
+      release(cache_);
+      release(stage_);
+    }
+
+    // Incremental refresh: keeps the level references of earlier refreshes
     // when the level's install epoch and trit are unchanged, and the tail
     // copy while the tail version is; O(1) when nothing was published and
     // the tail did not change.  All-or-nothing: on bad_alloc the previous
     // view, summary and answers stay exactly as they were.
     void refresh() { refresh_impl(/*force_full=*/false); }
 
-    // Ignores the run cache and the tail copy and re-copies everything the
-    // tritmap references; the view is identical to refresh()'s (tested),
-    // just slower to build.
+    // Ignores the kept references and the tail copy and re-references
+    // everything the tritmap names; the view is identical to refresh()'s
+    // (tested), just slower to build.
     void refresh_full() { refresh_impl(/*force_full=*/true); }
 
     std::uint64_t holes() const { return holes_; }
@@ -840,9 +903,10 @@ class Quancurrent {
     // only when some shard's view moved.
     std::uint64_t version() const { return version_; }
 
-    // The current view's runs point into this handle's buffers.  A
-    // successful refresh keeps the previous view's buffers, unchanged, as
-    // the staging buffers of the refresh after it.
+    // The current view's runs point into the published level blocks it
+    // references and into this handle's sorted tail copy.  A successful
+    // refresh keeps the view it replaced readable, blocks referenced and
+    // tail buffer unchanged, until the next refresh() call.
     std::span<const RunRef<T>> runs() const { return view_.runs(); }
 
     // Answers from the current view; see RunView.
@@ -858,26 +922,26 @@ class Quancurrent {
     // At most two runs per level plus the tail.
     static constexpr std::size_t kMaxRuns = 2 * std::size_t{Tritmap::kMaxLevels} + 1;
 
-    // Private copy of one level's occupied slots, tagged with the install
-    // epoch and trit the copy reflects.  Valid for reuse while the level's
-    // published epoch and trit both still match: slot contents change only
-    // through installs, and every batch cascade that writes a level stores a
-    // fresh epoch.
+    // The blocks of one level's occupied slots that a view references, one
+    // reader count each, tagged with the install epoch and trit they
+    // reflect.  Valid for reuse while the level's published epoch and trit
+    // both still match: slot contents change only through installs, and
+    // every batch cascade that writes a level stores a fresh epoch.
     struct LevelCache {
       std::uint64_t epoch = kNever;
-      std::uint32_t trit = 0;  // runs in the copy
-      std::vector<T> runs;     // copied sorted k-runs, slot-major
+      std::uint32_t trit = 0;  // referenced slots
+      std::array<const LevelBlock*, 2> blocks{};
 
       bool matches(std::uint64_t e, std::uint32_t t) const { return epoch == e && trit == t; }
     };
 
-    // Copy-only: a refresh stages the tail and the changed levels into
-    // buffers the current view does not reference, and only then commits by
-    // swapping buffers (commit is no-throw).  Each attempt takes a
-    // LadderImage and validates it before copying a single run, so a failed
-    // attempt costs O(levels) loads.  A bad_alloc anywhere before the commit
-    // leaves the previous view intact; the image's pin clears on unwind
-    // (RAII) so a failed refresh can never stall reclamation.
+    // Reference-only: a refresh copies the tail into a buffer the current
+    // view does not read, takes a LadderImage and validates it, references
+    // the blocks of the changed levels under the image's pin, and commits
+    // by swapping level lists and buffers (no-throw).  A failed attempt
+    // costs O(levels) loads and references nothing.  The tail copy is the
+    // only step that can throw, and it runs before the image: a bad_alloc
+    // leaves the previous view and every reader count as they were.
     void refresh_impl(bool force_full) {
       auto& s = *sketch_;
       tail_staged_ = false;
@@ -893,7 +957,10 @@ class Quancurrent {
         if (!force_full && seq == snap_seq_ &&
             s.tail_version_.load(std::memory_order_acquire) == tail_ver_) {
           // Nothing published and no tail churn since the last validated
-          // snapshot: the view is already current.
+          // snapshot: the view is already current, and the view it replaced
+          // is no longer readable (runs()).
+          if (replaced_) release(stage_);
+          replaced_ = false;
           return;
         }
         // Before the image, unpinned: quiesce() installs under tail_mu_, and
@@ -929,9 +996,9 @@ class Quancurrent {
           return;
         }
         // The last attempt is accepted; the racing installs count as holes,
-        // as in the paper.  Every copied run came from an immutable block,
-        // so the view answers from its runs like any other; the cache is
-        // poisoned so the next refresh re-copies every level.
+        // as in the paper.  Every referenced block is immutable, so the view
+        // answers from its runs like any other; the kept references are
+        // poisoned so the next refresh re-references every level.
         commit(kNever, check - seq);
         for (auto& c : cache_) c.epoch = kNever;
         if (s.opts_.collect_stats) {
@@ -941,34 +1008,50 @@ class Quancurrent {
       }
     }
 
-    // Copies, through the image's run pointers (its pin still held), the
-    // occupied slots of every level whose committed copy no longer matches
-    // the image's epoch and trit.  The image loaded each level's epoch
-    // (acquire) before its pointers, and a batch cascade publishes a level's
-    // epoch with a release store after publishing its block, so a copy
-    // tagged with epoch E reflects the epoch-E publication whenever E is
-    // still the level's published epoch.
-    void stage_levels(const LadderImage& image, bool force_full) {
-      const std::uint32_t k = sketch_->opts_.k;
+    // Releases the view the last commit replaced, then references, through
+    // the image (its pin still held), the occupied slots of every level
+    // whose kept references no longer match the image's epoch and trit.
+    // Each reference is one `readers` count, taken before the pin is
+    // dropped: ibr_scan reads the announcements before the counts, so a
+    // scan that no longer sees the pin sees the count, and the block stays
+    // unreclaimed for as long as a view points into it.  The image loaded
+    // each level's epoch (acquire) before its pointers, and a batch cascade
+    // publishes a level's epoch with a release store after publishing its
+    // block, so references tagged with epoch E reflect the epoch-E
+    // publication whenever E is still the level's published epoch.
+    void stage_levels(const LadderImage& image, bool force_full) noexcept {
+      release(stage_);
+      replaced_ = false;
       const Tritmap tm = image.tritmap();
-      const std::uint32_t top = tm.num_levels();
       staged_ = 0;
-      for (std::uint32_t level = 1; level < top; ++level) {
-        const std::uint64_t epoch = image.epoch(level);
+      for (std::uint32_t level = 1; level < kLevels; ++level) {
         const std::uint32_t trit = tm.trit(level);
-        if (!force_full && cache_[level].matches(epoch, trit)) continue;
+        const LevelCache& kept = cache_[level];
+        if (trit == 0 && kept.trit == 0) continue;  // nothing to take or let go
+        const std::uint64_t epoch = image.epoch(level);
+        if (!force_full && kept.matches(epoch, trit)) continue;
         LevelCache& c = stage_[level];
-        // A bad_alloc on this growth ends the refresh before anything is
-        // committed.
-        QC_INJECT_OOM(querier_copy_alloc);
-        c.runs.resize(static_cast<std::size_t>(trit) * k);
         for (std::uint32_t slot = 0; slot < trit; ++slot) {
-          std::memcpy(c.runs.data() + static_cast<std::size_t>(slot) * k,
-                      image.run(level, slot), k * sizeof(T));
+          QC_INJECT_STALL(querier_ref);  // chaos builds count references here
+          const LevelBlock* b = image.block(level, slot);
+          b->readers.fetch_add(1, std::memory_order_seq_cst);
+          c.blocks[slot] = b;
         }
         c.epoch = epoch;
         c.trit = trit;
         staged_ |= std::uint64_t{1} << level;
+      }
+    }
+
+    // Drops every reference `levels` holds.  Release order: the view's
+    // reads of a block happen before the scan that sees its count reach 0
+    // reclaims it.
+    static void release(std::vector<LevelCache>& levels) noexcept {
+      for (LevelCache& c : levels) {
+        for (std::uint32_t slot = 0; slot < c.trit; ++slot) {
+          c.blocks[slot]->readers.fetch_sub(1, std::memory_order_release);
+        }
+        c = LevelCache{};
       }
     }
 
@@ -999,31 +1082,32 @@ class Quancurrent {
     }
 
     // Stages the view's run list (level slots ascending, then the tail),
-    // pointing into whichever buffer — committed or staged — holds each
-    // part; commit's swaps keep those buffers in place.  The run order is
-    // deterministic, so incremental and full refreshes of the same snapshot
-    // produce identical views.  All allocation happens here, before the
-    // commit.
-    void stage_view(Tritmap tm) {
+    // pointing into the referenced blocks and whichever tail buffer —
+    // committed or staged — holds the tail; commit's swaps keep both in
+    // place.  The run order is deterministic, so incremental and full
+    // refreshes of the same snapshot produce identical views.  Allocates
+    // nothing: the constructor made room for kMaxRuns runs.
+    void stage_view(Tritmap tm) noexcept {
       const std::uint32_t k = sketch_->opts_.k;
-      auto& runs = view_.stage(kMaxRuns);
+      auto& runs = view_.stage();
       for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
         const LevelCache& c = (staged_ >> level & 1) != 0 ? stage_[level] : cache_[level];
         for (std::uint32_t slot = 0; slot < tm.trit(level); ++slot) {
-          runs.push_back({c.runs.data() + static_cast<std::size_t>(slot) * k, k,
-                          1ULL << level});
+          runs.push_back({c.blocks[slot]->items.data(), k, 1ULL << level});
         }
       }
       const std::vector<T>& tail = tail_staged_ ? tail_stage_ : tail_buf_;
       if (!tail.empty()) runs.push_back({tail.data(), tail.size(), 1});
     }
 
-    // Publishes the staged view.  No-throw: swaps and scalar stores.
+    // Publishes the staged view.  No-throw: swaps and scalar stores.  The
+    // replaced references stay in stage_ until the next refresh.
     void commit(std::uint64_t seq, std::uint64_t holes) noexcept {
       for (std::uint64_t bits = staged_; bits != 0; bits &= bits - 1) {
         const auto level = static_cast<std::size_t>(std::countr_zero(bits));
         std::swap(cache_[level], stage_[level]);
       }
+      replaced_ = staged_ != 0;
       if (tail_staged_) {
         tail_buf_.swap(tail_stage_);
         tail_ver_ = tail_stage_ver_;
@@ -1039,8 +1123,8 @@ class Quancurrent {
     Quancurrent* sketch_;
     IbrSlotLease lease_;  // this handle's epoch announcement slot
 
-    // The committed view: the buffers its runs point into, what it was
-    // validated against, and the RunView answers read.
+    // The committed view: the blocks and tail buffer its runs point into,
+    // what it was validated against, and the RunView answers read.
     std::vector<LevelCache> cache_;
     std::vector<T> tail_buf_;  // sorted tail copy
     RunView<T, Compare> view_;
@@ -1049,9 +1133,12 @@ class Quancurrent {
     std::uint64_t snap_seq_ = kNever;
     std::uint64_t tail_ver_ = kNever;
 
-    // The view a refresh is building; nothing here is read by answers.
+    // The view a refresh is building, and between refreshes the references
+    // of the view the last commit replaced; nothing here is read by
+    // answers.
     std::vector<LevelCache> stage_;
-    std::uint64_t staged_ = 0;  // bit `level`: stage_[level] holds this refresh's copy
+    std::uint64_t staged_ = 0;  // bit `level`: stage_[level] holds this refresh's references
+    bool replaced_ = false;     // stage_ holds the replaced view's references
     std::vector<T> tail_stage_;
     std::uint64_t tail_stage_ver_ = kNever;
     bool tail_staged_ = false;
@@ -1445,6 +1532,7 @@ class Quancurrent {
       ibr_epochs_.fetch_add(1, std::memory_order_relaxed);
     }
     b->retire_epoch = 0;
+    b->held = false;
     return b;
   }
 
@@ -1453,7 +1541,7 @@ class Quancurrent {
   // total order: a querier that announced its epoch before loading this
   // pointer is guaranteed visible to any scan that could free the displaced
   // block (file comment, IBR).  The slot must be one the `published`
-  // tritmap marks empty: a querier copying under `published` would
+  // tritmap marks empty: a querier imaging under `published` would
   // otherwise read the new block and validate it against the old tritmap.
   // Checked in every build, since the snapshot protocol rests on it.
   void publish_slot(std::uint32_t level, std::uint32_t slot, LevelBlock* nb,
@@ -1473,9 +1561,10 @@ class Quancurrent {
     // pre-reserved by prepare_cascade / quiesce before any retirement burst.
     retired_.push_back(b);
     ibr_retired_.fetch_add(1, std::memory_order_relaxed);
-    retire_list_len_.store(retired_.size(), std::memory_order_relaxed);
-    if (retired_.size() > ibr_peak_unreclaimed_.load(std::memory_order_relaxed)) {
-      ibr_peak_unreclaimed_.store(retired_.size(), std::memory_order_relaxed);
+    const std::size_t pending = pending_retired();
+    retire_list_len_.store(pending, std::memory_order_relaxed);
+    if (pending > ibr_peak_unreclaimed_.load(std::memory_order_relaxed)) {
+      ibr_peak_unreclaimed_.store(pending, std::memory_order_relaxed);
     }
     if (++retires_since_scan_ >= opts_.ibr_recl_freq) {
       retires_since_scan_ = 0;
@@ -1506,35 +1595,48 @@ class Quancurrent {
     return min_e;
   }
 
-  // Reclamation scan: free every retired block whose retire epoch precedes
-  // all announced epochs.  A reader holding a pointer into block B announced
-  // an epoch a <= B's retire stamp r (it announced before loading the
-  // pointer, and the pointer was unpublished before r was stamped), so
-  // r < min_announced implies no reader can still hold B.  This
-  // conservative epoch rule bounds the retire list by the scan cadence.
+  // Reclamation scan: reclaim every retired block that no image can still
+  // load and no view references.  The first is the epoch rule: a reader
+  // holding a pointer into block B announced an epoch a <= B's retire stamp
+  // r (it announced before loading the pointer, and the pointer was
+  // unpublished before r was stamped), so r < min_announced implies no
+  // image can still hold B.  The second is B's reader count, loaded after
+  // the announcements, all seq_cst: a querier takes its reference before it
+  // unpins, so a scan that no longer sees the pin sees the reference.  A
+  // block past every pin that a view still references is marked held and
+  // stays on the list (moving it to a list of its own would allocate under
+  // the latch): the retire cap does not count it, since a view that is
+  // never refreshed must not throttle ingest, and each scan re-checks only
+  // its count.  The epoch rule bounds the pending blocks by the scan
+  // cadence; each querier holds at most two views' blocks.
   void ibr_scan() QC_REQUIRES(latch_) {
     ibr_scans_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t min_e = min_announced_epoch();
     std::size_t kept = 0;
+    std::size_t held = 0;
     for (LevelBlock* b : retired_) {
-      if (b->retire_epoch < min_e) {
-        if (free_blocks_.size() < kFreeListCap) {
-          // qc-lint-allow(no-alloc-under-latch): bounded by kFreeListCap and
-          // pool capacity is warmed by the first scans; never on the hot path.
-          free_blocks_.push_back(b);
-        } else {
-          delete b;
-          ibr_freed_.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
+      if (!b->held && b->retire_epoch >= min_e) {
         retired_[kept++] = b;
+      } else if (b->readers.load(std::memory_order_seq_cst) != 0) {
+        b->held = true;
+        retired_[kept++] = b;
+        ++held;
+      } else if (free_blocks_.size() < kFreeListCap) {
+        // qc-lint-allow(no-alloc-under-latch): bounded by kFreeListCap and
+        // pool capacity is warmed by the first scans; never on the hot path.
+        free_blocks_.push_back(b);
+      } else {
+        delete b;
+        ibr_freed_.fetch_add(1, std::memory_order_relaxed);
       }
     }
     ibr_reclaimed_.fetch_add(retired_.size() - kept, std::memory_order_relaxed);
     // qc-lint-allow(no-alloc-under-latch): kept <= size(), so this resize
     // only shrinks — libstdc++ never reallocates on a downward resize.
     retired_.resize(kept);
-    retire_list_len_.store(kept, std::memory_order_relaxed);
+    held_count_ = held;
+    held_blocks_.store(held, std::memory_order_relaxed);
+    retire_list_len_.store(kept - held, std::memory_order_relaxed);
     // degraded_ is NOT cleared here: the flag marks a throttle episode, and
     // only enforce_retire_cap (its sole setter, below) knows when the
     // episode actually ends — a scan inside its wait loop can shrink the
@@ -1542,8 +1644,14 @@ class Quancurrent {
     // then would make the flag flicker invisible to observers.
   }
 
+  // Retired blocks still awaiting the epoch rule: the ones the retire cap
+  // counts (held blocks are excluded; see ibr_scan).
+  std::size_t pending_retired() const QC_REQUIRES(latch_) {
+    return retired_.size() - held_count_;
+  }
+
   // Bounded-memory response to stalled readers (Options::ibr_retire_cap):
-  // refuses to let the retire list exceed the cap.  Called from
+  // refuses to let the pending retired blocks exceed the cap.  Called from
   // prepare_cascade with the cascade's worst-case retirement count, under
   // the latch, BEFORE anything is published.  A forced scan is cheap; when
   // scanning cannot help — some reader really is parked mid-snapshot —
@@ -1555,14 +1663,14 @@ class Quancurrent {
   // every off-cadence scan, and the latch watchdog times the hold.
   void enforce_retire_cap(std::uint32_t upcoming) QC_REQUIRES(latch_) {
     const std::uint32_t cap = opts_.ibr_retire_cap;
-    if (cap == 0 || retired_.size() + upcoming <= cap) return;
+    if (cap == 0 || pending_retired() + upcoming <= cap) return;
     ibr_forced_scans_.fetch_add(1, std::memory_order_relaxed);
     ibr_scan();
-    if (retired_.size() + upcoming <= cap) return;
+    if (pending_retired() + upcoming <= cap) return;
     degraded_.store(true, std::memory_order_relaxed);
     ibr_throttle_waits_.fetch_add(1, std::memory_order_relaxed);
     Backoff backoff;
-    while (retired_.size() + upcoming > cap) {
+    while (pending_retired() + upcoming > cap) {
       backoff.spin();
       ibr_forced_scans_.fetch_add(1, std::memory_order_relaxed);
       ibr_scan();
@@ -1909,7 +2017,7 @@ class Quancurrent {
   // that fills the level — so a merge replays another sketch's ladder
   // through the very same publication machinery.  A cascade climbs the
   // ladder and writes each level at most once, always into the slot the
-  // published tritmap marks as the first empty one; queriers copying under
+  // published tritmap marks as the first empty one; queriers imaging under
   // `published` therefore never see a slot change underneath them (see
   // Querier::refresh_impl's validation).  Caller must hold latch_
   // and have run prepare_cascade(published, entry_level) successfully: every
@@ -2000,8 +2108,10 @@ class Quancurrent {
   std::atomic<std::uint64_t> ibr_epoch_{1};
   std::uint32_t allocs_since_epoch_ QC_GUARDED_BY(latch_) = 0;
   std::uint32_t retires_since_scan_ QC_GUARDED_BY(latch_) = 0;
-  // unpublished, awaiting proof of safety
+  // unpublished, awaiting proof of safety; held_count_ of them are held
+  // (past every pin, kept only by query views)
   std::vector<LevelBlock*> retired_ QC_GUARDED_BY(latch_);
+  std::size_t held_count_ QC_GUARDED_BY(latch_) = 0;
   // proven-safe reuse pool (bounded)
   std::vector<LevelBlock*> free_blocks_ QC_GUARDED_BY(latch_);
   mutable std::atomic<IbrSlotChunk*> ibr_chunks_{nullptr};  // const paths lease too
@@ -2019,6 +2129,7 @@ class Quancurrent {
   std::atomic<std::uint64_t> ibr_forced_scans_{0};
   std::atomic<std::uint64_t> ibr_throttle_waits_{0};
   std::atomic<std::uint64_t> retire_list_len_{0};
+  std::atomic<std::uint64_t> held_blocks_{0};
   std::atomic<bool> degraded_{false};
 
   // Two-phase cascade staging area (latch-protected): the blocks
@@ -2051,7 +2162,7 @@ class Quancurrent {
   std::uint64_t epoch_counter_ QC_GUARDED_BY(latch_) = 0;  // per-batch-cascade
 
   // Monotonic publish clock: advances by one per published install, after
-  // its tritmap CAS; queriers validate their copy window against it.
+  // its tritmap CAS; queriers validate their ladder images against it.
   std::atomic<std::uint64_t> install_seq_{0};
 
   // Tail: weight-1 residue from drains and quiesce, outside the tritmap.

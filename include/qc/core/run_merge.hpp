@@ -359,13 +359,22 @@ class RunView {
   explicit RunView(std::uint32_t k, Compare cmp = Compare())
       : lg_k_(ceil_log2(k)), cmp_(cmp) {}
 
-  // Clears and returns the next view's run list, with room and answer
-  // scratch for `max_runs` runs, so neither commit() nor the new view's
-  // first answers allocate.  May throw; the current view keeps answering.
+  // Clears and returns the next view's run list, with room in both run
+  // lists and answer scratch for `max_runs` runs, so neither commit(), the
+  // new view's first answers, nor a later stage() allocate for views of up
+  // to `max_runs` runs.  May throw; the current view keeps answering.
   std::vector<RunRef<T>>& stage(std::size_t max_runs) {
     staged_.clear();
     staged_.reserve(max_runs);
+    runs_.reserve(max_runs);
     if (scratch_.size() < 3 * max_runs) scratch_.resize(3 * max_runs);
+    return staged_;
+  }
+
+  // Clears and returns the next view's run list, within the room an
+  // earlier stage(max_runs) made.  No-throw.
+  std::vector<RunRef<T>>& stage() noexcept {
+    staged_.clear();
     return staged_;
   }
 

@@ -151,7 +151,7 @@ class ShardedQuancurrent {
 
   // Cross-shard point-in-time view: one wait-free querier per shard and a
   // RunView over their run lists in shard order.  refresh() is incremental
-  // twice over: each shard querier reuses its cached runs, and the view is
+  // twice over: each shard querier keeps its unchanged levels, and the view is
   // rebuilt, from run references rather than items, only when some shard's
   // view moved.  No lock anywhere on this path.
   class Querier {
@@ -184,10 +184,12 @@ class ShardedQuancurrent {
 
    private:
     // Rebuilds the view if any shard's view moved since the last rebuild.
-    // The view points into the shard queriers' buffers, so versions are
-    // recorded only once it is rebuilt.  After a refresh that threw, it may
-    // still point at a committed shard's previous buffers, which that
-    // shard's next refresh stages over; refresh() catches up first.
+    // The view points into the blocks and tail buffers the shard queriers
+    // hold, so versions are recorded only once it is rebuilt.  After a
+    // refresh that threw, it may still point at a committed shard's
+    // previous view, which that shard keeps only until its next refresh
+    // (its blocks referenced, its tail buffer unchanged); refresh() catches
+    // up first.
     void catch_up() {
       bool moved = false;
       std::size_t runs = 0;
@@ -274,6 +276,7 @@ class ShardedQuancurrent {
       total.forced_scans += st.forced_scans;
       total.throttle_waits += st.throttle_waits;
       total.retire_list_len += st.retire_list_len;
+      total.held_blocks += st.held_blocks;
       // Age is a point-in-time lag, so the fleet reports its slowest pin;
       // degraded is sticky across the facade — one throttled shard degrades
       // the fleet's ingest.

@@ -41,8 +41,9 @@ enum class Point : std::uint8_t {
   level_block_alloc = 0,  // alloc_block(): a LevelBlock `new` on the cascade
                           // or deserialize path fails
   tail_alloc,             // push_tail(): the tail vector's growth fails
-  querier_copy_alloc,     // Querier::stage_levels()/stage_tail(): a snapshot
-                          // copy buffer's growth fails
+  querier_copy_alloc,     // Querier::stage_tail(): the tail copy buffer's
+                          // growth fails (a refresh references its level
+                          // blocks, so this is its only allocation)
   merge_alloc,            // merge_into(): the run-buffer reserve fails
                           // (ladder imaged and pinned, nothing installed)
   deserialize_alloc,      // deserialize(): a payload allocation fails
@@ -69,7 +70,10 @@ enum class Point : std::uint8_t {
   querier_recheck,        // Querier::refresh(): act between the image's
                           // pointer loads and the install-seq re-check, pin
                           // held (an install here fails the attempt, and
-                          // the attempt then copies nothing)
+                          // the attempt then references nothing)
+  querier_ref,            // Querier::stage_levels(): act before a view takes
+                          // a reference to a level block, pin held; its hit
+                          // count is the number of references taken
   kCount,
 };
 
@@ -93,6 +97,7 @@ inline const char* point_name(Point p) {
     case Point::read_corrupt: return "read_corrupt";
     case Point::ladder_image_copy: return "ladder_image_copy";
     case Point::querier_recheck: return "querier_recheck";
+    case Point::querier_ref: return "querier_ref";
     case Point::kCount: break;
   }
   return "unknown";

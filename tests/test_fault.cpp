@@ -11,7 +11,9 @@
 //   * serialize/merge_into copy the ladder after releasing the latch, kept
 //     safe by the image's pin, and a view accepted with holes answers from
 //     its runs;
-//   * a refresh attempt that fails validation copies no run;
+//   * a refresh attempt that fails validation references no block, and a
+//     failed refresh leaves the previous view and every reader count as
+//     they were;
 //   * a stalled querier keeps retired memory under Options::ibr_retire_cap
 //     with the episode reported through ibr_stats().degraded, and a parked
 //     writer pins nothing;
@@ -404,119 +406,132 @@ void feed(qc::Quancurrent<double>& sk, std::uint32_t from, std::uint32_t count) 
   sk.quiesce();
 }
 
-}  // namespace
+// Installs `count` level-1 runs of `value`: the levels change, the tail
+// does not.  256 of them carry through every level of these tests' ladders
+// at least twice, so they displace (and retire) every block published
+// before them.
+void install_runs(qc::Quancurrent<double>& sk, int count, double value) {
+  const std::vector<double> run(sk.options().k, value);
+  for (int i = 0; i < count; ++i) sk.install_run(1, run);
+}
 
-// A querier that has not answered yet answers its first questions straight
-// from its runs, so each failed refresh below is checked on a querier that
-// never answered before it: a refresh that damaged the runs would show in
-// the direct answers and in the summary merged from them.  The expected
-// answers come from a twin querier made at the same point.
-QC_TEST(failed_refresh_keeps_the_previous_view) {
-  InjectorScope scope;
-  auto& inj = Injector::instance();
-  qc::Quancurrent<double> sk(small_options(64, 16));
-  feed(sk, 0, 5000);
-  std::vector<qc::Quancurrent<double>::Querier> queriers;
-  for (int i = 0; i < 4; ++i) queriers.push_back(sk.make_querier());
-  const ViewAnswers before = answers_of(sk.make_querier());
-  CHECK_EQ(before.size, std::uint64_t{5000});
+// Fast reclamation: every allocation advances the epoch and every
+// retirement scans, so a retired block no view references is reclaimed,
+// and then reused, at once.
+qc::Options eager_reclaim_options() {
+  qc::Options o = small_options(64, 16);
+  o.ibr_epoch_freq = 1;
+  o.ibr_recl_freq = 1;
+  return o;
+}
 
-  // Levels change: fail the 1st, 2nd, ... staged copy, so the failure lands
-  // before, between, and after partly staged levels and the tail.
-  feed(sk, 5000, 3000);
-  for (std::uint64_t hit = 1; hit <= 3; ++hit) {
-    auto& q = queriers[hit - 1];
-    inj.reset();  // arm_hit counts hits since the last reset
-    inj.arm_hit(Point::querier_copy_alloc, hit);
-    bool threw = false;
-    try {
-      q.refresh();
-    } catch (const std::bad_alloc&) {
-      threw = true;
-    }
-    inj.reset();
-    CHECK(threw);
-    CHECK(answers_of(q) == before);
-    q.refresh();
-    CHECK_EQ(q.size(), std::uint64_t{8000});
-    CHECK(answers_of(q) == answers_of(sk.make_querier()));
-  }
-
-  // Only the tail changes (8000 + 10 items: no new 2k batch): the tail copy
-  // is the one that fails.
-  auto& q = queriers[3];
-  q.refresh();
-  const ViewAnswers mid = answers_of(sk.make_querier());
-  feed(sk, 8000, 10);
-  inj.reset();
-  inj.arm_hit(Point::querier_copy_alloc, 1);
-  bool threw = false;
+template <typename Querier>
+bool refresh_throws(Querier& q) {
   try {
     q.refresh();
   } catch (const std::bad_alloc&) {
-    threw = true;
+    return true;
   }
-  inj.reset();
-  CHECK(threw);
-  CHECK(answers_of(q) == mid);
-  q.refresh();
-  CHECK_EQ(q.size(), std::uint64_t{8010});
+  return false;
 }
 
-// A cross-shard view points into its shard queriers' buffers.  Shard 0's
-// refresh commits, then shard 1's fails: the cross-shard view must keep
-// answering from shard 0's previous buffers, exactly as before.  A second
-// failure after shard 0 stages again must not leave the view on buffers
-// that staging reused (ASan builds see any stale read), and the next clean
+}  // namespace
+
+// A refresh references the blocks of the changed levels and copies only the
+// tail, so the tail copy is its one failure point, and it runs before the
+// refresh releases or takes any reference.  Each failure below is checked
+// on a querier that never answered before it: its first answers come
+// straight from the runs, and its summary is merged from them, so both read
+// the referenced blocks.  The expected answers come from a twin querier
+// made at the same point and dropped at once.  After each failure, installs
+// displace every block of the sketch with eager reclamation: a block the
+// failed refresh had let go would be reused under the view.
+QC_TEST(failed_refresh_keeps_the_previous_view) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  qc::Quancurrent<double> sk(eager_reclaim_options());
+  feed(sk, 0, 5000);
+  auto q = sk.make_querier();
+  feed(sk, 5000, 3000);
+  q.refresh();  // q now also keeps the view this refresh replaced
+  const ViewAnswers before = answers_of(sk.make_querier());
+  CHECK_EQ(before.size, std::uint64_t{8000});
+  const std::uint64_t refs = sk.view_references();
+  CHECK(refs > 0);
+
+  // Levels and the tail change; the tail copy fails.
+  feed(sk, 8000, 3000);
+  inj.reset();  // arm_hit counts hits since the last reset
+  inj.arm_hit(Point::querier_copy_alloc, 1);
+  CHECK(refresh_throws(q));
+  CHECK_EQ(inj.counters(Point::querier_ref).hits, std::uint64_t{0});
+  inj.reset();
+  CHECK_EQ(sk.view_references(), refs);
+  install_runs(sk, 256, 2000.0);
+  CHECK(answers_of(q) == before);
+  q.refresh();
+  CHECK_EQ(q.size(), sk.size());
+  CHECK(answers_of(q) == answers_of(sk.make_querier()));
+
+  // Only the tail changes (10 items: no new 2k batch).
+  auto fresh = sk.make_querier();
+  const ViewAnswers mid = answers_of(sk.make_querier());
+  const std::uint64_t mid_refs = sk.view_references();
+  feed(sk, 11'000, 10);
+  inj.reset();
+  inj.arm_hit(Point::querier_copy_alloc, 1);
+  CHECK(refresh_throws(fresh));
+  inj.reset();
+  CHECK_EQ(sk.view_references(), mid_refs);
+  CHECK(answers_of(fresh) == mid);
+  fresh.refresh();
+  CHECK_EQ(fresh.size(), sk.size());
+}
+
+// A cross-shard view points into its shard queriers' views.  Shard 0's
+// refresh commits, then shard 1's tail copy fails: the cross-shard view
+// keeps answering from the view shard 0 replaced, which shard 0 keeps
+// referenced until its next refresh.  Installs into shard 0 then displace
+// every block of that view with eager reclamation, so a block shard 0 had
+// let go at its commit would be reused under the cross-shard view.  Shard 0
+// changes only through installs, so its tail is never copied again and the
+// armed first copy is always shard 1's.  A second failure, after the view
+// caught up with shard 0, repeats this one view later, and the next clean
 // refresh catches up with every shard.
 QC_TEST(failed_sharded_refresh_keeps_the_previous_view) {
   InjectorScope scope;
   auto& inj = Injector::instance();
-  qc::ShardedQuancurrent<double> sk(2, small_options(64, 16));
+  qc::ShardedQuancurrent<double> sk(2, eager_reclaim_options());
   feed(sk.shard(0), 0, 5000);
   feed(sk.shard(1), 0, 5000);
   auto q = sk.make_querier();
-  auto shard0 = sk.shard(0).make_querier();  // a twin of q's shard-0 querier
-  const auto shard1_before = sk.shard(1).make_querier();
-  const ViewAnswers before = answers_of(q);
+  const ViewAnswers before = answers_of(sk.make_querier());
+  const auto shard1_before = sk.shard(1).make_querier().summary();
   CHECK_EQ(before.size, std::uint64_t{10'000});
 
-  // Copies shard 0's refresh makes: its twin refreshes through the same change.
-  const auto copies_of_shard0 = [&] {
+  const auto refresh_failing_shard1 = [&] {
     inj.reset();
-    shard0.refresh();
-    return inj.counters(Point::querier_copy_alloc).hits;
-  };
-  const auto refresh_failing_shard1 = [&](std::uint64_t shard0_copies) {
-    inj.reset();
-    inj.arm_hit(Point::querier_copy_alloc, shard0_copies + 1);
-    bool threw = false;
-    try {
-      q.refresh();
-    } catch (const std::bad_alloc&) {
-      threw = true;
-    }
+    inj.arm_hit(Point::querier_copy_alloc, 1);
+    const bool threw = refresh_throws(q);
     CHECK_EQ(inj.counters(Point::querier_copy_alloc).fires, std::uint64_t{1});
+    CHECK(inj.counters(Point::querier_ref).hits > 0);  // shard 0 committed
     inj.reset();
     return threw;
   };
 
-  feed(sk.shard(0), 5000, 3000);  // new levels and a new tail in both shards
-  feed(sk.shard(1), 5000, 3000);
-  const std::uint64_t copies = copies_of_shard0();
-  CHECK(copies >= 2);
-  CHECK(refresh_failing_shard1(copies));
+  install_runs(sk.shard(0), 3, 1500.0);  // new levels in shard 0
+  feed(sk.shard(1), 5000, 3000);         // new levels and a new tail in shard 1
+  const auto shard0_mid = sk.shard(0).make_querier().summary();
+  CHECK(refresh_failing_shard1());
+  install_runs(sk.shard(0), 256, 2000.0);
   CHECK(answers_of(q) == before);
 
-  // Shard 0 publishes again and stages over its previous buffers; shard 1
-  // fails again.  The view caught up with shard 0's committed view first:
-  // its answers are those of shard 0 at 8000 items next to shard 1 at 5000.
-  const auto shard0_mid = sk.shard(0).make_querier();
-  feed(sk.shard(0), 8000, 4000);
-  CHECK(refresh_failing_shard1(copies_of_shard0()));
-  CHECK_EQ(q.size(), std::uint64_t{8000 + 5000});
+  // The view catches up with shard 0's committed view (shard0_mid) first;
+  // shard 0 then commits the displaced ladder and shard 1 fails again.
+  CHECK(refresh_failing_shard1());
+  install_runs(sk.shard(0), 256, 2500.0);
   std::vector<std::pair<double, std::uint64_t>> items;
-  for (const auto* part : {&shard0_mid.summary(), &shard1_before.summary()}) {
+  for (const auto* part : {&shard0_mid, &shard1_before}) {
     const auto prefix = part->prefix_weights();
     for (std::size_t i = 0; i < part->size(); ++i) {
       items.emplace_back(part->items()[i], prefix[i] - (i == 0 ? 0 : prefix[i - 1]));
@@ -526,6 +541,7 @@ QC_TEST(failed_sharded_refresh_keeps_the_previous_view) {
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   qc::core::WeightedSummary<double> merged;
   for (const auto& [v, w] : items) merged.append(v, w);
+  CHECK_EQ(q.size(), merged.total_weight());
   const ViewAnswers caught_up = answers_of(q);
   CHECK(caught_up.summary == merged);
   for (int i = 0; i <= 20; ++i) {
@@ -534,33 +550,34 @@ QC_TEST(failed_sharded_refresh_keeps_the_previous_view) {
   }
 
   q.refresh();
-  CHECK_EQ(q.size(), std::uint64_t{12'000 + 8000});
+  CHECK_EQ(q.size(), sk.size());
   CHECK(answers_of(q) == answers_of(sk.make_querier()));
 }
 
 QC_TEST(refresh_is_all_or_nothing_at_every_alloc_site) {
   InjectorScope scope;
   // Fail allocation n of a refresh, n = 1, 2, ... until one completes
-  // clean; each attempt replays the same change on a fresh sketch.
+  // clean; each attempt replays the same change on a fresh sketch, with a
+  // querier that also keeps the view its last refresh replaced.  A failure
+  // leaves the answers and every reader count as they were.
   bool clean = false;
   std::uint64_t n = 0;
   while (!clean && ++n < 1000) {
     qc::Quancurrent<double> sk(small_options(64, 16));
     feed(sk, 0, 5000);
     auto q = sk.make_querier();
-    const ViewAnswers before = answers_of(sk.make_querier());
     feed(sk, 5000, 3333);
+    q.refresh();
+    const ViewAnswers before = answers_of(sk.make_querier());
+    const std::uint64_t refs = sk.view_references();
+    feed(sk, 8333, 3333);
     qc::test::alloc::fail_nth(n);
-    bool threw = false;
-    try {
-      q.refresh();
-    } catch (const std::bad_alloc&) {
-      threw = true;
-    }
+    const bool threw = refresh_throws(q);
     const bool injected = qc::test::alloc::fired;
     qc::test::alloc::disarm();
     if (injected) {
       CHECK(threw);
+      CHECK_EQ(sk.view_references(), refs);
       CHECK(answers_of(q) == before);
     } else {
       CHECK(answers_of(q) == answers_of(sk.make_querier()));
@@ -570,6 +587,17 @@ QC_TEST(refresh_is_all_or_nothing_at_every_alloc_site) {
   CHECK(clean);
   std::fprintf(stderr, "qc chaos: querier refresh clean after %llu armed sites\n",
                static_cast<unsigned long long>(n - 1));
+
+  // A refresh whose tail did not change copies nothing, so it allocates
+  // nothing at all.
+  qc::Quancurrent<double> sk(small_options(64, 16));
+  feed(sk, 0, 5000);
+  auto q = sk.make_querier();
+  install_runs(sk, 3, 1500.0);
+  const std::uint64_t allocs = qc::test::alloc::total.load(std::memory_order_relaxed);
+  q.refresh();
+  CHECK_EQ(qc::test::alloc::total.load(std::memory_order_relaxed), allocs);
+  CHECK_EQ(q.size(), sk.size());
 }
 
 QC_TEST(answers_come_from_runs_until_the_summary_pays) {
@@ -648,7 +676,7 @@ struct DisplacingRace {
   std::vector<std::byte> image{};
 };
 
-void displace_before_last_copy(Point p, void* ctx) {
+void displace_at_last_recheck(Point p, void* ctx) {
   if (p != Point::querier_recheck) return;
   auto* race = static_cast<DisplacingRace*>(ctx);
   auto& sk = *race->sk;
@@ -757,11 +785,11 @@ QC_TEST(hole_views_answer_from_their_runs) {
 }
 
 // Attempts 1-7 fail validation (an install lands before each re-check) and
-// attempt 8 validates.  Only the validated image is copied from, so the
-// refresh copies each changed level and the tail once: exactly as many
-// copies as a twin querier makes when it refreshes through the same change
-// with no race.
-QC_TEST(failed_validation_copies_no_runs) {
+// attempt 8 validates.  Only the validated image is referenced, so the
+// refresh takes one reference per occupied slot of each changed level:
+// exactly as many as a twin querier takes when it refreshes through the
+// same change with no race.
+QC_TEST(failed_validation_references_no_blocks) {
   InjectorScope scope;
   auto& inj = Injector::instance();
   qc::Options o = small_options(64, 16);
@@ -778,27 +806,27 @@ QC_TEST(failed_validation_copies_no_runs) {
   inj.set_probability(Point::querier_recheck, 1.0);
   q.refresh();
   CHECK_EQ(inj.counters(Point::querier_recheck).fires, std::uint64_t{8});
-  const std::uint64_t copies = inj.counters(Point::querier_copy_alloc).hits;
+  const std::uint64_t refs = inj.counters(Point::querier_ref).hits;
   inj.reset();
   CHECK_EQ(race.installs, 0);
   CHECK_EQ(q.holes(), std::uint64_t{0});
   CHECK_EQ(sk.stats().query_retries, std::uint64_t{7});
 
   twin.refresh();
-  const std::uint64_t twin_copies = inj.counters(Point::querier_copy_alloc).hits;
-  CHECK(twin_copies >= 2);  // at least one level and the tail
-  CHECK_EQ(copies, twin_copies);
+  const std::uint64_t twin_refs = inj.counters(Point::querier_ref).hits;
+  CHECK(twin_refs >= 2);  // several levels changed
+  CHECK_EQ(refs, twin_refs);
   CHECK_EQ(q.size(), sk.size());
   CHECK(answers_of(q) == answers_of(twin));
 }
 
-// A hole view is copied after the last attempt's re-check, through the
-// pointers its image loaded.  Installs at that re-check displace every
-// imaged block, and ibr_recl_freq = 1 scans at every retirement, so a
-// block the image did not pin would be reclaimed and reused before the
-// copy.  The view must equal the sketch as it stood when the image was
-// taken.
-QC_TEST(hole_view_copies_under_the_image_pin) {
+// A hole view references its blocks after the last attempt's re-check,
+// through the pointers its image loaded.  Installs at that re-check
+// displace every imaged block, and ibr_recl_freq = 1 scans at every
+// retirement, so a block the image did not pin would be reclaimed and
+// reused before the view references it.  The view must equal the sketch as
+// it stood when the image was taken.
+QC_TEST(hole_view_is_referenced_under_the_image_pin) {
   InjectorScope scope;
   auto& inj = Injector::instance();
   qc::Options o = small_options(64, 16);
@@ -811,7 +839,7 @@ QC_TEST(hole_view_copies_under_the_image_pin) {
 
   DisplacingRace race{&sk};
   inj.reset();
-  inj.set_stall_handler(&displace_before_last_copy, &race);
+  inj.set_stall_handler(&displace_at_last_recheck, &race);
   inj.set_probability(Point::querier_recheck, 1.0);
   const auto ibr = sk.ibr_stats();
   q.refresh();

@@ -1,10 +1,15 @@
 // Elastic levels + interval-based reclamation: queriers stay wait-free while
-// updaters grow/republish level blocks, ibr_stats() counters are monotone and
-// internally consistent, quiesce() reclaims every unreferenced block, and the
-// serialize_propagation ablation arm is bit-equivalent to the default engine.
+// updaters grow/republish level blocks, a view's referenced blocks outlive
+// their displacement without throttling ingest, ibr_stats() counters are
+// monotone and internally consistent, quiesce() reclaims every block no
+// view references, and the serialize_propagation ablation arm is
+// bit-equivalent to the default engine.
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstring>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -37,13 +42,26 @@ std::uint64_t published_runs(const qc::Quancurrent<double>& sk) {
   return runs;
 }
 
+bool wait_until(const std::atomic<bool>& flag, int timeout_ms) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  while (!flag.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 }  // namespace
 
 QC_TEST(queriers_survive_concurrent_level_growth) {
   // Small k + aggressive reclamation cadence maximizes block churn: every
   // cascade hop allocates a fresh block and retires the displaced one while
-  // queriers hold epoch-validated pointer snapshots.  TSan is the real judge
-  // here; the functional checks prove snapshots stay tritmap-consistent.
+  // queriers' views reference the blocks they validated.  TSan is the real
+  // judge here; the functional checks prove snapshots stay
+  // tritmap-consistent, and that a view answers the same after the ladder
+  // churned under it (pool reuse of a block it let go would change the
+  // answer, and is invisible to ASan).
   qc::Options o = small_options(64, 8);
   o.ibr_epoch_freq = 1;
   o.ibr_recl_freq = 1;
@@ -75,6 +93,11 @@ QC_TEST(queriers_survive_concurrent_level_growth) {
           const double mid = querier.quantile(0.5);
           CHECK(mid >= 0.0);
           CHECK(mid < static_cast<double>(kUpdaters) * kPerThread);
+          const std::uint64_t seen = sk.size();
+          for (int spin = 0; spin < 1000 && sk.size() == seen; ++spin) {
+            std::this_thread::yield();
+          }
+          CHECK(querier.quantile(0.5) == mid);
         }
       }
     });
@@ -86,6 +109,103 @@ QC_TEST(queriers_survive_concurrent_level_growth) {
   sk.quiesce();
   auto querier = sk.make_querier();
   CHECK_EQ(querier.size(), std::uint64_t{kUpdaters} * kPerThread);
+}
+
+// A view references its blocks instead of copying them.  A querier that
+// never refreshes again keeps answering bit-identically after installs
+// displace every block it references, under eager reclamation
+// (ibr_epoch_freq = ibr_recl_freq = 1: each retirement scans, and a block
+// no view references is pooled and reused at once).
+QC_TEST(held_view_survives_displacement) {
+  qc::Options o = small_options(64, 16);
+  o.ibr_epoch_freq = 1;
+  o.ibr_recl_freq = 1;
+  qc::Quancurrent<double> sk(o);
+  for (int i = 0; i < 5000; ++i) sk.update(static_cast<double>((i * 7919) % 1000));
+  sk.quiesce();
+  auto q = sk.make_querier();  // answers nothing until the blocks are displaced
+  std::vector<double> quantiles;
+  std::vector<std::uint64_t> ranks;
+  qc::core::WeightedSummary<double> summary;
+  {
+    const auto twin = sk.make_querier();
+    for (int i = 0; i <= 20; ++i) quantiles.push_back(twin.quantile(i / 20.0));
+    for (int v = -1; v <= 40; ++v) ranks.push_back(twin.rank(v * 25.0));
+    summary = twin.summary();
+  }
+  std::uint64_t level_runs = 0;
+  for (const auto& run : q.runs()) level_runs += run.weight > 1 ? 1 : 0;
+  CHECK(level_runs > 0);
+  CHECK_EQ(sk.ibr_stats().held_blocks, std::uint64_t{0});
+
+  const std::vector<double> run(o.k, 2000.0);
+  for (int i = 0; i < 256; ++i) sk.install_run(1, run);
+  CHECK_EQ(sk.ibr_stats().held_blocks, level_runs);
+  for (int i = 0; i <= 20; ++i) {
+    CHECK(q.quantile(i / 20.0) == quantiles[static_cast<std::size_t>(i)]);
+  }
+  for (int v = -1; v <= 40; ++v) {
+    CHECK_EQ(q.rank(v * 25.0), ranks[static_cast<std::size_t>(v + 1)]);
+  }
+  CHECK(q.summary() == summary);
+}
+
+// Views pin memory, not ingest: the retire cap does not count blocks only a
+// view keeps.  Eight queriers, made 2^5 - 1, ..., 2^12 - 1 level-1 runs in,
+// each reference one run at each of levels 1..j, none shared with another
+// querier, and never refresh.  The installs after them and 60k items of
+// ingest displace all 68 of those blocks, more than the minimum cap of 64,
+// and finish with no throttle episode.  The queriers are made on the
+// ingesting thread and kept under a mutex, so that if the cap ever counted
+// them, the main thread could destroy them and so release the throttled
+// ingest instead of hanging.
+QC_TEST(idle_queriers_do_not_throttle_ingest) {
+  qc::Options o = small_options(4, 8);
+  o.ibr_epoch_freq = 1;
+  o.ibr_recl_freq = 4;
+  o.ibr_retire_cap = 64;
+  qc::Quancurrent<double> sk(o);
+  std::mutex idle_mu;
+  std::vector<qc::Quancurrent<double>::Querier> idle;  // guarded by idle_mu
+  bool abandoned = false;                              // guarded by idle_mu
+  idle.reserve(8);
+
+  constexpr std::uint32_t kItems = 60'000;
+  constexpr int kInstalled = (1 << 12) - 1;
+  std::atomic<bool> ingested{false};
+  std::thread ingest([&] {
+    const std::vector<double> run(o.k, 0.5);
+    int installed = 0;
+    for (int j = 5; j <= 12; ++j) {
+      for (; installed < (1 << j) - 1; ++installed) sk.install_run(1, run);
+      const std::lock_guard<std::mutex> lock(idle_mu);
+      if (!abandoned) idle.push_back(sk.make_querier());
+    }
+    auto u = sk.make_updater(0);
+    for (std::uint32_t i = 0; i < kItems; ++i) u.update(static_cast<double>(i % 1000));
+    u.drain();
+    ingested.store(true, std::memory_order_release);
+  });
+  const bool finished = wait_until(ingested, 20'000);
+  CHECK(finished);
+  CHECK_EQ(sk.ibr_stats().throttle_waits, std::uint64_t{0});
+  if (!finished) {
+    const std::lock_guard<std::mutex> lock(idle_mu);
+    abandoned = true;
+    idle.clear();
+  }
+  ingest.join();
+
+  sk.quiesce();
+  const qc::IbrStats s = sk.ibr_stats();
+  CHECK_EQ(s.held_blocks, std::uint64_t{68});
+  CHECK(s.retire_list_len <= o.ibr_retire_cap);
+  CHECK_EQ(s.live_blocks(), published_runs(sk) + s.held_blocks);
+  idle.clear();
+  sk.quiesce();
+  CHECK_EQ(sk.ibr_stats().held_blocks, std::uint64_t{0});
+  CHECK_EQ(sk.ibr_stats().live_blocks(), published_runs(sk));
+  CHECK_EQ(sk.size(), std::uint64_t{kItems} + std::uint64_t{kInstalled} * 2 * o.k);
 }
 
 QC_TEST(ibr_stats_are_monotone_and_consistent) {
@@ -144,6 +264,42 @@ QC_TEST(quiesce_reclaims_every_unreferenced_block) {
   const qc::IbrStats s2 = sk.ibr_stats();
   CHECK_EQ(s2.live_blocks(), published_runs(sk));
   CHECK_EQ(s2.retired, s.retired);
+}
+
+QC_TEST(quiesce_reclaims_every_block_no_view_references) {
+  // Views keep the blocks they reference past quiesce(): afterwards
+  // live_blocks() is the published runs plus held_blocks.  With every
+  // querier destroyed or refreshed, held_blocks is 0: a destroyed querier
+  // references nothing, and one refreshed until a refresh finds nothing new
+  // references only published blocks.
+  qc::Options o = small_options(64, 8);
+  o.ibr_epoch_freq = 4;
+  o.ibr_recl_freq = 1024;  // lazy cadence: quiesce must still finish the job
+  qc::Quancurrent<double> sk(o);
+  auto kept = sk.make_querier();
+  std::optional<qc::Quancurrent<double>::Querier> dropped;
+  {
+    auto u = sk.make_updater(0);
+    for (int i = 0; i < 60'000; ++i) {
+      u.update(static_cast<double>((i * 7919) % 1000));
+      if (i == 20'000) kept.refresh();
+      if (i == 40'000) dropped.emplace(sk.make_querier());
+    }
+  }
+  sk.quiesce();
+  const qc::IbrStats s = sk.ibr_stats();
+  CHECK(s.held_blocks > 0);
+  CHECK_EQ(s.retire_list_len, std::uint64_t{0});
+  CHECK_EQ(s.live_blocks(), published_runs(sk) + s.held_blocks);
+
+  dropped.reset();
+  kept.refresh();  // up to date, keeping the view it replaced
+  kept.refresh();  // nothing new: lets the replaced view go
+  sk.quiesce();
+  const qc::IbrStats s2 = sk.ibr_stats();
+  CHECK_EQ(s2.held_blocks, std::uint64_t{0});
+  CHECK_EQ(s2.live_blocks(), published_runs(sk));
+  CHECK_EQ(kept.size(), sk.size());
 }
 
 QC_TEST(serialize_propagation_is_bit_equivalent) {
@@ -218,14 +374,20 @@ QC_TEST(sharded_ibr_stats_aggregate_over_shards) {
     }
   }
   sk.quiesce();
+  // A cross-shard view keeps shard 0's blocks once installs displace them.
+  const auto q = sk.make_querier();
+  const std::vector<double> run(64, 0.5);
+  for (int i = 0; i < 256; ++i) sk.shard(0).install_run(1, run);
   const qc::IbrStats total = sk.ibr_stats();
   const qc::IbrStats s0 = sk.shard(0).ibr_stats();
   const qc::IbrStats s1 = sk.shard(1).ibr_stats();
   CHECK(s0.allocated > 0);
   CHECK(s1.allocated > 0);
+  CHECK(s0.held_blocks > 0);
   CHECK_EQ(total.allocated, s0.allocated + s1.allocated);
   CHECK_EQ(total.retired, s0.retired + s1.retired);
   CHECK_EQ(total.freed, s0.freed + s1.freed);
+  CHECK_EQ(total.held_blocks, s0.held_blocks + s1.held_blocks);
   CHECK_EQ(total.peak_unreclaimed,
            std::max(s0.peak_unreclaimed, s1.peak_unreclaimed));
 }

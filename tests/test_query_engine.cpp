@@ -208,7 +208,7 @@ QC_TEST(quantile_and_rank_match_oracle_after_quiesce) {
 
 QC_TEST(incremental_and_full_refresh_return_identical_summaries) {
   // Acceptance (c): a querier whose cache evolved across many refreshes must
-  // produce bit-identical summaries to a full re-copy and to a fresh
+  // produce bit-identical summaries to a full re-reference and to a fresh
   // querier, at every quiesced point.
   const std::uint32_t k = 64;
   qc::core::Quancurrent<double> sk(small_options(k, 8));
@@ -225,10 +225,10 @@ QC_TEST(incremental_and_full_refresh_return_identical_summaries) {
       fed += chunk;
     }
     sk.quiesce();
-    incremental.refresh();  // reuses cached runs for unchanged levels
+    incremental.refresh();  // keeps the references of unchanged levels
     CHECK_EQ(incremental.holes(), 0u);
 
-    auto full = sk.make_querier();  // fresh cache: every run copied anew
+    auto full = sk.make_querier();  // fresh: every level referenced anew
     CHECK(incremental.summary() == full.summary());
 
     full.refresh_full();  // and the explicit cache-bypass path
@@ -429,7 +429,7 @@ QC_TEST(querier_answers_match_its_summary) {
 QC_TEST(incremental_and_full_views_answer_identically) {
   // Each round publishes new views; the first answers of a view come from
   // its runs, so this compares the direct paths of an incremental view and
-  // a full re-copy, then both against the summary.
+  // a full re-reference, then both against the summary.
   qc::core::Quancurrent<double> sk(small_options(64, 8));
   auto incremental = sk.make_querier();
   auto full = sk.make_querier();

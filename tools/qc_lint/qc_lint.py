@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """qc-lint: repo-specific static checks for the Quancurrent engine.
 
-Six checks, each enforcing an invariant the compiler cannot see:
+Seven checks, each enforcing an invariant the compiler cannot see:
 
   explicit-memory-order   Every atomic operation names its memory order.  The
                           snapshot-validation and IBR correctness arguments in
@@ -37,6 +37,12 @@ Six checks, each enforcing an invariant the compiler cannot see:
                           epoch-before-pointer load order that its callers'
                           seq validation rests on; a second reader would
                           have to repeat both.
+  ref-under-image         A query view references a level block
+                          (`readers.fetch_add(`) only in a function that
+                          takes or declares a LadderImage: the reference
+                          must be taken while the image's pin is held, or
+                          a reclamation scan that no longer sees the pin
+                          could miss the reference and reuse the block.
   qc-check-over-assert    In engine headers, every bare assert() carries a
                           justification marker tying it to the documented
                           QC_CHECK-vs-assert policy (common/check.hpp):
@@ -74,6 +80,7 @@ CHECKS = (
     "no-blocking-under-latch",
     "no-wait-while-pinned",
     "ladder-read-through-image",
+    "ref-under-image",
     "qc-check-over-assert",
 )
 
@@ -134,6 +141,11 @@ PIN_DECL_RE = re.compile(r"\b(?:IbrPin|LadderImage)\s+[A-Za-z_]\w*\s*[({=;]")
 # The one type allowed to read ladder slot pointers off the latch.
 IMAGE_CLASS_RE = re.compile(r"\b(?:class|struct)\s+LadderImage\b[^;{]*\{")
 SLOT_READ_RE = re.compile(r"\bslot_block\s*\(")
+# A view taking a reference to a level block, and the image that must be in
+# hand when it does.
+REF_TAKE_RE = re.compile(r"\breaders\s*(?:\.|->)\s*fetch_add\s*\(")
+IMAGE_PARAM_RE = re.compile(r"\bLadderImage\b")
+IMAGE_DECL_RE = re.compile(r"\bLadderImage\s+[A-Za-z_]\w*\s*[({=;]")
 
 KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
@@ -243,10 +255,11 @@ def match_delim(text: str, pos: int, open_c: str, close_c: str) -> int:
 
 
 class Function:
-    def __init__(self, name, path, line, trailer, body, body_offset):
+    def __init__(self, name, path, line, params, trailer, body, body_offset):
         self.name = name
         self.path = path
         self.line = line
+        self.params = params
         self.trailer = trailer
         self.body = body
         self.body_offset = body_offset  # char offset of '{' in file text
@@ -335,8 +348,9 @@ def extract_functions(clean: str, path: str):
         trailer = clean[trailer_start:i]
         body_end = match_delim(clean, i, "{", "}")
         body = clean[i + 1:body_end - 1]
+        params = clean[paren_open + 1:after_params - 1]
         funcs.append(Function(name, path, line_of(clean, m.start()),
-                              trailer, body, i))
+                              params, trailer, body, i))
     return funcs
 
 
@@ -590,6 +604,20 @@ def check_ladder_reads(path, fn, base_line, allow, images, out):
                                  "pointers through a LadderImage"))
 
 
+def check_ref_under_image(path, fn, base_line, allow, out):
+    """Flags block references taken in a function that neither takes a
+    LadderImage parameter nor declares one."""
+    if IMAGE_PARAM_RE.search(fn.params) or IMAGE_DECL_RE.search(fn.body):
+        return
+    for m in REF_TAKE_RE.finditer(fn.body):
+        line = base_line + fn.body[:m.start()].count("\n")
+        if not allowed(allow, "ref-under-image", line):
+            out.append(Violation(path, line, "ref-under-image",
+                                 "level-block reference taken outside a "
+                                 f"LadderImage's pin (in {fn.name}); take "
+                                 "it from a LadderImage in hand"))
+
+
 def owning_decls(text: str):
     """Offsets of declarations of owning std containers that have an
     initializer: `T x(args)`, `T x = expr` or `T x{args}`.  References,
@@ -759,6 +787,7 @@ def run_checks(paths, fixture_mode=False):
                                 violations)
             check_pinned(p, fn, base, allow, waiting, violations)
             check_ladder_reads(p, fn, base, allow, images, violations)
+            check_ref_under_image(p, fn, base, allow, violations)
         engine = is_engine_header(p) or (fixture_mode and p.endswith(".hpp"))
         violations += check_assert(p, clean, allow, engine)
     # one diagnostic per (file, line, check)
