@@ -2,10 +2,11 @@
 //
 // Query side: reference-only refresh (full re-reference vs. the O(1)
 // incremental no-op) and what a querier pays to materialize its summary;
-// then, on runs shaped like the sketch's view, the summary merge (loser
-// tree vs. the global-sort baseline) and direct-from-runs vs. summary
-// quantile/rank — the constants behind the querier's switch to its summary
-// and behind fig06b/fig06c.
+// then, on the runs of real sketch views (uniform, mod-7 and ascending-stream
+// ladders), the summary merge (loser tree vs. the global-sort baseline) and
+// direct-from-runs vs. summary quantile/rank — the constants behind the
+// querier's switch to its summary and behind fig06b/fig06c.  The answer
+// kernels' throughput lands in BENCH_query_micro.json.
 //
 // Ingest side: the owner's Gather&Sort cost — multiway merge of pre-sorted
 // b-chunks vs. the full-sort baseline (radix batch_sort and std::sort) across
@@ -15,6 +16,7 @@
 //
 // Env: QC_SCALE/QC_KEYS, QC_K, QC_B, QC_BENCH_JSON.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -102,73 +104,92 @@ int main() {
   t.add_row({"refresh + summary materialization", micros(summary_refresh),
              "merge share " + micros(summary_refresh - full_refresh)});
 
-  // ----- query path: direct vs summary answers over the sketch's run shape --
+  // ----- query path: direct vs summary answers over real ladders ----------
   //
-  // Runs shaped like the quiesced sketch's view (its tritmap's k-runs at
-  // weight 2^level plus its weight-1 tail), filled with sorted uniform
-  // values, so the free functions below are timed on the same L and R a
-  // querier sees.
+  // The runs of three quiesced sketches' views: the uniform sketch above, one
+  // fed the same values mod 7 (heavy duplicates: answers end in the tie
+  // walk), and one fed them as an ascending stream, whose runs cover disjoint
+  // value ranges and defeat the pivot's interpolation.  The kernels are
+  // timed on the L and R a querier sees; their throughput lands in
+  // BENCH_query_micro.json.
+  bench::JsonKv query_json("micro_query_primitives", scale.name);
   {
-    const Tritmap tm = sk.tritmap();
-    std::vector<std::vector<double>> run_data;
-    std::vector<core::RunRef<double>> runs;
-    std::uint64_t in_levels = 0;
-    std::uint64_t seed = 100;
-    const auto add_run = [&](std::size_t len, std::uint64_t weight) {
-      run_data.push_back(stream::make_stream(stream::Distribution::kUniform, len, ++seed));
-      std::sort(run_data.back().begin(), run_data.back().end());
-      runs.push_back({nullptr, len, weight});
-    };
-    for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
-      for (std::uint32_t slot = 0; slot < tm.trit(level); ++slot) {
-        add_run(k, 1ULL << level);
-        in_levels += k;
-      }
+    core::Quancurrent<double> mod7_sk(o);
+    core::Quancurrent<double> asc_sk(o);
+    {
+      auto values = data;
+      for (auto& v : values) v = std::floor(v * 7.0);
+      bench::ingest_quancurrent(mod7_sk, values, 4, /*quiesce=*/true);
+      values = data;
+      std::sort(values.begin(), values.end());
+      bench::ingest_quancurrent(asc_sk, values, 1, /*quiesce=*/true);
     }
-    if (retained > in_levels) add_run(retained - in_levels, 1);
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      runs[i].data = run_data[i].data();
-      total += runs[i].weight * runs[i].size;
-    }
-    const auto span = std::span<const core::RunRef<double>>(runs);
+    auto mod7_q = mod7_sk.make_querier();
+    auto asc_q = asc_sk.make_querier();
+    const auto runs = q.runs();
     core::WeightedSummary<double> out;
     core::RunMerger<double> merger;
     std::vector<std::pair<double, std::uint64_t>> scratch;
-    const double merge_t = time_per_op(refresh_iters, [&] { merger.merge(span, out); });
+    const double merge_t = time_per_op(refresh_iters, [&] { merger.merge(runs, out); });
     const double sort_t =
-        time_per_op(refresh_iters, [&] { core::sort_merge_runs(span, out, scratch); });
+        time_per_op(refresh_iters, [&] { core::sort_merge_runs(runs, out, scratch); });
     t.add_row({"summary: RunMerger merge", micros(merge_t),
                "L=" + Table::integer(runs.size()) + " runs"});
     t.add_row({"summary: sort_merge_runs (global sort)", micros(sort_t),
                Table::num(sort_t / merge_t, 2) + "x vs merge"});
 
-    merger.merge(span, out);
-    std::vector<std::size_t> select(3 * runs.size());
+    merger.merge(runs, out);
+    std::vector<std::size_t> select(3 * std::max({runs.size(), mod7_q.runs().size(),
+                                                  asc_q.runs().size()}));
     double phi = 0.0;
     const auto next_phi = [&phi] {
       phi += 0.001;
       if (phi >= 1.0) phi = 0.001;
       return phi;
     };
-    const double quantile_direct = time_per_op(100'000, [&] {
-      keep(core::runs_quantile(span, total, next_phi(), std::span<std::size_t>(select)));
-    });
+    const auto time_quantile = [&](std::span<const core::RunRef<double>> ladder,
+                                   std::uint64_t total) {
+      phi = 0.0;
+      return best_time_per_op(100'000, [&] {
+        keep(core::runs_quantile(ladder, total, next_phi(), std::span<std::size_t>(select)));
+      });
+    };
+    const double quantile_uniform = time_quantile(runs, q.size());
+    const double quantile_mod7 = time_quantile(mod7_q.runs(), mod7_q.size());
+    const double quantile_asc = time_quantile(asc_q.runs(), asc_q.size());
     phi = 0.0;
     const double quantile_summary =
         time_per_op(1'000'000, [&] { keep(core::summary_quantile(out, next_phi())); });
     phi = 0.0;
     const double rank_direct =
-        time_per_op(100'000, [&] { keep(core::runs_rank(span, next_phi())); });
+        best_time_per_op(100'000, [&] { keep(core::runs_rank(runs, next_phi())); });
     phi = 0.0;
     const double rank_summary =
         time_per_op(1'000'000, [&] { keep(core::summary_rank(out, next_phi())); });
-    t.add_row({"quantile: direct (runs)", nanos(quantile_direct), "weighted selection"});
+    const auto ladder = [](std::size_t num_runs) {
+      return "L=" + Table::integer(num_runs) + ", interpolated pivots";
+    };
+    t.add_row({"quantile: direct, uniform ladder", nanos(quantile_uniform),
+               ladder(runs.size())});
+    t.add_row({"quantile: direct, mod-7 ladder", nanos(quantile_mod7),
+               ladder(mod7_q.runs().size())});
+    t.add_row({"quantile: direct, ascending ladder", nanos(quantile_asc),
+               ladder(asc_q.runs().size()) + ", disjoint runs"});
     t.add_row({"quantile: summary", nanos(quantile_summary), "O(log R)"});
     t.add_row({"rank: direct (runs)", nanos(rank_direct), "L lower_bounds"});
     t.add_row({"rank: summary", nanos(rank_summary), "O(log R)"});
-    t.add_row({"direct answers per merge", Table::num(merge_t / quantile_direct, 0),
-               "break-even, quantiles"});
+    t.add_row({"direct answers per merge", Table::num(merge_t / quantile_uniform, 0),
+               "break-even, uniform quantiles"});
+    // Answers per microsecond (higher is better, so check_regression gates
+    // them).
+    query_json.add("tput_quantile_uniform", 1e-6 / quantile_uniform);
+    query_json.add("tput_quantile_mod7", 1e-6 / quantile_mod7);
+    query_json.add("tput_quantile_ascending", 1e-6 / quantile_asc);
+    query_json.add("tput_rank_uniform", 1e-6 / rank_direct);
+    query_json.add("direct_answers_per_merge", merge_t / quantile_uniform);
+    query_json.add("runs_uniform", static_cast<double>(runs.size()));
+    query_json.add("runs_mod7", static_cast<double>(mod7_q.runs().size()));
+    query_json.add("runs_ascending", static_cast<double>(asc_q.runs().size()));
   }
 
   // ----- ingest path: Gather&Sort = chunk merge vs full sort ---------------
@@ -294,8 +315,11 @@ int main() {
 
   const std::string dir = bench::json_out_dir();
   if (!dir.empty()) {
-    const std::string path = dir + "/BENCH_ingest_micro.json";
-    if (ingest_json.write_file(path)) std::printf("wrote %s\n", path.c_str());
+    for (const auto& [name, json] : {std::pair{"BENCH_ingest_micro.json", &ingest_json},
+                                     std::pair{"BENCH_query_micro.json", &query_json}}) {
+      const std::string path = dir + "/" + name;
+      if (json->write_file(path)) std::printf("wrote %s\n", path.c_str());
+    }
   }
   return 0;
 }

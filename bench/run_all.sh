@@ -2,7 +2,8 @@
 # Runs every built bench binary at smoke scale and fails if any exits
 # non-zero.  Benches that track a perf trajectory (fig06a -> BENCH_ingest
 # incl. ingest contention counters, fig06b -> BENCH_query, micro_primitives
-# -> BENCH_ingest_micro with the Gather&Sort sweep,
+# -> BENCH_ingest_micro with the Gather&Sort sweep and BENCH_query_micro with
+# the direct answer kernels over uniform, mod-7 and ascending-stream ladders,
 # fig07c -> BENCH_rho, ext_sharded_scaling -> BENCH_sharded, fig10_vs_fcds
 # -> BENCH_fig10 with the Quancurrent-vs-FCDS matched-relaxation sweep,
 # ext_kll_compare -> BENCH_kll, ext_checkpoint -> BENCH_checkpoint with
@@ -46,7 +47,7 @@ if [ "${ran}" -eq 0 ]; then
 fi
 
 for json in BENCH_ingest.json BENCH_query.json BENCH_ingest_micro.json \
-            BENCH_rho.json BENCH_sharded.json BENCH_fig10.json \
+            BENCH_query_micro.json BENCH_rho.json BENCH_sharded.json BENCH_fig10.json \
             BENCH_kll.json BENCH_checkpoint.json \
             BENCH_abl_propagation.json BENCH_abl_reclamation.json; do
   if [ -f "${QC_BENCH_JSON}/${json}" ]; then

@@ -19,9 +19,10 @@
 //
 // A handful of answers does not need the summary at all: runs_rank and
 // runs_quantile answer straight from the sorted runs (a rank is the weighted
-// sum of per-run ranks) with the summary's exact results, at O(L log k) and
-// O(L log^2 k) per call instead of the O(R log L) merge up front.
-// RunView makes that choice for both query facades.
+// sum of per-run ranks) with the summary's exact results, at O(L log k) per
+// call instead of the O(R log L) merge up front.  A quantile takes O(L log k)
+// per round, about 2 interpolated rounds on a sketch's ladder and at most
+// O(L log k) rounds.  RunView makes that choice for both query facades.
 #pragma once
 
 #include <algorithm>
@@ -125,11 +126,22 @@ std::uint64_t runs_rank(std::span<const RunRef<T>> runs, const T& v,
 }
 
 // Exact weighted selection.  Every run keeps a candidate range [lo, hi) that
-// contains the answer's value if it is in that run.  Each round pivots on the
-// middle of the widest range, weighs the items <= pivot with one upper_bound
-// per run, and cuts every range at the pivot; the widest range at least
-// halves, so a round costs O(L log k) and typical inputs need O(log k)
-// rounds.  `scratch` holds 3 * runs.size() indices (no allocation here).
+// contains the answer's value if it is in that run.  Each round picks a
+// pivot, weighs the items <= pivot with one upper_bound per run, and cuts
+// every range at the pivot, so a round costs O(L log k).
+//
+// The pivot is interpolated.  The runs are samples of one stream, so the
+// target's share of the candidate weight, f = (target - below) / M (below:
+// the weight under every range, M: the weight inside them), predicts where
+// the answer sits in every run.  The pivot is the item at offset f * width
+// of the run holding the most candidate weight; answers over a sketch's
+// ladder take about 2 rounds.  Runs over disjoint value ranges (an ascending
+// stream) defeat the prediction, so a round that did not halve its run's
+// range is followed by one that bisects that range.  Every two rounds then
+// at least halve some range: at worst twice the sum of ceil(log2(size + 1))
+// over the runs, the bound of bisection alone.  The pivot never changes which
+// item comes back.  `scratch` holds 3 * runs.size() indices (no allocation
+// here).
 template <typename T, typename Compare = std::less<T>>
 T runs_quantile(std::span<const RunRef<T>> runs, std::uint64_t total_weight, double phi,
                 std::span<std::size_t> scratch, Compare cmp = Compare()) {
@@ -160,15 +172,37 @@ T runs_quantile(std::span<const RunRef<T>> runs, std::uint64_t total_weight, dou
     lo[r] = 0;
     hi[r] = runs[r].size;
   }
+  std::size_t p = 0;      // the pivot's run
+  std::size_t width = 0;  // its range before an interpolated round, else 0
   for (;;) {
-    std::size_t widest = 0;
-    for (std::size_t r = 1; r < n; ++r) {
-      if (hi[r] - lo[r] > hi[widest] - lo[widest]) widest = r;
+    std::size_t at = 0;  // the pivot's index in run p
+    if (width != 0 && 2 * (hi[p] - lo[p]) > width) {
+      // The interpolated round did not halve run p's range: bisect it.
+      at = lo[p] + (hi[p] - lo[p]) / 2;
+      width = 0;
+    } else {
+      std::uint64_t below = 0;
+      std::uint64_t mass = 0;
+      std::uint64_t heaviest = 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        below += runs[r].weight * lo[r];
+        const std::uint64_t m = runs[r].weight * (hi[r] - lo[r]);
+        mass += m;
+        if (m > heaviest) {
+          heaviest = m;
+          p = r;
+        }
+      }
+      width = hi[p] - lo[p];
+      const double f = std::clamp(
+          (target - static_cast<double>(below)) / static_cast<double>(mass), 0.0, 1.0);
+      at = lo[p] + std::min(static_cast<std::size_t>(f * static_cast<double>(width)),
+                            width - 1);
     }
-    // The answer's items never leave their ranges, so an empty widest range
-    // means the runs were not sorted; reading the pivot would overrun.
-    QC_CHECK(hi[widest] > lo[widest], "runs_quantile input runs are not sorted");
-    const T pivot = runs[widest].data[lo[widest] + (hi[widest] - lo[widest]) / 2];
+    // The answer's items never leave their ranges, so a pivot past its run's
+    // range means the runs were not sorted; reading it could overrun.
+    QC_CHECK(at < hi[p], "runs_quantile input runs are not sorted");
+    const T pivot = runs[p].data[at];
     std::uint64_t weight_le = 0;
     for (std::size_t r = 0; r < n; ++r) {
       const T* d = runs[r].data;
@@ -391,7 +425,7 @@ class RunView {
     answers_ = 0;
     merge_after_ = runs_.empty() ? 0
                                  : items * ceil_log2(runs_.size()) /
-                                       (runs_.size() * lg_k_ * lg_k_);
+                                       (2 * runs_.size() * lg_k_);
   }
 
   std::span<const RunRef<T>> runs() const { return runs_; }
@@ -424,10 +458,12 @@ class RunView {
   }
 
   // The cost rule.  Merging costs about R * log2(L) comparisons (loser tree
-  // over L runs, R items), a direct quantile about L * log2(k)^2 (log2(k)
-  // pivot rounds of L binary searches).  After merge_after_ direct answers
-  // the merge has paid for itself, so the view switches to its summary; one
-  // that cannot be allocated keeps the view on the direct path.
+  // over L runs, R items), a direct quantile about 2 * L * log2(k) (about
+  // two interpolated pivot rounds of L binary searches).  After merge_after_
+  // direct answers the merge has paid for itself, so the view switches to
+  // its summary; one that cannot be allocated keeps the view on the direct
+  // path.  micro_primitives' "direct answers per merge" row measures the
+  // break-even this estimates.
   bool use_summary() const {
     if (summary_ready_) return true;
     if (answers_ < merge_after_) {

@@ -380,6 +380,74 @@ QC_TEST(direct_run_answers_match_merged_summary) {
                              std::less<double>());
 }
 
+QC_TEST(direct_quantile_matches_summary_on_adversarial_shapes) {
+  // The interpolated pivot must never change which item comes back.  Shapes
+  // that defeat the interpolation (disjoint ranges, all-equal values, tiny
+  // runs, run counts up to a full ladder plus its tail) and shapes where the
+  // tie walk decides (duplicates, +-0.0) are checked bit for bit.
+  enum Shape { kUniform, kMod7, kAllEqual, kSignedZero, kDisjoint, kShapes };
+  qc::Xoshiro256 rng(61);
+  const std::size_t max_runs = 2 * std::size_t{qc::Tritmap::kMaxLevels} + 1;
+  const std::vector<double> values{-1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 6.5, 17.0, 1e9};
+  for (int trial = 0; trial < 1500; ++trial) {
+    const auto shape = static_cast<Shape>(trial % kShapes);
+    const std::size_t num_runs = 1 + rng() % max_runs;
+    std::vector<std::vector<double>> data(num_runs);
+    for (std::size_t r = 0; r < num_runs; ++r) {
+      const std::uint64_t pick = rng() % 8;
+      data[r].resize(pick < 3 ? pick : rng() % 300);  // empty, 1 and 2 items
+      for (auto& v : data[r]) {
+        switch (shape) {
+          case kUniform: v = rng.next_double(); break;
+          case kMod7: v = static_cast<double>(rng() % 7); break;
+          case kAllEqual: v = 3.0; break;
+          case kSignedZero: v = rng() % 2 == 0 ? 0.0 : -0.0; break;
+          default: v = static_cast<double>(r) + rng.next_double(); break;
+        }
+      }
+      std::sort(data[r].begin(), data[r].end());
+    }
+    // Ascending copies for std::less, descending views of the same runs for
+    // std::greater; the run order (the tie-break) is reversed half the time.
+    std::vector<std::vector<double>> desc(num_runs);
+    std::vector<qc::core::RunRef<double>> less_runs, greater_runs;
+    for (std::size_t r = 0; r < num_runs; ++r) {
+      desc[r].assign(data[r].rbegin(), data[r].rend());
+      const std::uint64_t weight = 1ULL << (rng() % 12);
+      less_runs.push_back({data[r].data(), data[r].size(), weight});
+      greater_runs.push_back({desc[r].data(), desc[r].size(), weight});
+    }
+    if (rng() % 2 == 0) {
+      std::reverse(less_runs.begin(), less_runs.end());
+      std::reverse(greater_runs.begin(), greater_runs.end());
+    }
+    check_runs_against_summary(less_runs, values, std::less<double>());
+    check_runs_against_summary(greater_runs, values, std::greater<double>());
+  }
+  // Through a sketch: an ascending stream leaves runs over disjoint value
+  // ranges with the heaviest run lowest, a descending stream the reverse.
+  for (const bool ascending : {true, false}) {
+    qc::core::Quancurrent<double> sk(small_options(64, 8));
+    {
+      auto u = sk.make_updater(0);
+      for (int i = 0; i < 90'000; ++i) {
+        u.update(static_cast<double>(ascending ? i : 90'000 - i));
+      }
+    }
+    sk.quiesce();
+    auto q = sk.make_querier();
+    CHECK_EQ(q.size(), 90'000u);
+    CHECK(q.runs().size() >= 4u);
+    std::vector<double> probes{-1.0, 0.0, 1.0, 1e6};
+    for (int i = 1; i < 40; ++i) probes.push_back(static_cast<double>(i) * 2'250.5);
+    // The querier switches to its summary after a few answers, so its runs
+    // also go through the kernel directly, every phi.
+    check_runs_against_summary({q.runs().begin(), q.runs().end()}, probes,
+                               std::less<double>());
+    check_querier_against_summary(q, probes, std::less<double>());
+  }
+}
+
 QC_TEST(querier_answers_match_its_summary) {
   const auto mod7 = mod7_probes();
   {  // multi-level sketch, uniform values
