@@ -35,8 +35,10 @@ int main() {
   bench::JsonSeries json("fig06a_update_scaling", scale.name, "ops_per_sec");
   Table t({"threads", "quancurrent", "sequential", "speedup", "waits"});
   core::Stats last_stats;
+  double last_updater_ns = 0.0;  // threads x wall time of the last run
   for (std::uint32_t threads : bench::thread_sweep(scale.max_threads)) {
     core::Stats run_stats;
+    double run_updater_ns = 0.0;
     const double tput = bench::average_runs(scale.runs, [&] {
       core::Options o;
       o.k = k;
@@ -46,22 +48,30 @@ int main() {
       core::Quancurrent<double> sk(o);
       const double secs = bench::ingest_quancurrent(sk, data, threads);
       run_stats = sk.stats();
+      run_updater_ns = secs * 1e9 * threads;
       return throughput(data.size(), secs);
     });
     last_stats = run_stats;  // contention profile at the widest thread count
+    last_updater_ns = run_updater_ns;
     json.add(threads, tput);
     t.add_row({Table::integer(threads), Table::mops(tput), Table::mops(seq_tput),
                Table::num(tput / seq_tput, 2) + "x",
                Table::integer(run_stats.gather_waits + run_stats.latch_spins)});
   }
   t.print();
-  std::printf("\ncontention @ max threads: gather_waits=%llu latch_spins=%llu "
-              "installs=%llu batches=%llu\n",
+  // Share of the updaters' time spent waiting for a gather ordinal to reopen.
+  const double wait_share =
+      last_updater_ns > 0.0 ? static_cast<double>(last_stats.gather_wait_ns) / last_updater_ns
+                            : 0.0;
+  std::printf("\ncontention @ max threads: gather_waits=%llu gather_wait_ns=%llu "
+              "(%.1f%% of updater time) latch_spins=%llu installs=%llu batches=%llu\n",
               static_cast<unsigned long long>(last_stats.gather_waits),
+              static_cast<unsigned long long>(last_stats.gather_wait_ns), 100.0 * wait_share,
               static_cast<unsigned long long>(last_stats.latch_spins),
               static_cast<unsigned long long>(last_stats.installs),
               static_cast<unsigned long long>(last_stats.batches));
   json.counter("gather_waits", static_cast<double>(last_stats.gather_waits));
+  json.counter("gather_wait_ns", static_cast<double>(last_stats.gather_wait_ns));
   json.counter("latch_spins", static_cast<double>(last_stats.latch_spins));
   json.counter("installs", static_cast<double>(last_stats.installs));
   json.counter("batches", static_cast<double>(last_stats.batches));

@@ -70,6 +70,7 @@ int main() {
     if (rho == 1 || rho == 8) {
       const std::string tag = "rho" + std::to_string(rho);
       json.counter(tag + "_gather_waits", static_cast<double>(upd_stats.gather_waits));
+      json.counter(tag + "_gather_wait_ns", static_cast<double>(upd_stats.gather_wait_ns));
       json.counter(tag + "_batches", static_cast<double>(upd_stats.batches));
     }
   }

@@ -15,9 +15,13 @@
 //      makes b divide 2k), the full buffer is 2k/b sorted runs and the owner
 //      produces the sorted 2k batch with a multiway chunk merge
 //      (run_merge.hpp ChunkMerger, O(2k log(2k/b))) instead of a
-//      from-scratch O(2k log 2k) sort.  The merge writes straight into a free cell of the
-//      install queue, after which the owner reopens its gather ordinal —
-//      ingestion into that buffer resumes before the batch is installed.
+//      from-scratch O(2k log 2k) sort.  The owner first claims a free cell
+//      of the install queue, then copies the buffer out in one 2k memcpy
+//      (into the merge's own first-pass scratch) and reopens its gather
+//      ordinal, and only then merges the copy into the cell — ingestion
+//      into that buffer resumes during the merge, not after it, and two
+//      owners of one buffer may merge at once, each in its own thread's
+//      scratch.
 //   3. INSTALL (one owner at a time).  Sorted batches are handed to a bounded
 //      MPSC ring (Options::install_queue cells); whichever owner holds the
 //      install latch installs the oldest pending batch and publishes it with
@@ -26,11 +30,11 @@
 //      drainer installed returns to ingesting without ever holding the latch.
 //
 // Each NUMA node rotates through rho Gather&Sort buffers so ingestion
-// continues while an owner is merging.  Buffers are recycled by a monotonic
-// (reservation, commit, ordinal) counter scheme: counters never reset, so a
-// delayed thread can never corrupt a later generation's accounting — its
-// reservation simply lands in a future ordinal and the thread waits for that
-// ordinal to open.
+// continues while an owner is copying its batch out.  Buffers are recycled
+// by a monotonic (reservation, commit, ordinal) counter scheme: counters
+// never reset, so a delayed thread can never corrupt a later generation's
+// accounting — its reservation simply lands in a future ordinal and the
+// thread waits for that ordinal to open.
 //
 // Elastic levels.  The ladder is NOT a preallocated grid: each (level, slot)
 // is an atomic pointer to a dynamically allocated, immutable k-item
@@ -181,10 +185,12 @@ struct Stats {
   // Ingest contention counters (fig06a/fig06c diagnostics; collect_stats
   // only).  Together they say *why* update throughput moves: gather_waits
   // counts flushes that reserved into a closed gather ordinal and had to
-  // wait, and latch_spins counts failed install-latch acquisitions by owners
-  // waiting on the install queue.  Every install publishes exactly one
-  // batch, so installs == batches.
-  std::uint64_t gather_waits = 0;  // flushes that waited for their ordinal
+  // wait (gather_wait_ns sums how long they waited), and latch_spins counts
+  // failed install-latch acquisitions by owners waiting on the install
+  // queue.  Every install publishes exactly one batch, so installs ==
+  // batches.
+  std::uint64_t gather_waits = 0;    // flushes that waited for their ordinal
+  std::uint64_t gather_wait_ns = 0;  // time those flushes spent waiting
   std::uint64_t latch_spins = 0;   // failed install-latch try-acquires
   std::uint64_t installs = 0;      // tritmap publications (1 CAS each)
 
@@ -568,12 +574,12 @@ class Quancurrent {
         }
         merger_.merge(std::span<const T>(local_), 16, std::span<T>(sorted_),
                       sketch_->cmp_);
-        sketch_->flush_chunk(node_, sorted_.data(), b_);
+        sketch_->flush_chunk(node_, sorted_.data(), b_, merger_);
         count_ = 0;
         return;
       }
       batch_sort(std::span<T>(local_), sort_aux_, sketch_->cmp_);
-      sketch_->flush_chunk(node_, local_.data(), b_);
+      sketch_->flush_chunk(node_, local_.data(), b_, merger_);
       count_ = 0;
     }
 
@@ -584,6 +590,9 @@ class Quancurrent {
     std::vector<T> local_;
     std::vector<T> sorted_;    // net_merge_ output, flushed instead of local_
     std::vector<T> sort_aux_;  // radix scratch for the local pre-sort
+    // Merge scratch for this thread's presort (b > 16) and for every batch
+    // it owns: two owners of one gather buffer can merge at once, so the
+    // scratch belongs to the thread, not to the buffer.
     ChunkMerger<T, Compare> merger_;
     std::uint32_t count_ = 0;
   };
@@ -703,6 +712,7 @@ class Quancurrent {
     s.holes = stat_holes_.load(std::memory_order_relaxed);
     s.query_retries = stat_query_retries_.load(std::memory_order_relaxed);
     s.gather_waits = stat_gather_waits_.load(std::memory_order_relaxed);
+    s.gather_wait_ns = stat_gather_wait_ns_.load(std::memory_order_relaxed);
     s.latch_spins = stat_latch_spins_.load(std::memory_order_relaxed);
     s.installs = s.batches;  // every install publishes exactly one batch
     s.install_defers = stat_install_defers_.load(std::memory_order_relaxed);
@@ -832,12 +842,16 @@ class Quancurrent {
   }
 
   // Installs every batch currently parked in the install queue, one per
-  // latch hold like any drain.  Used by quiesce() and tests.
+  // latch hold like any drain (waiting, off the latch, for a head batch its
+  // producer is still filling).  Used by quiesce() and tests.
   void drain_installs() QC_EXCLUDES(latch_) {
     Backoff backoff;
-    while (install_head_.load(std::memory_order_acquire) !=
-           install_tail_.load(std::memory_order_acquire)) {
-      if (try_acquire_latch()) {
+    for (;;) {
+      const std::uint64_t head = install_head_.load(std::memory_order_acquire);
+      if (head == install_tail_.load(std::memory_order_acquire)) return;
+      if (!head_ready(head)) {
+        backoff.spin();
+      } else if (try_acquire_latch()) {
         drain_one();
         release_latch();
       } else {
@@ -1396,17 +1410,15 @@ class Quancurrent {
 
   // One Gather&Sort buffer.  All three counters are monotonic: reservation
   // position p belongs to ordinal p / cap, and a buffer serves ordinal o only
-  // once `ordinal` has advanced to o.  merger is owner-only scratch: exactly
-  // one owner exists per buffer at a time (the next ordinal's owner cannot
-  // finish committing before the current owner reopens the ordinal, and the
-  // current owner stops touching the scratch before reopening).
+  // once `ordinal` has advanced to o.  The owner of ordinal o copies the
+  // slots out before it reopens the buffer for o + 1, so the slots belong to
+  // one ordinal at a time while the owners' merges may overlap.
   struct Gather {
     explicit Gather(std::uint64_t cap) : slots(cap) {}
     alignas(64) std::atomic<std::uint64_t> reserved{0};
     alignas(64) std::atomic<std::uint64_t> committed{0};
     alignas(64) std::atomic<std::uint64_t> ordinal{0};
     std::vector<T> slots;
-    ChunkMerger<T, Compare> merger;  // chunk-merge Gather&Sort
   };
 
   // One cell of the bounded MPSC install hand-off queue (Vyukov-style ticket
@@ -1849,11 +1861,12 @@ class Quancurrent {
   }
 
   // Moves a full local buffer into the node's gather buffer; the committer of
-  // the final slot becomes the batch owner and runs Gather&Sort (a multiway
-  // merge of the buffer's pre-sorted b-chunks straight into an install-queue
-  // cell), reopens the ordinal, and hands the batch to the installer.
-  void flush_chunk(std::uint32_t node_idx, const T* items, std::uint32_t count)
-      QC_EXCLUDES(latch_) {
+  // the final slot becomes the batch owner: it claims an install-queue cell,
+  // copies the buffer out, reopens the ordinal, merges its copy's pre-sorted
+  // b-chunks into the cell (Gather&Sort), and hands the batch to the
+  // installer.  `merger` is the calling thread's merge scratch.
+  void flush_chunk(std::uint32_t node_idx, const T* items, std::uint32_t count,
+                   ChunkMerger<T, Compare>& merger) QC_EXCLUDES(latch_) {
     Node& node = *nodes_[node_idx];
     const std::uint64_t gen = node.cur.load(std::memory_order_acquire);
     Gather& gb = *node.bufs[gen % opts_.rho];
@@ -1868,20 +1881,20 @@ class Quancurrent {
       // writers to the next buffer, then wait for our ordinal to open.
       std::uint64_t expected = gen;
       node.cur.compare_exchange_strong(expected, gen + 1, std::memory_order_acq_rel);
-      if (opts_.collect_stats) {
-        stat_gather_waits_.fetch_add(1, std::memory_order_relaxed);
-      }
+      const std::uint64_t wait_start = opts_.collect_stats ? now_ns() : 0;
       Backoff backoff;
       while (gb.ordinal.load(std::memory_order_acquire) != ord) backoff.spin();
+      if (opts_.collect_stats) {
+        stat_gather_waits_.fetch_add(1, std::memory_order_relaxed);
+        stat_gather_wait_ns_.fetch_add(now_ns() - wait_start, std::memory_order_relaxed);
+      }
     }
     std::copy_n(items, count, gb.slots.data() + off);
     const std::uint64_t done =
         gb.committed.fetch_add(count, std::memory_order_acq_rel) + count;
     if (done == (ord + 1) * cap_) {
       // Owner: every slot of this ordinal is committed.  Point writers at the
-      // next buffer, build the sorted batch in an install cell, reopen the
-      // ordinal (ingestion into this buffer resumes immediately), then see
-      // the batch through the installer.
+      // next buffer.
       std::uint64_t expected = gen;
       node.cur.compare_exchange_strong(expected, gen + 1, std::memory_order_acq_rel);
       // Ablation arm (§5.5, abl_propagation): serialize every owner duty —
@@ -1893,12 +1906,27 @@ class Quancurrent {
       if (opts_.serialize_propagation) {
         serialized = std::unique_lock<std::mutex>(prop_mu_);
       }
+      // Claim the install cell FIRST, then copy the slots out and reopen the
+      // ordinal, so ingestion into this buffer resumes during the merge
+      // rather than after it.  The order keeps the relaxation bound
+      // N*b + rho*nodes*2k + install_queue*2k: a batch always sits either in
+      // its gather ordinal or in a claimed install cell, never in neither
+      // (reopening before the claim would let a backpressured owner hold a
+      // batch outside both while its buffer refills).  The copy lands in the
+      // merge's first-pass buffer, so reopening early costs no extra buffer.
       const std::uint64_t cell_pos = acquire_cell();
       InstallCell& cell = install_q_[cell_pos & (opts_.install_queue - 1)];
       cell.level = 0;
-      gb.merger.merge(std::span<const T>(gb.slots.data(), cap_), opts_.b,
-                      std::span<T>(cell.items.data(), cap_), cmp_);
-      gb.ordinal.store(ord + 1, std::memory_order_release);
+      merger.merge_staged(
+          opts_.b, std::span<T>(cell.items.data(), cap_),
+          [&](std::span<T> stage) {
+            std::memcpy(stage.data(), gb.slots.data(), cap_ * sizeof(T));
+            gb.ordinal.store(ord + 1, std::memory_order_release);
+            // Chaos builds: park the owner between the reopen and its merge,
+            // so the next ordinal's owner can overlap it on this buffer.
+            QC_INJECT_STALL(owner_merge);
+          },
+          cmp_);
       cell.seq.store(cell_pos + 1, std::memory_order_release);
       drain_until(cell_pos);
     }
@@ -1935,15 +1963,27 @@ class Quancurrent {
     drain_until(enqueue_batch(sorted_batch));
   }
 
+  // Whether the cell at queue position `head` holds a filled batch.  Drainers
+  // peek at this before they try the latch: while the head batch's owner is
+  // still merging it, a hold could install nothing, and an empty hold would
+  // be timed and counted and make the ready batch's owner back off behind it.
+  bool head_ready(std::uint64_t head) const {
+    return install_q_[head & (opts_.install_queue - 1)].seq.load(
+               std::memory_order_acquire) == head + 1;
+  }
+
   // Waits until the batch at queue position `my_pos` is published, helping:
-  // whenever the latch is free the caller takes it and installs the oldest
-  // pending batch.  An owner whose batch is installed by another drainer
-  // returns without ever holding the latch.
+  // whenever the head batch is ready and the latch is free the caller takes
+  // it and installs that batch.  An owner whose batch is installed by
+  // another drainer returns without ever holding the latch.
   void drain_until(std::uint64_t my_pos) QC_EXCLUDES(latch_) {
     Backoff backoff;
     for (;;) {
-      if (install_head_.load(std::memory_order_acquire) > my_pos) return;
-      if (try_acquire_latch()) {
+      const std::uint64_t head = install_head_.load(std::memory_order_acquire);
+      if (head > my_pos) return;
+      if (!head_ready(head)) {
+        backoff.spin();
+      } else if (try_acquire_latch()) {
         drain_one();
         release_latch();
       } else {
@@ -2178,6 +2218,7 @@ class Quancurrent {
   mutable std::atomic<std::uint64_t> stat_holes_{0};
   mutable std::atomic<std::uint64_t> stat_query_retries_{0};
   mutable std::atomic<std::uint64_t> stat_gather_waits_{0};
+  mutable std::atomic<std::uint64_t> stat_gather_wait_ns_{0};
   mutable std::atomic<std::uint64_t> stat_latch_spins_{0};
 
   // Failure-model observability (always collected; see Stats).  Mutable

@@ -509,9 +509,10 @@ void chunk_runs(std::span<const T> data, std::size_t chunk,
 }
 
 // Specialized high-throughput merge of consecutive pre-sorted chunks — the
-// ingest hot path's Gather&Sort primitive (the batch owner merges the gather
-// buffer's 2k/b updater-sorted b-chunks into the sorted 2k install batch) and
-// the sequential sketch's base-buffer compaction.
+// ingest hot path's Gather&Sort primitive (the batch owner copies the gather
+// buffer's 2k/b updater-sorted b-chunks out through merge_staged and merges
+// them into the sorted 2k install batch) and the sequential sketch's
+// base-buffer compaction.
 //
 // Strategy: bottom-up pairwise merge passes (ping-ponged between `out` and an
 // internal buffer, parity chosen so the final pass lands in `out`).  A
@@ -544,15 +545,56 @@ class ChunkMerger {
     QC_CHECK(out.size() == n, "ChunkMerger::merge output span must match input size");
     cmp_ = cmp;
     if (chunk == 0) chunk = n;
-    std::size_t passes = 0;
-    for (std::size_t c = chunk; c < n; c *= 2) ++passes;
+    const std::size_t passes = pass_count(n, chunk);
     if (passes == 0) {
       std::copy(data.begin(), data.end(), out.begin());
       return;
     }
     if (tmp_.size() < n) tmp_.resize(n);
-    T* bufs[2] = {tmp_.data(), out.data()};
-    const T* src = data.data();
+    run_passes(data.data(), n, chunk, passes, out.data());
+  }
+
+  // The same merge for a caller that must let go of its input before the
+  // merge runs (the batch owner reopens its gather buffer after one copy).
+  // stage(span) is handed the buffer the first pass reads and must write the
+  // out.size() chunked items there: tmp_ or `out`, whichever the pass parity
+  // keeps clear of the first pass's writes, or `out` itself when there is
+  // nothing to merge.  The passes then run from it in place, so the result
+  // is bit-identical to merge()'s and no buffer beyond tmp_ is needed.
+  template <typename Stage>
+  void merge_staged(std::size_t chunk, std::span<T> out, Stage&& stage,
+                    Compare cmp = Compare()) {
+    const std::size_t n = out.size();
+    cmp_ = cmp;
+    if (chunk == 0) chunk = n;
+    const std::size_t passes = pass_count(n, chunk);
+    if (passes == 0) {
+      stage(out);
+      return;
+    }
+    if (tmp_.size() < n) tmp_.resize(n);
+    T* const src = passes % 2 == 1 ? tmp_.data() : out.data();
+    stage(std::span<T>(src, n));
+    run_passes(src, n, chunk, passes, out.data());
+  }
+
+ private:
+  static constexpr std::size_t kChains = 4;
+
+  // Pairwise passes needed to merge n items in chunk-length runs.
+  static std::size_t pass_count(std::size_t n, std::size_t chunk) {
+    std::size_t passes = 0;
+    for (std::size_t c = chunk; c < n; c *= 2) ++passes;
+    return passes;
+  }
+
+  // The bottom-up pass loop: `passes` (>= 1) pairwise passes from `src`,
+  // ping-ponged between tmp_ (already sized) and `out`, parity chosen so the
+  // last pass lands in `out`.  The first pass must not write `src`, which
+  // holds when src is the input of merge() or the buffer merge_staged picks.
+  void run_passes(const T* src, std::size_t n, std::size_t chunk,
+                  std::size_t passes, T* out) {
+    T* bufs[2] = {tmp_.data(), out};
     std::size_t pi = (passes % 2) ^ 1;  // parity: the last pass writes `out`
     for (std::size_t c = chunk; c < n; c *= 2) {
       T* dst = bufs[pi ^ 1];
@@ -569,9 +611,6 @@ class ChunkMerger {
       pi ^= 1;
     }
   }
-
- private:
-  static constexpr std::size_t kChains = 4;
 
   struct Task {
     const T *x, *xe, *y, *ye;

@@ -242,6 +242,7 @@ class ShardedQuancurrent {
       total.holes += st.holes;
       total.query_retries += st.query_retries;
       total.gather_waits += st.gather_waits;
+      total.gather_wait_ns += st.gather_wait_ns;
       total.latch_spins += st.latch_spins;
       total.installs += st.installs;
       total.install_defers += st.install_defers;

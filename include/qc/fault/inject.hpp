@@ -5,10 +5,10 @@
 // defines NAMED INJECTION POINTS threaded through the hot paths —
 // allocation failure on the cascade/tail/query/merge/deserialize paths,
 // artificial stalls (a wedged latch holder, a parked querier, a preempted
-// gather writer, a full install ring, a paused ladder-image copy or snapshot
-// re-check), and serde byte corruption — plus a
-// process-wide Injector that decides, deterministically from a seed and a
-// per-point hit counter, whether each encounter fires.
+// gather writer, a batch owner parked before its merge, a full install ring,
+// a paused ladder-image copy or snapshot re-check), and serde byte
+// corruption — plus a process-wide Injector that decides, deterministically
+// from a seed and a per-point hit counter, whether each encounter fires.
 //
 // Build model.  Everything here compiles to NOTHING unless QC_FAULT_INJECT is
 // defined: the QC_INJECT_* macros expand to `void(0)` and no Injector state
@@ -74,6 +74,9 @@ enum class Point : std::uint8_t {
   querier_ref,            // Querier::stage_levels(): act before a view takes
                           // a reference to a level block, pin held; its hit
                           // count is the number of references taken
+  owner_merge,            // flush_chunk(): park a batch owner after it
+                          // copied its gather buffer out and reopened the
+                          // ordinal, before its chunk merge
   kCount,
 };
 
@@ -98,6 +101,7 @@ inline const char* point_name(Point p) {
     case Point::ladder_image_copy: return "ladder_image_copy";
     case Point::querier_recheck: return "querier_recheck";
     case Point::querier_ref: return "querier_ref";
+    case Point::owner_merge: return "owner_merge";
     case Point::kCount: break;
   }
   return "unknown";

@@ -15,8 +15,9 @@
 //     failed refresh leaves the previous view and every reader count as
 //     they were;
 //   * a stalled querier keeps retired memory under Options::ibr_retire_cap
-//     with the episode reported through ibr_stats().degraded, and a parked
-//     writer pins nothing;
+//     with the episode reported through ibr_stats().degraded, a parked
+//     writer pins nothing, and a batch owner parked before its merge keeps
+//     neither its gather buffer nor the next owner waiting;
 //   * a wedged latch holder and a full install ring are observable through
 //     stats() (watchdog trips, queue-full waits) without a debugger.
 //
@@ -39,6 +40,7 @@
 #include "qc.hpp"
 #include "qc_test.hpp"
 #include "sequential/quantiles_sketch.hpp"
+#include "stream/exact_quantiles.hpp"
 
 using qc::fault::Injector;
 using qc::fault::Point;
@@ -976,6 +978,74 @@ QC_TEST(parked_writer_does_not_pin_reclamation) {
   sk.quiesce();
   CHECK_EQ(sk.size(), std::uint64_t{kItems} + o.b);
   CHECK(!sk.ibr_stats().degraded);
+}
+
+// A batch owner copies its gather buffer out and reopens the ordinal before
+// it merges, so the next ordinal's writers (and owner) need not wait for
+// that merge.  With one gather buffer per node, owner A parks between its
+// reopen and its merge while updater B on the same node hands a whole 2k
+// batch into the reopened ordinal and becomes its owner, merging while A is
+// still parked.  B's first 2k - b elements must land while A is parked (a
+// build that reopens only after the merge parks B on the closed ordinal, and
+// the bounded wait fails instead of hanging).  A and B stream disjoint
+// ranges, so a merge that read another owner's scratch or a recycled slot
+// shows up as rank error; the size and the block ledger must be exact.
+QC_TEST(owners_overlap_on_one_gather_buffer) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  ParkedReader pa;
+  pa.point = Point::owner_merge;
+  inj.set_stall_handler(&park_handler, &pa);
+  inj.arm_hit(Point::owner_merge, 1);  // the first owner parks
+
+  qc::Options o = small_options(64, 16);  // threads 0 and 1 share node 0
+  o.rho = 1;
+  qc::Quancurrent<double> sk(o);
+  const std::uint32_t cap = 2 * o.k;
+
+  std::thread owner_a([&] {
+    auto u = sk.make_updater(0);
+    for (std::uint32_t i = 0; i < cap; ++i) u.update(static_cast<double>(i));
+  });
+  const bool a_parked =
+      wait_until([&] { return pa.parked.load(std::memory_order_acquire); }, 10'000);
+  CHECK(a_parked);
+
+  std::atomic<std::uint32_t> handed{0};
+  std::thread updater_b([&] {
+    auto u = sk.make_updater(1);
+    for (std::uint32_t i = 0; i < cap; ++i) {
+      u.update(100'000.0 + static_cast<double>(i));
+      handed.store(i + 1, std::memory_order_release);
+    }
+  });
+  const bool b_ingested = wait_until(
+      [&] { return handed.load(std::memory_order_acquire) >= cap - o.b; }, 10'000);
+  CHECK(b_ingested);
+  // Give B's own owner merge (its final flush) time to run beside parked A.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  pa.release.store(true, std::memory_order_release);
+  owner_a.join();
+  updater_b.join();
+  inj.reset();
+  sk.quiesce();
+  CHECK_EQ(sk.size(), std::uint64_t{2} * cap);
+  CHECK_EQ(sk.ibr_stats().live_blocks(), published_runs(sk));
+
+  std::vector<double> all;
+  for (std::uint32_t i = 0; i < cap; ++i) {
+    all.push_back(static_cast<double>(i));
+    all.push_back(100'000.0 + static_cast<double>(i));
+  }
+  qc::stream::ExactQuantiles<double> exact(std::move(all));
+  auto q = sk.make_querier();
+  double max_err = 0.0;
+  for (int i = 1; i < 50; ++i) {
+    const double phi = static_cast<double>(i) / 50.0;
+    max_err = std::max(max_err, exact.rank_error(q.quantile(phi), phi));
+  }
+  CHECK(max_err <= 12.0 / static_cast<double>(o.k));
 }
 
 // quiesce() installs the tail's full batches while holding tail_mu_, and an

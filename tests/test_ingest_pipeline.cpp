@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <thread>
 #include <vector>
@@ -84,6 +85,50 @@ QC_TEST(chunk_merge_equals_full_sort) {
           std::span<double>(tree_out));
       CHECK_EQ(written, n);
       CHECK(tree_out == in.expected);
+    }
+  }
+}
+
+// The staged merge the batch owner runs must be bit-identical to merge():
+// chunk = n (0 passes), odd and even pass counts, a short last chunk, b in
+// {1, 16, 64}, with duplicates and both zeros in the data.  After its copy
+// the stage overwrites the original input with garbage, as writers to a
+// reopened gather buffer may while the owner merges: the merge must read
+// only the staged copy.
+QC_TEST(staged_chunk_merge_matches_merge) {
+  qc::core::ChunkMerger<double> reference;
+  qc::core::ChunkMerger<double> staged;
+  qc::Xoshiro256 rng(91);
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{16}, std::size_t{64}}) {
+    for (const std::size_t n : {chunk, 2 * chunk, 4 * chunk, 8 * chunk, 16 * chunk,
+                                3 * chunk + chunk / 2 + 1, std::size_t{8192}}) {
+      std::vector<double> input(n);
+      for (auto& v : input) {
+        switch (rng() % 4) {
+          case 0: v = 0.0; break;
+          case 1: v = -0.0; break;
+          case 2: v = static_cast<double>(rng() % 5); break;
+          default: v = (rng.next_double() - 0.5) * 1e4; break;
+        }
+      }
+      for (std::size_t off = 0; off < n; off += chunk) {
+        std::sort(input.begin() + static_cast<std::ptrdiff_t>(off),
+                  input.begin() + static_cast<std::ptrdiff_t>(std::min(off + chunk, n)));
+      }
+      std::vector<double> want(n);
+      reference.merge(std::span<const double>(input), chunk, std::span<double>(want));
+
+      std::vector<double> got(n, 7.0);
+      bool staged_once = false;
+      staged.merge_staged(chunk, std::span<double>(got), [&](std::span<double> stage) {
+        CHECK_EQ(stage.size(), n);
+        if (chunk >= n) CHECK(stage.data() == got.data());  // nothing to merge
+        std::copy(input.begin(), input.end(), stage.begin());
+        std::fill(input.begin(), input.end(), -1e300);
+        staged_once = true;
+      });
+      CHECK(staged_once);
+      CHECK(std::memcmp(got.data(), want.data(), n * sizeof(double)) == 0);
     }
   }
 }
@@ -181,8 +226,22 @@ QC_TEST(stats_expose_ingest_contention_counters) {
   CHECK(st.batches > 0u);
   // Every install publishes exactly one batch.
   CHECK_EQ(st.installs, st.batches);
+  CHECK(st.latch_holds >= st.batches);
   // Weight conservation across the installer.
   CHECK_EQ(sk.size(), n);
+
+  // One updater: no flush finds its ordinal closed, and every latch hold
+  // installs a batch (drainers do not take the latch for a head batch that
+  // is not ready), so the holds are the batches plus quiesce()'s own
+  // reclamation hold.
+  qc::core::Quancurrent<double> one(pipeline_options(64, 8));
+  qc::bench::ingest_quancurrent(one, data, 1, /*quiesce=*/true);
+  const auto s1 = one.stats();
+  CHECK(s1.batches > 0u);
+  CHECK_EQ(s1.gather_waits, 0u);
+  CHECK_EQ(s1.gather_wait_ns, 0u);
+  CHECK_EQ(s1.latch_holds, s1.batches + 1);
+  CHECK_EQ(one.size(), n);
 }
 
 // Mixed updaters + queriers hammering the installer; run under

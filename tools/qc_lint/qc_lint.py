@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """qc-lint: repo-specific static checks for the Quancurrent engine.
 
-Seven checks, each enforcing an invariant the compiler cannot see:
+Eight checks, each enforcing an invariant the compiler cannot see:
 
   explicit-memory-order   Every atomic operation names its memory order.  The
                           snapshot-validation and IBR correctness arguments in
@@ -43,6 +43,16 @@ Seven checks, each enforcing an invariant the compiler cannot see:
                           must be taken while the image's pin is held, or
                           a reclamation scan that no longer sees the pin
                           could miss the reference and reuse the block.
+  reopen-after-claim      A batch owner reopens its gather ordinal
+                          (`ordinal.store(`) only after an install-cell claim
+                          (`acquire_cell(`) earlier in the same function: a
+                          batch must sit in its gather ordinal or in a
+                          claimed cell at every moment, or the relaxation
+                          bound N*b + rho*nodes*2k + Q*2k stops holding (a
+                          backpressured owner would hold a batch in neither
+                          while its buffer refills).  quiesce()'s residue
+                          `ordinal.fetch_add` is not matched: it routes the
+                          residue to the tail first.
   qc-check-over-assert    In engine headers, every bare assert() carries a
                           justification marker tying it to the documented
                           QC_CHECK-vs-assert policy (common/check.hpp):
@@ -81,6 +91,7 @@ CHECKS = (
     "no-wait-while-pinned",
     "ladder-read-through-image",
     "ref-under-image",
+    "reopen-after-claim",
     "qc-check-over-assert",
 )
 
@@ -146,6 +157,9 @@ SLOT_READ_RE = re.compile(r"\bslot_block\s*\(")
 REF_TAKE_RE = re.compile(r"\breaders\s*(?:\.|->)\s*fetch_add\s*\(")
 IMAGE_PARAM_RE = re.compile(r"\bLadderImage\b")
 IMAGE_DECL_RE = re.compile(r"\bLadderImage\s+[A-Za-z_]\w*\s*[({=;]")
+# A gather ordinal reopened, and the install-cell claim that must precede it.
+REOPEN_RE = re.compile(r"\bordinal\s*(?:\.|->)\s*store\s*\(")
+CLAIM_RE = re.compile(r"\bacquire_cell\s*\(")
 
 KEYWORDS = {
     "if", "for", "while", "switch", "catch", "return", "sizeof", "alignof",
@@ -618,6 +632,21 @@ def check_ref_under_image(path, fn, base_line, allow, out):
                                  "it from a LadderImage in hand"))
 
 
+def check_reopen_after_claim(path, fn, base_line, allow, out):
+    """Flags a gather ordinal reopened before, or without, an install-cell
+    claim earlier in the same function."""
+    claim = CLAIM_RE.search(fn.body)
+    for m in REOPEN_RE.finditer(fn.body):
+        if claim is not None and claim.start() < m.start():
+            continue
+        line = base_line + fn.body[:m.start()].count("\n")
+        if not allowed(allow, "reopen-after-claim", line):
+            out.append(Violation(path, line, "reopen-after-claim",
+                                 "gather ordinal reopened before an "
+                                 f"install cell is claimed (in {fn.name}); "
+                                 "call acquire_cell() first"))
+
+
 def owning_decls(text: str):
     """Offsets of declarations of owning std containers that have an
     initializer: `T x(args)`, `T x = expr` or `T x{args}`.  References,
@@ -788,6 +817,7 @@ def run_checks(paths, fixture_mode=False):
             check_pinned(p, fn, base, allow, waiting, violations)
             check_ladder_reads(p, fn, base, allow, images, violations)
             check_ref_under_image(p, fn, base, allow, violations)
+            check_reopen_after_claim(p, fn, base, allow, violations)
         engine = is_engine_header(p) or (fixture_mode and p.endswith(".hpp"))
         violations += check_assert(p, clean, allow, engine)
     # one diagnostic per (file, line, check)
