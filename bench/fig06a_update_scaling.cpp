@@ -70,11 +70,26 @@ int main() {
               static_cast<unsigned long long>(last_stats.latch_spins),
               static_cast<unsigned long long>(last_stats.installs),
               static_cast<unsigned long long>(last_stats.batches));
+  // Install latch: the mean hold per install (one batch and its cascade
+  // each) and the share of updater time spent holding it.
+  const double hold_ns =
+      last_stats.latch_holds > 0 ? static_cast<double>(last_stats.latch_hold_total_ns) /
+                                       static_cast<double>(last_stats.latch_holds)
+                                 : 0.0;
+  const double hold_share =
+      last_updater_ns > 0.0
+          ? static_cast<double>(last_stats.latch_hold_total_ns) / last_updater_ns
+          : 0.0;
+  std::printf("install latch: %.1f us held per install (%llu holds, %.1f%% of updater "
+              "time)\n",
+              hold_ns / 1e3, static_cast<unsigned long long>(last_stats.latch_holds),
+              100.0 * hold_share);
   json.counter("gather_waits", static_cast<double>(last_stats.gather_waits));
   json.counter("gather_wait_ns", static_cast<double>(last_stats.gather_wait_ns));
   json.counter("latch_spins", static_cast<double>(last_stats.latch_spins));
   json.counter("installs", static_cast<double>(last_stats.installs));
   json.counter("batches", static_cast<double>(last_stats.batches));
+  json.counter("latch_hold_ns_per_install", hold_ns);
 
   const std::string dir = bench::json_out_dir();
   if (!dir.empty()) {

@@ -10,7 +10,9 @@
 //
 // Ingest side: the owner's Gather&Sort cost — multiway merge of pre-sorted
 // b-chunks vs. the full-sort baseline (radix batch_sort and std::sort) across
-// k x b — plus the substrate ops (batch radix sort, tritmap arithmetic).
+// k x b — the cascade step under the install latch (fused merge-compaction
+// vs. std::merge + stride copy), plus the substrate ops (batch radix sort,
+// tritmap arithmetic).
 // These quantify the constants behind fig06a/fig07a/fig07b; results land in
 // BENCH_ingest_micro.json.
 //
@@ -271,6 +273,58 @@ int main() {
       }
     }
     g.print();
+    std::printf("\n");
+  }
+
+  // ----- ingest path: one cascade step under the install latch -------------
+  //
+  // A full level compacts into the level above: merge its two sorted k-runs
+  // and keep one parity.  "fused" is the engine's merge_compact, writing the
+  // kept half straight into the destination block; "merge+stride" the
+  // two-pass reference (std::merge into a 2k buffer, then every other item).
+  // Both alternate the parity coin and produce identical bytes.  Each call
+  // takes the next of `pairs` level pairs of uniform doubles (2^17 items in
+  // all, at least 16 pairs), so neither side runs on a merge pattern the
+  // branch predictor has learned.
+  {
+    std::printf("cascade step: fused merge-compaction vs std::merge + stride\n");
+    Table c({"k", "fused", "merge+stride", "speedup"});
+    for (const std::uint32_t ck : {256u, 1024u, 4096u}) {
+      const std::size_t run = ck;
+      const std::size_t pairs = std::max<std::size_t>(16, (std::size_t{1} << 17) / (2 * run));
+      auto runs = stream::make_stream(stream::Distribution::kUniform, 2 * pairs * run, 13);
+      for (std::size_t off = 0; off < runs.size(); off += run) {
+        std::sort(runs.begin() + static_cast<std::ptrdiff_t>(off),
+                  runs.begin() + static_cast<std::ptrdiff_t>(off + run));
+      }
+      std::vector<double> merged(2 * run);
+      std::vector<double> dest(run);
+      const std::uint64_t iters = std::max<std::uint64_t>(4'000'000 / ck, 50);
+      std::size_t next = 0;
+      const auto pair = [&] {
+        next = (next + 1) % pairs;
+        return runs.data() + 2 * run * next;
+      };
+      const double fused_t = best_time_per_op(iters, [&] {
+        const double* a = pair();
+        core::merge_compact(a, run, a + run, run, next & 1, dest.data());
+        keep(dest.data());
+      });
+      const double ref_t = best_time_per_op(iters, [&] {
+        const double* a = pair();
+        std::merge(a, a + run, a + run, a + 2 * run, merged.begin());
+        for (std::size_t i = 0; i < run; ++i) dest[i] = merged[2 * i + (next & 1)];
+        keep(dest.data());
+      });
+      c.add_row({Table::integer(ck), micros(fused_t), micros(ref_t),
+                 Table::num(ref_t / fused_t, 2) + "x"});
+      char key[64];
+      std::snprintf(key, sizeof(key), "cascade_step_us_k%u", ck);
+      ingest_json.add(key, fused_t * 1e6);
+      std::snprintf(key, sizeof(key), "cascade_step_ref_us_k%u", ck);
+      ingest_json.add(key, ref_t * 1e6);
+    }
+    c.print();
     std::printf("\n");
   }
 

@@ -28,6 +28,11 @@
 //      its own tritmap CAS, as in the paper.  Owners help drain the ring
 //      until their own batch is installed, so an owner whose batch another
 //      drainer installed returns to ingesting without ever holding the latch.
+//      The install's cascade is the latch hold, so each of its compaction
+//      steps writes only the half it keeps, straight into the fresh block
+//      one level up: a stride over the 2k batch at level 0, and above it one
+//      fused pass that merges the level's two k-runs and keeps one parity
+//      (run_merge.hpp merge_compact).
 //
 // Each NUMA node rotates through rho Gather&Sort buffers so ingestion
 // continues while an owner is copying its batch out.  Buffers are recycled
@@ -436,7 +441,6 @@ class Quancurrent {
     // A cascade publishes at most one block per level plus the entry block;
     // reserving now makes prepare_cascade's staging pushes no-throw.
     stash_.reserve(kLevels + 1);
-    scratch_.resize(cap_);
     rng_ = Xoshiro256(opts_.seed);
     install_q_ = std::make_unique<InstallCell[]>(opts_.install_queue);
     for (std::uint32_t i = 0; i < opts_.install_queue; ++i) {
@@ -2001,7 +2005,7 @@ class Quancurrent {
   //
   // Caller must hold latch_.  The latch serializes drainers, and protects
   // exactly the pre-publication install state: the blocks being filled,
-  // scratch_, rng_ (the parity coins), epoch_counter_ / level_epoch_,
+  // rng_ (the parity coins), epoch_counter_ / level_epoch_,
   // install_head_, the tritmap_ CAS, and the install_seq_ advance — plus all
   // block allocation, retirement, and reclamation (alloc_block /
   // retire_block / ibr_scan are latch-holder-only).  The reuse pool keeps
@@ -2059,7 +2063,11 @@ class Quancurrent {
   // ladder and writes each level at most once, always into the slot the
   // published tritmap marks as the first empty one; queriers imaging under
   // `published` therefore never see a slot change underneath them (see
-  // Querier::refresh_impl's validation).  Caller must hold latch_
+  // Querier::refresh_impl's validation).  Each step is one KLL compaction
+  // written straight into the fresh block of the level above: level 0 keeps
+  // one parity of the 2k batch by a stride copy, and a full level merges
+  // its two published runs and keeps one parity in the same pass
+  // (merge_compact, run_merge.hpp).  Caller must hold latch_
   // and have run prepare_cascade(published, entry_level) successfully: every
   // block consumed here comes from stash_ and the retire list is
   // pre-reserved, so this function NEVER THROWS — once the first slot write
@@ -2071,11 +2079,10 @@ class Quancurrent {
     // writes of the same level apart.
     const std::uint64_t epoch = ++epoch_counter_;
     Tritmap tm = published;
-    std::span<const T> source = items;
     std::uint32_t level = entry_level;
     if (entry_level == 0) {
-      // Level 0's two arrays exist only inside `items`; each cascade step
-      // compacts a sorted 2k source into the free slot one level up.
+      // Level 0's two arrays exist only inside `items`, the sorted 2k batch
+      // the first step compacts into the free slot one level up.
       tm = tm.after_batch_update();
     } else {
       // A cascade always ends with no trit at 2, so the entry level has a
@@ -2089,12 +2096,6 @@ class Quancurrent {
       publish_slot(entry_level, dest_slot, nb, published);
       level_epoch_[entry_level].store(epoch, std::memory_order_release);
       tm = tm.with_trit(entry_level, dest_slot + 1);
-      if (tm.trit(level) == 2) {
-        std::merge(slot_ptr(level, 0), slot_ptr(level, 0) + opts_.k,
-                   slot_ptr(level, 1), slot_ptr(level, 1) + opts_.k,
-                   scratch_.begin(), cmp_);
-        source = std::span<const T>(scratch_.data(), cap_);
-      }
     }
     while (tm.trit(level) == 2) {
       const std::uint32_t dest_level = level + 1;
@@ -2108,7 +2109,12 @@ class Quancurrent {
       LevelBlock* nb = take_block();
       const std::uint32_t parity = rng_.next_bool() ? 1 : 0;
       T* dest = nb->items.data();
-      for (std::uint32_t i = 0; i < opts_.k; ++i) dest[i] = source[2 * i + parity];
+      if (level == 0) {
+        for (std::uint32_t i = 0; i < opts_.k; ++i) dest[i] = items[2 * i + parity];
+      } else {
+        merge_compact(slot_ptr(level, 0), opts_.k, slot_ptr(level, 1), opts_.k, parity,
+                      dest, cmp_);
+      }
       publish_slot(dest_level, dest_slot, nb, published);
       // Release the level's new epoch only after its publication so that a
       // reader loading this epoch (acquire) sees the new pointer; see
@@ -2117,11 +2123,6 @@ class Quancurrent {
       tm = tm.after_install_propagation(level);
       level = dest_level;
       ++steps;
-      if (tm.trit(level) == 2) {
-        std::merge(slot_ptr(level, 0), slot_ptr(level, 0) + opts_.k, slot_ptr(level, 1),
-                   slot_ptr(level, 1) + opts_.k, scratch_.begin(), cmp_);
-        source = std::span<const T>(scratch_.data(), cap_);
-      }
     }
     return tm;
   }
@@ -2197,7 +2198,6 @@ class Quancurrent {
   // capability every QC_REQUIRES/QC_GUARDED_BY in this class names; see
   // common/annotations.hpp for the model.
   mutable sync::LatchFlag latch_;
-  std::vector<T> scratch_ QC_GUARDED_BY(latch_);
   Xoshiro256 rng_ QC_GUARDED_BY(latch_){0};
   std::uint64_t epoch_counter_ QC_GUARDED_BY(latch_) = 0;  // per-batch-cascade
 

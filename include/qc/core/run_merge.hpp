@@ -757,6 +757,154 @@ class ChunkMerger {
   std::vector<Task> tasks_;
 };
 
+namespace detail {
+
+// One chain of merge_compact: the input ranges it consumes and where its
+// kept items go.
+template <typename T>
+struct CompactChain {
+  const T *x, *xe, *y, *ye;
+  T* o;
+};
+
+template <typename T>
+std::size_t compact_pairs(const CompactChain<T>& c) noexcept {
+  return static_cast<std::size_t>(std::min(c.xe - c.x, c.ye - c.y)) / 2;
+}
+
+// Two branchless stable merge steps (ties from x); returns the item of the
+// second step when Odd, else of the first.
+template <bool Odd, typename T, typename Compare>
+T compact_pair(const T*& x, const T*& y, Compare& cmp) noexcept {
+  const T a0 = *x, b0 = *y;
+  const bool t0 = cmp(b0, a0);
+  x += !t0;
+  y += t0;
+  const T a1 = *x, b1 = *y;
+  const bool t1 = cmp(b1, a1);
+  x += !t1;
+  y += t1;
+  if constexpr (Odd) {
+    return t1 ? b1 : a1;
+  } else {
+    return t0 ? b0 : a0;
+  }
+}
+
+// Stable merge-path split: how many items of `a` are among the first `s`
+// outputs of std::merge(a, b), searched within [lo, hi].  a[i] is among
+// them unless b[s - i - 1] < a[i].
+template <typename T, typename Compare>
+std::size_t merge_path_split(const T* a, const T* b, std::size_t s, std::size_t lo,
+                             std::size_t hi, Compare& cmp) noexcept {
+  while (lo < hi) {
+    const std::size_t i = lo + (hi - lo) / 2;
+    if (cmp(b[s - i - 1], a[i])) {
+      hi = i;
+    } else {
+      lo = i + 1;
+    }
+  }
+  return lo;
+}
+
+// Drains one chain: guard-free pairs while both sides hold two items, then
+// a guarded tail, then every other item of the side that is left.
+template <bool Odd, typename T, typename Compare>
+void compact_finish(CompactChain<T>& c, Compare& cmp) noexcept {
+  const T* x = c.x;
+  const T* y = c.y;
+  T* o = c.o;
+  for (std::size_t m = compact_pairs(c); m != 0; m = compact_pairs(c)) {
+    for (std::size_t i = 0; i < m; ++i) *o++ = compact_pair<Odd>(x, y, cmp);
+    c.x = x;
+    c.y = y;
+  }
+  bool odd = false;  // parity of the next position; the chain began even
+  while (x != c.xe && y != c.ye) {
+    const bool t = cmp(*y, *x);
+    const T v = t ? *y : *x;
+    x += !t;
+    y += t;
+    if (odd == Odd) *o++ = v;
+    odd = !odd;
+  }
+  const T* r = x != c.xe ? x : y;
+  const auto rest = static_cast<std::size_t>(x != c.xe ? c.xe - x : c.ye - y);
+  for (std::size_t i = odd == Odd ? 0 : 1; i < rest; i += 2) *o++ = r[i];
+}
+
+// Runs four chains interleaved: each block advances every chain by the
+// pairs the shortest guard-free stretch allows, until one chain cannot take
+// a pair; then each chain is finished on its own.
+template <bool Odd, typename T, typename Compare>
+void compact_chains(CompactChain<T> (&c)[4], Compare& cmp) noexcept {
+  for (;;) {
+    const std::size_t m = std::min(std::min(compact_pairs(c[0]), compact_pairs(c[1])),
+                                   std::min(compact_pairs(c[2]), compact_pairs(c[3])));
+    if (m == 0) break;
+    const T *x0 = c[0].x, *y0 = c[0].y, *x1 = c[1].x, *y1 = c[1].y;
+    const T *x2 = c[2].x, *y2 = c[2].y, *x3 = c[3].x, *y3 = c[3].y;
+    T *o0 = c[0].o, *o1 = c[1].o, *o2 = c[2].o, *o3 = c[3].o;
+    for (std::size_t i = 0; i < m; ++i) {
+      o0[i] = compact_pair<Odd>(x0, y0, cmp);
+      o1[i] = compact_pair<Odd>(x1, y1, cmp);
+      o2[i] = compact_pair<Odd>(x2, y2, cmp);
+      o3[i] = compact_pair<Odd>(x3, y3, cmp);
+    }
+    c[0].x = x0, c[0].y = y0, c[0].o = o0 + m;
+    c[1].x = x1, c[1].y = y1, c[1].o = o1 + m;
+    c[2].x = x2, c[2].y = y2, c[2].o = o2 + m;
+    c[3].x = x3, c[3].y = y3, c[3].o = o3 + m;
+  }
+  for (auto& chain : c) compact_finish<Odd>(chain, cmp);
+}
+
+}  // namespace detail
+
+// Fused merge-compaction, the KLL compactor step: merges the sorted runs
+// a[0..na) and b[0..nb) stably (ties from `a`, exactly as std::merge) and
+// writes only the merged positions p with p % 2 == parity, in order, to
+// dest.  Returns the count written, (na + nb + 1 - parity) / 2.  The result
+// is bit-identical to std::merge into a buffer followed by a stride-2 copy,
+// without the buffer and without writing the half that is dropped.
+//
+// Stable merge-path splits (Odeh et al., "Merge Path", 2012) cut the output
+// into four chains at even positions, so every chain starts on the same
+// parity.  The chains run interleaved in one branchless loop, four
+// independent dependency chains as in ChunkMerger::run_tasks, and each pair
+// of merge steps emits one item; each chain ends with a guarded tail.  The
+// splits fix how many items each chain reads from a and from b and writes
+// to dest, so even unsorted input cannot read past either run or write past
+// dest[count): it only comes out unsorted.  Allocation-free and noexcept, so
+// the install latch's cascade (apply_cascade) stays no-throw.
+template <typename T, typename Compare = std::less<T>>
+std::size_t merge_compact(const T* a, std::size_t na, const T* b, std::size_t nb,
+                          std::uint32_t parity, T* dest, Compare cmp = Compare()) noexcept {
+  const std::size_t n = na + nb;
+  const bool odd = (parity & 1) != 0;
+  detail::CompactChain<T> chains[4]{};
+  std::size_t ia = 0;  // items of `a` before the current chain
+  std::size_t s = 0;   // output position the current chain starts at (even)
+  for (std::size_t c = 0; c < 4; ++c) {
+    const std::size_t e = c == 3 ? n : 2 * ((c + 1) * (n / 2) / 4);
+    // The search range keeps both cuts monotone whatever the input holds.
+    const std::size_t ie =
+        c == 3 ? na
+               : detail::merge_path_split(a, b, e, std::max(ia, e > nb ? e - nb : 0),
+                                          std::min(na, ia + (e - s)), cmp);
+    chains[c] = {a + ia, a + ie, b + (s - ia), b + (e - ie), dest + s / 2};
+    ia = ie;
+    s = e;
+  }
+  if (odd) {
+    detail::compact_chains<true>(chains, cmp);
+  } else {
+    detail::compact_chains<false>(chains, cmp);
+  }
+  return (n + (odd ? 0 : 1)) / 2;
+}
+
 // The pre-merge-engine summary construction — flatten every run into (item,
 // weight) pairs and globally sort.  Kept only as the reference the merge
 // tests compare against and the baseline micro_primitives benches against.

@@ -45,16 +45,6 @@
 
 namespace qc::sequential {
 
-// Merges two sorted runs into one sorted vector.
-template <typename T, typename Compare = std::less<T>>
-std::vector<T> merge_sorted(std::span<const T> a, std::span<const T> b,
-                            Compare cmp = Compare()) {
-  std::vector<T> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out), cmp);
-  return out;
-}
-
 // Keeps the odd- or even-indexed half of a sorted run (the KLL compaction
 // step); the surviving items double their weight.
 template <typename T>
@@ -69,7 +59,9 @@ std::vector<T> sample_odd_or_even(std::span<const T> sorted, bool keep_odd) {
 
 // Installs a k-sized sorted carry at `level` of a classic ladder (levels[i]
 // holds one run of weight 2^(i+1)), merging and re-compacting upward while
-// occupied — one rng coin per re-compaction.  Shared by QuantilesSketch and
+// occupied — one rng coin per re-compaction, and one fused merge-compaction
+// (core/run_merge.hpp merge_compact, the kernel Quancurrent's cascade runs)
+// that writes only the kept half.  Shared by QuantilesSketch and
 // the FCDS baseline (baselines/fcds.hpp), whose single-worker bit-for-bit
 // equivalence depends on the two ladders staying in lockstep.
 template <typename T, typename Compare, typename Rng>
@@ -82,10 +74,12 @@ void ladder_propagate(std::vector<std::vector<T>>& levels, std::vector<T> carry,
       slot = std::move(carry);
       return;
     }
-    const auto merged =
-        merge_sorted(std::span<const T>(slot), std::span<const T>(carry), cmp);
+    const std::uint32_t parity = rng.next_bool() ? 1 : 0;
+    std::vector<T> next((slot.size() + carry.size() + 1 - parity) / 2);
+    core::merge_compact(slot.data(), slot.size(), carry.data(), carry.size(), parity,
+                        next.data(), cmp);
     slot.clear();
-    carry = sample_odd_or_even(std::span<const T>(merged), rng.next_bool());
+    carry = std::move(next);
   }
 }
 

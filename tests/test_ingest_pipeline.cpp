@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util/workload.hpp"
@@ -129,6 +131,86 @@ QC_TEST(staged_chunk_merge_matches_merge) {
       });
       CHECK(staged_once);
       CHECK(std::memcmp(got.data(), want.data(), n * sizeof(double)) == 0);
+    }
+  }
+}
+
+// merge_compact against its definition, byte for byte: std::merge (ties
+// from the first run) followed by keeping every other merged item from
+// `parity`.  Equal and unequal run lengths, odd totals, both parities, both
+// orders, and data with ties that only bit inspection tells apart (+0.0 and
+// -0.0), all-equal runs, and runs over disjoint value ranges.  Every call
+// writes into a guarded buffer: nothing past the returned count may change.
+template <typename Compare>
+void check_merge_compact(Compare cmp, std::uint64_t seed) {
+  qc::Xoshiro256 rng(seed);
+  enum class Data { kUniform, kAllEqual, kMod7, kSignedZeros, kDisjointAB, kDisjointBA };
+  const auto fill = [&](std::vector<double>& v, Data d, double base) {
+    for (auto& x : v) {
+      switch (d) {
+        case Data::kUniform: x = rng.next_double(); break;
+        case Data::kAllEqual: x = 3.0; break;
+        case Data::kMod7: x = static_cast<double>(rng() % 7); break;
+        case Data::kSignedZeros: x = rng() % 3 == 0 ? 1.0 : (rng() % 2 ? 0.0 : -0.0); break;
+        default: x = base + rng.next_double(); break;
+      }
+    }
+    std::sort(v.begin(), v.end(), cmp);
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> sizes;
+  for (const std::size_t k : {2, 3, 5, 16, 17, 4096}) sizes.emplace_back(k, k);
+  for (const auto& [na, nb] : std::initializer_list<std::pair<std::size_t, std::size_t>>{
+           {0, 0}, {0, 1}, {1, 0}, {0, 9}, {9, 0}, {1, 2}, {7, 30}, {30, 7},
+           {64, 63}, {100, 1}, {1, 100}, {1000, 4097}, {4097, 1000}}) {
+    sizes.emplace_back(na, nb);
+  }
+  for (const auto& [na, nb] : sizes) {
+    for (const Data d : {Data::kUniform, Data::kAllEqual, Data::kMod7, Data::kSignedZeros,
+                         Data::kDisjointAB, Data::kDisjointBA}) {
+      std::vector<double> a(na);
+      std::vector<double> b(nb);
+      const bool ab = d != Data::kDisjointBA;
+      fill(a, d, ab ? 0.0 : 10.0);
+      fill(b, d, ab ? 10.0 : 0.0);
+      std::vector<double> merged(na + nb);
+      std::merge(a.begin(), a.end(), b.begin(), b.end(), merged.begin(), cmp);
+      for (const std::uint32_t parity : {0u, 1u}) {
+        std::vector<double> want;
+        for (std::size_t i = parity; i < merged.size(); i += 2) want.push_back(merged[i]);
+        std::vector<double> got(want.size() + 8, 12345.0);
+        const std::size_t written =
+            qc::core::merge_compact(a.data(), na, b.data(), nb, parity, got.data(), cmp);
+        CHECK_EQ(written, want.size());
+        CHECK(want.empty() ||
+              std::memcmp(got.data(), want.data(), want.size() * sizeof(double)) == 0);
+        for (std::size_t i = want.size(); i < got.size(); ++i) CHECK_EQ(got[i], 12345.0);
+      }
+    }
+  }
+}
+
+QC_TEST(merge_compact_matches_merge_then_stride) {
+  check_merge_compact(std::less<double>(), 71);
+  check_merge_compact(std::greater<double>(), 72);
+}
+
+// Unsorted input breaks the merge's contract, not memory: the output is
+// some sequence of input items, exactly the documented count long.
+QC_TEST(merge_compact_stays_in_bounds_on_unsorted_input) {
+  qc::Xoshiro256 rng(73);
+  for (const std::size_t n : {std::size_t{5}, std::size_t{64}, std::size_t{1001}}) {
+    std::vector<double> a(n);
+    std::vector<double> b(n + 3);
+    for (auto& x : a) x = rng.next_double();
+    for (auto& x : b) x = rng.next_double();
+    for (const std::uint32_t parity : {0u, 1u}) {
+      const std::size_t count = (2 * n + 3 + 1 - parity) / 2;
+      std::vector<double> got(count + 8, -1.0);
+      CHECK_EQ(qc::core::merge_compact(a.data(), a.size(), b.data(), b.size(), parity,
+                                       got.data()),
+               count);
+      for (std::size_t i = 0; i < count; ++i) CHECK(got[i] >= 0.0);
+      for (std::size_t i = count; i < got.size(); ++i) CHECK_EQ(got[i], -1.0);
     }
   }
 }

@@ -188,6 +188,63 @@ QC_TEST(install_run_lands_at_requested_level) {
   CHECK_NEAR(q.quantile(1.0), static_cast<double>(k - 1), 1e-12);
 }
 
+// Every compaction step is pinned bit for bit: the serialized images of a
+// single-updater ingest (k = 64, ~1M elements with duplicates and both
+// zeros), of a sketch that ladder was then merged into (so install_run's
+// entry level cascades too), and of the sequential sketch over the same
+// stream must keep the CRC32C digests below.  A merge that breaks ties
+// toward the other run, or keeps the wrong parity, changes which of two
+// equal items (+0.0 vs -0.0) survives and with it the digest.
+QC_TEST(cascade_images_match_pinned_digests) {
+  const std::uint32_t k = 64;
+  const std::size_t n = std::size_t{1} << 20;
+  qc::Xoshiro256 rng(2207);
+  std::vector<double> data(n);
+  for (auto& v : data) {
+    switch (rng() % 6) {
+      case 0: v = 0.0; break;
+      case 1: v = -0.0; break;
+      case 2: v = static_cast<double>(rng() % 7); break;
+      default: v = (rng.next_double() - 0.5) * 1e4; break;
+    }
+  }
+  const auto digest = [](const auto& sketch) {
+    const auto image = qc::to_bytes(sketch);
+    return qc::recovery::crc32c(image.data(), image.size());
+  };
+
+  auto o = small_options(k, 8);
+  o.seed = 41;
+  qc::Quancurrent<double> src(o);
+  {
+    auto u = src.make_updater(0);
+    u.update(std::span<const double>(data));
+  }
+  src.quiesce();
+  CHECK_EQ(src.size(), n);
+
+  o.seed = 43;
+  qc::Quancurrent<double> target(o);
+  {
+    auto u = target.make_updater(0);
+    u.update(std::span<const double>(data.data(), n / 3));
+  }
+  target.quiesce();
+  CHECK(src.merge_into(target));
+  target.quiesce();
+  CHECK_EQ(target.size(), n + n / 3);
+
+  qc::QuantilesSketch<double> seq(k, /*seed=*/47);
+  for (const double v : data) seq.update(v);
+  CHECK_EQ(seq.size(), n);
+
+  const std::uint32_t got[3] = {digest(src), digest(target), digest(seq)};
+  std::printf("    digests: %08x %08x %08x\n", got[0], got[1], got[2]);
+  CHECK_EQ(got[0], 0x0f4f23d8u);
+  CHECK_EQ(got[1], 0x2d988403u);
+  CHECK_EQ(got[2], 0x9f3227e2u);
+}
+
 QC_TEST(queriers_stay_live_during_concurrent_merge) {
   const std::uint32_t k = 128;
   const std::uint64_t n = 50'000;

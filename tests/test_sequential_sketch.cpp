@@ -8,14 +8,6 @@
 
 using qc::stream::Distribution;
 
-QC_TEST(merge_sorted_merges) {
-  const std::vector<double> a{1, 3, 5};
-  const std::vector<double> b{2, 3, 6};
-  const auto m = qc::sequential::merge_sorted(std::span<const double>(a),
-                                          std::span<const double>(b));
-  CHECK(m == (std::vector<double>{1, 2, 3, 3, 5, 6}));
-}
-
 QC_TEST(sample_odd_or_even_halves) {
   const std::vector<double> v{0, 1, 2, 3, 4, 5};
   const auto even = qc::sequential::sample_odd_or_even(std::span<const double>(v), false);
