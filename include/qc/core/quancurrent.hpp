@@ -127,13 +127,13 @@
 //     retried.  Only ~Updater, which must not throw, drops the residue after
 //     bounded retries (counted in stats().oom_dropped_items, warned on
 //     stderr).
-//   * Querier::refresh may propagate bad_alloc from its tail copy, its only
-//     allocation, which runs before it references or releases any block;
-//     it is all-or-nothing: the changed levels and the tail are staged
-//     where the current view does not read them and committed by swap, so
-//     the previous view keeps answering exactly as before.  A summary that
-//     cannot be allocated leaves the querier answering directly from its
-//     runs.
+//   * Querier::refresh never fails.  push_tail, quiesce and deserialize
+//     install the tail's full 2k batches inside their tail_mu_ hold, so the
+//     tail holds fewer than 2k items whenever tail_mu_ is free; a querier
+//     reserves 2k tail items and its run lists at construction and
+//     references level blocks instead of copying them, so a refresh
+//     allocates nothing.  A summary that cannot be allocated leaves the
+//     querier answering directly from its runs.
 //   * A stalled reader cannot pin unbounded memory: when the blocks
 //     awaiting the epoch rule would exceed Options::ibr_retire_cap, the
 //     latch holder forces a scan and, if the scan cannot help, throttles
@@ -141,9 +141,8 @@
 //     the reader unpins — those stay <= cap blocks.
 //     ibr_stats().pinned_epoch_age says how far the oldest pin lags.  A
 //     querier that holds its view and never refreshes pins no epoch and
-//     never throttles ingest: it keeps at most the blocks of its view and
-//     of the view its last refresh replaced, 2 x 2 x kMaxLevels, the
-//     memory a private copy of both views would take
+//     never throttles ingest: it keeps at most the blocks of its view,
+//     2 x kMaxLevels, the memory a private copy of that view would take
 //     (ibr_stats().held_blocks counts the retired ones).
 #pragma once
 
@@ -172,9 +171,9 @@
 #include "common/backoff.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "core/batch_sort.hpp"
 #include "core/options.hpp"
 #include "core/run_merge.hpp"
+#include "core/small_sort.hpp"
 #include "fault/inject.hpp"
 #include "sequential/quantiles_sketch.hpp"
 #include "serde/binary.hpp"
@@ -262,7 +261,7 @@ class Quancurrent {
   // One published k-item run, immutable once its pointer is published;
   // retire_epoch is the epoch it was unpublished at (ibr_scan's free rule).
   // `readers` counts the query views that reference the block (a Querier
-  // takes one per block under its image's pin, see stage_levels); a
+  // takes one per block under its image's pin, see reference_levels); a
   // retired block is reclaimed only at 0.  `held` marks a retired block
   // past every pin that only views keep (latch-protected, like
   // retire_epoch).
@@ -348,8 +347,8 @@ class Quancurrent {
   // Deadlock rules: pin under the latch or with no lock held, never before
   // acquiring the latch (a latch holder throttled by ibr_retire_cap waits
   // on pins), and wait on nothing of this sketch while the image lives —
-  // not the latch, not tail_mu_ (quiesce holds it while it installs), not
-  // an install queue.
+  // not the latch, not tail_mu_ (push_tail and quiesce hold it while they
+  // install), not an install queue.
   class LadderImage {
    public:
     explicit LadderImage(const Quancurrent& s) : lease_(std::in_place, s) {
@@ -447,9 +446,9 @@ class Quancurrent {
       install_q_[i].items.resize(cap_);
       install_q_[i].seq.store(i, std::memory_order_relaxed);
     }
-    // Pre-reserve the tail for its steady-state worst case (one partial
-    // gather buffer per node at quiesce plus drain residue) so push_tail
-    // almost never reallocates while holding tail_mu_.
+    // Pre-reserve the tail for its worst case at quiesce (one partial
+    // gather buffer per node, appended before the fold) so appends almost
+    // never reallocate while holding tail_mu_.
     tail_.reserve(static_cast<std::size_t>(opts_.topology.nodes) * opts_.rho * cap_);
     nodes_.reserve(opts_.topology.nodes);
     for (std::uint32_t n = 0; n < opts_.topology.nodes; ++n) {
@@ -492,9 +491,8 @@ class Quancurrent {
         : sketch_(&sketch),
           node_(sketch.opts_.topology.node_of(thread_index)),
           b_(sketch.opts_.b),
-          net_merge_(sketch.opts_.b > 16 && sketch.opts_.b % 16 == 0),
           local_(sketch.opts_.b) {
-      if (net_merge_) sorted_.resize(b_);
+      if (b_ > 16) sorted_.resize(b_);
     }
 
     Updater(const Updater&) = delete;
@@ -503,10 +501,8 @@ class Quancurrent {
         : sketch_(std::exchange(other.sketch_, nullptr)),
           node_(other.node_),
           b_(other.b_),
-          net_merge_(other.net_merge_),
           local_(std::move(other.local_)),
           sorted_(std::move(other.sorted_)),
-          sort_aux_(std::move(other.sort_aux_)),
           merger_(std::move(other.merger_)),
           count_(std::exchange(other.count_, 0)) {}
     Updater& operator=(Updater&&) = delete;
@@ -565,35 +561,38 @@ class Quancurrent {
     }
 
    private:
+    // quiesce() appends the convenience updater's residue inside its own
+    // tail_mu_ hold, next to the gather residues.
+    friend class Quancurrent;
+
     // Stage 1 of the ingest pipeline: sort the full local buffer while it is
-    // cache-hot, then flush it as one pre-sorted b-chunk.  b <= 16 buffers go
-    // straight through a branchless sorting network (inside batch_sort /
-    // small_sort); larger 16-aligned buffers network-sort each 16-block and
-    // chunk-merge them — both paths keep the per-update sort cost a fraction
-    // of what the owner's from-scratch full sort used to pay per item.
+    // cache-hot, then flush it as one pre-sorted b-chunk.  A buffer of up to
+    // 16 items goes straight through a branchless sorting network
+    // (small_sort); a larger one network-sorts each 16-item block (the last
+    // may be shorter) and chunk-merges the blocks.  Either way the
+    // per-update sort cost stays a fraction of what a from-scratch sort of
+    // the owner's batch would pay per item.
     void flush_local() {
-      if (net_merge_) {
+      if (b_ <= 16) {
+        small_sort(std::span<T>(local_), sketch_->cmp_);
+        sketch_->flush_chunk(node_, local_.data(), b_, merger_);
+      } else {
         for (std::uint32_t off = 0; off < b_; off += 16) {
-          small_sort(std::span<T>(local_.data() + off, 16), sketch_->cmp_);
+          small_sort(std::span<T>(local_.data() + off, std::min(b_ - off, 16U)),
+                     sketch_->cmp_);
         }
         merger_.merge(std::span<const T>(local_), 16, std::span<T>(sorted_),
                       sketch_->cmp_);
         sketch_->flush_chunk(node_, sorted_.data(), b_, merger_);
-        count_ = 0;
-        return;
       }
-      batch_sort(std::span<T>(local_), sort_aux_, sketch_->cmp_);
-      sketch_->flush_chunk(node_, local_.data(), b_, merger_);
       count_ = 0;
     }
 
     Quancurrent* sketch_;
     std::uint32_t node_;
     std::uint32_t b_;
-    bool net_merge_;  // pre-sort via 16-networks + chunk merge (16 | b)
     std::vector<T> local_;
-    std::vector<T> sorted_;    // net_merge_ output, flushed instead of local_
-    std::vector<T> sort_aux_;  // radix scratch for the local pre-sort
+    std::vector<T> sorted_;  // merged pre-sort output when b > 16
     // Merge scratch for this thread's presort (b > 16) and for every batch
     // it owns: two owners of one gather buffer can merge at once, so the
     // scratch belongs to the thread, not to the buffer.
@@ -603,9 +602,9 @@ class Quancurrent {
 
   Updater make_updater(std::uint32_t thread_index) { return Updater(*this, thread_index); }
 
-  // Flushes partially filled gather buffers, drains batches still parked in
-  // the install queue, compacts the tail into full batches, and hands
-  // reclaimable level blocks back to the allocator.
+  // Drains batches still parked in the install queue, flushes partially
+  // filled gather buffers into the tail, folds the tail's full batches into
+  // the ladder, and hands reclaimable level blocks back to the allocator.
   // Precondition: no concurrent update() calls (updaters must have drained);
   // concurrent queries are fine.  No head==tail assert after the drain: a
   // concurrent merge_into() targeting this sketch may legitimately enqueue
@@ -613,46 +612,45 @@ class Quancurrent {
   // here could fail spuriously without any precondition violation — the
   // drain below already published everything that was parked when we looked.
   void quiesce() QC_EXCLUDES(latch_) {
-    // The convenience updater belongs to the sketch, so quiesce() may (and
-    // must) drain it: its buffered items are otherwise unreachable here.
-    if (self_updater_ != nullptr) self_updater_->drain();
     drain_installs();
-    for (auto& node : nodes_) {
-      for (auto& gb : node->bufs) {
-        const std::uint64_t committed = gb->committed.load(std::memory_order_acquire);
-        // Memory safety, not just accounting: a reserved-but-uncommitted
-        // flush means a concurrent update() is still copying into this
-        // buffer, and the push_tail below would publish (and later recycle)
-        // slots it is mid-write on.
-        QC_CHECK(committed == gb->reserved.load(std::memory_order_acquire),
-                 "quiesce() requires all updaters drained (no concurrent update())");
-        const std::uint64_t residue = committed % cap_;
-        if (residue == 0) continue;
-        push_tail(gb->slots.data(), residue);
-        // Pad the counters to the next batch boundary and advance the
-        // ordinal by hand: the batch this would have formed has been routed
-        // through the tail instead.
-        gb->reserved.fetch_add(cap_ - residue, std::memory_order_acq_rel);
-        gb->committed.fetch_add(cap_ - residue, std::memory_order_acq_rel);
-        gb->ordinal.fetch_add(1, std::memory_order_release);
-      }
-    }
     {
+      // Every residue is appended first and the tail folded once, in one
+      // tail_mu_ hold.  On bad_alloc the residues not yet appended stay
+      // where they are for a retry, and the fold still runs, so the tail
+      // is under 2k again when tail_mu_ is released.
       const sync::MutexLock lock(tail_mu_);
-      if (tail_.size() >= cap_) {
-        std::sort(tail_.begin(), tail_.end(), cmp_);
-        const std::size_t full = tail_.size() - tail_.size() % cap_;
-        for (std::size_t off = 0; off < full; off += cap_) {
-          // Subtract from the tail before publishing the batch so a
-          // concurrent size() never counts these elements twice (it may
-          // transiently undercount, which bounded relaxation already
-          // permits).
-          tail_size_.fetch_sub(cap_, std::memory_order_acq_rel);
-          install_batch(std::span<const T>(tail_.data() + off, cap_));
+      try {
+        // The convenience updater belongs to the sketch, so quiesce() may
+        // (and must) drain it: its buffered items are otherwise unreachable.
+        if (self_updater_ != nullptr) {
+          append_tail(self_updater_->local_.data(), self_updater_->count_);
+          self_updater_->count_ = 0;
         }
-        tail_.erase(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(full));
-        tail_version_.fetch_add(1, std::memory_order_release);
+        for (auto& node : nodes_) {
+          for (auto& gb : node->bufs) {
+            const std::uint64_t committed = gb->committed.load(std::memory_order_acquire);
+            // Memory safety, not just accounting: a reserved-but-uncommitted
+            // flush means a concurrent update() is still copying into this
+            // buffer, and the append below would publish (and later recycle)
+            // slots it is mid-write on.
+            QC_CHECK(committed == gb->reserved.load(std::memory_order_acquire),
+                     "quiesce() requires all updaters drained (no concurrent update())");
+            const std::uint64_t residue = committed % cap_;
+            if (residue == 0) continue;
+            append_tail(gb->slots.data(), residue);
+            // Pad the counters to the next batch boundary and advance the
+            // ordinal by hand: the batch this would have formed has been
+            // routed through the tail instead.
+            gb->reserved.fetch_add(cap_ - residue, std::memory_order_acq_rel);
+            gb->committed.fetch_add(cap_ - residue, std::memory_order_acq_rel);
+            gb->ordinal.fetch_add(1, std::memory_order_release);
+          }
+        }
+      } catch (const std::bad_alloc&) {
+        fold_tail();
+        throw;
       }
+      fold_tail();
     }
     // Give memory back.  Unpublish every slot the published tritmap no
     // longer references (cascades leave consumed slots published so lagging
@@ -661,10 +659,10 @@ class Quancurrent {
     // with no refresh in flight, ibr_stats().live_blocks() equals the
     // number of tritmap-referenced runs plus ibr_stats().held_blocks, the
     // retired blocks query views still reference.  With every querier
-    // destroyed or refreshed, held_blocks is 0: a refresh keeps the view it
-    // replaced until the next refresh, so a querier whose last refresh
-    // found nothing new since the ladder last changed references only
-    // published blocks (the eventual-reclamation tests' invariant).
+    // destroyed or refreshed since the ladder last changed, held_blocks is
+    // 0: a refresh lets go of the view it replaced, so such a querier
+    // references only published blocks (the eventual-reclamation tests'
+    // invariant).
     const LatchGuard guard(*this);  // scoped: the latch cannot leak on a throw
     // Make the unpublish loop's retirements no-throw up front (<= 2 * kLevels
     // of them); a bad_alloc here propagates with nothing retired yet.
@@ -830,19 +828,17 @@ class Quancurrent {
   }
 
   // Appends weight-1 items to the tail, immediately visible to queries.
-  // Thread-safe; merge and ingestion-adjacent code paths use it for residue
-  // that does not fill a 2k batch.  Strong exception guarantee: on bad_alloc
-  // (the insert's growth, or an injected tail_alloc fault) nothing is
-  // appended and the counters are untouched — callers retry or report.
-  void push_tail(const T* items, std::uint64_t count) {
+  // Pushed items may be installed at once: whenever the tail then holds 2k
+  // or more items, its full batches are sorted and installed before this
+  // returns (fold_tail), so the tail stays under 2k.  Thread-safe; merge
+  // and ingestion-adjacent code paths use it for residue that does not fill
+  // a 2k batch.  Strong exception guarantee: on bad_alloc (the insert's
+  // growth, or an injected tail_alloc fault) nothing is appended and the
+  // counters are untouched — callers retry or report.
+  void push_tail(const T* items, std::uint64_t count) QC_EXCLUDES(latch_) {
     const sync::MutexLock lock(tail_mu_);
-    QC_INJECT_OOM(tail_alloc);
-    // Capacity is pre-reserved at construction, so this insert (one
-    // geometric reallocation at most, by the range-insert guarantee) almost
-    // never allocates under tail_mu_.
-    tail_.insert(tail_.end(), items, items + count);
-    tail_size_.fetch_add(count, std::memory_order_acq_rel);
-    tail_version_.fetch_add(1, std::memory_order_release);
+    append_tail(items, count);
+    fold_tail();
   }
 
   // Installs every batch currently parked in the install queue, one per
@@ -878,40 +874,42 @@ class Quancurrent {
   // blocks.
   class Querier {
    public:
+    // At most two runs per level plus the tail.
+    static constexpr std::size_t kMaxRuns = 2 * std::size_t{Tritmap::kMaxLevels} + 1;
+
     explicit Querier(Quancurrent& sketch)
         : sketch_(&sketch),
           lease_(sketch),
           cache_(kLevels),
-          view_(sketch.opts_.k, sketch.cmp_),
-          stage_(kLevels) {
-      // Room for every view's run list and answer scratch, so the tail copy
-      // is the only step of a refresh that can throw.
+          view_(sketch.opts_.k, sketch.cmp_) {
+      // Room for every view's run list and answer scratch, and for the
+      // tail, which holds fewer than 2k items whenever tail_mu_ is free: no
+      // refresh allocates.
       view_.stage(kMaxRuns);
+      tail_buf_.reserve(sketch.cap_);
       refresh();
     }
 
     Querier(const Querier&) = delete;
     Querier& operator=(const Querier&) = delete;
-    // Vector moves leave the source's level lists empty, so a moved-from
+    // Vector moves leave the source's level list empty, so a moved-from
     // handle releases nothing.
     Querier(Querier&&) noexcept = default;
     Querier& operator=(Querier&&) = delete;
     ~Querier() {
-      release(cache_);
-      release(stage_);
+      for (LevelCache& c : cache_) release(c);
     }
 
     // Incremental refresh: keeps the level references of earlier refreshes
     // when the level's install epoch and trit are unchanged, and the tail
     // copy while the tail version is; O(1) when nothing was published and
-    // the tail did not change.  All-or-nothing: on bad_alloc the previous
-    // view, summary and answers stay exactly as they were.
-    void refresh() { refresh_impl(/*force_full=*/false); }
+    // the tail did not change.  Never fails: nothing on its path allocates.
+    void refresh() noexcept { refresh_impl(/*force_full=*/false); }
 
     // Ignores the kept references and the tail copy and re-references
     // everything the tritmap names; the view is identical to refresh()'s
     // (tested), just slower to build.
-    void refresh_full() { refresh_impl(/*force_full=*/true); }
+    void refresh_full() noexcept { refresh_impl(/*force_full=*/true); }
 
     std::uint64_t holes() const { return holes_; }
 
@@ -922,9 +920,8 @@ class Quancurrent {
     std::uint64_t version() const { return version_; }
 
     // The current view's runs point into the published level blocks it
-    // references and into this handle's sorted tail copy.  A successful
-    // refresh keeps the view it replaced readable, blocks referenced and
-    // tail buffer unchanged, until the next refresh() call.
+    // references and into this handle's sorted tail copy, until the next
+    // refresh() call.
     std::span<const RunRef<T>> runs() const { return view_.runs(); }
 
     // Answers from the current view; see RunView.
@@ -937,10 +934,8 @@ class Quancurrent {
    private:
     static constexpr std::uint32_t kSnapshotRetries = 8;
     static constexpr std::uint64_t kNever = ~std::uint64_t{0};
-    // At most two runs per level plus the tail.
-    static constexpr std::size_t kMaxRuns = 2 * std::size_t{Tritmap::kMaxLevels} + 1;
 
-    // The blocks of one level's occupied slots that a view references, one
+    // The blocks of one level's occupied slots that the view references, one
     // reader count each, tagged with the install epoch and trit they
     // reflect.  Valid for reuse while the level's published epoch and trit
     // both still match: slot contents change only through installs, and
@@ -953,16 +948,18 @@ class Quancurrent {
       bool matches(std::uint64_t e, std::uint32_t t) const { return epoch == e && trit == t; }
     };
 
-    // Reference-only: a refresh copies the tail into a buffer the current
-    // view does not read, takes a LadderImage and validates it, references
-    // the blocks of the changed levels under the image's pin, and commits
-    // by swapping level lists and buffers (no-throw).  A failed attempt
-    // costs O(levels) loads and references nothing.  The tail copy is the
-    // only step that can throw, and it runs before the image: a bad_alloc
-    // leaves the previous view and every reader count as they were.
-    void refresh_impl(bool force_full) {
+    // Reference-only: a refresh copies the tail into its buffer when the
+    // tail's version moved, takes a LadderImage and validates it, then
+    // re-references the changed levels under the image's pin and rebuilds
+    // the run list.  A failed attempt costs O(levels) loads and references
+    // nothing.  Once an attempt has rewritten the tail buffer the refresh
+    // ends in a commit (the last attempt is accepted with holes), and
+    // tail_ver_ moves only there, so the O(1) path never keeps a view whose
+    // tail run no longer matches the buffer.
+    void refresh_impl(bool force_full) noexcept {
       auto& s = *sketch_;
-      tail_staged_ = false;
+      // The tail version tail_buf_ holds; a full refresh copies anew.
+      std::uint64_t buf_ver = force_full ? kNever : tail_ver_;
       for (std::uint32_t attempt = 0;; ++attempt) {
         // Snapshot validation uses the install sequence number, not tritmap
         // equality: the tritmap word can return to a previous value (ABA)
@@ -974,16 +971,11 @@ class Quancurrent {
         const std::uint64_t seq = s.install_seq_.load(std::memory_order_acquire);
         if (!force_full && seq == snap_seq_ &&
             s.tail_version_.load(std::memory_order_acquire) == tail_ver_) {
-          // Nothing published and no tail churn since the last validated
-          // snapshot: the view is already current, and the view it replaced
-          // is no longer readable (runs()).
-          if (replaced_) release(stage_);
-          replaced_ = false;
-          return;
+          return;  // nothing published and no tail churn: the view is current
         }
-        // Before the image, unpinned: quiesce() installs under tail_mu_, and
-        // an install at ibr_retire_cap waits for every pin.
-        stage_tail(force_full);
+        // Before the image, unpinned: push_tail and quiesce() install under
+        // tail_mu_, and an install at ibr_retire_cap waits for every pin.
+        copy_tail(buf_ver);
         const Tritmap tm = s.tritmap_.load(std::memory_order_acquire);
         // qc-lint-allow(qc-check-over-assert): ladder-shape documentation on
         // the snapshot retry loop — a violation reads a stale level-0 view
@@ -1007,159 +999,117 @@ class Quancurrent {
           }
           continue;
         }
-        stage_levels(image, force_full);
-        stage_view(image.tritmap());
-        if (valid) {
-          commit(seq, /*holes=*/0);
-          return;
-        }
-        // The last attempt is accepted; the racing installs count as holes,
-        // as in the paper.  Every referenced block is immutable, so the view
-        // answers from its runs like any other; the kept references are
-        // poisoned so the next refresh re-references every level.
-        commit(kNever, check - seq);
-        for (auto& c : cache_) c.epoch = kNever;
-        if (s.opts_.collect_stats) {
-          s.stat_holes_.fetch_add(holes_, std::memory_order_relaxed);
+        // An invalid image here is the last attempt, accepted: the racing
+        // installs count as holes, as in the paper.  Every referenced block
+        // is immutable, so the view answers from its runs like any other;
+        // the kept references are poisoned so the next refresh
+        // re-references every level.
+        reference_levels(image, force_full);
+        commit(image.tritmap(), valid ? seq : kNever, check - seq, buf_ver);
+        if (!valid) {
+          for (auto& c : cache_) c.epoch = kNever;
+          if (s.opts_.collect_stats) {
+            s.stat_holes_.fetch_add(holes_, std::memory_order_relaxed);
+          }
         }
         return;
       }
     }
 
-    // Releases the view the last commit replaced, then references, through
-    // the image (its pin still held), the occupied slots of every level
-    // whose kept references no longer match the image's epoch and trit.
-    // Each reference is one `readers` count, taken before the pin is
-    // dropped: ibr_scan reads the announcements before the counts, so a
-    // scan that no longer sees the pin sees the count, and the block stays
-    // unreclaimed for as long as a view points into it.  The image loaded
-    // each level's epoch (acquire) before its pointers, and a batch cascade
-    // publishes a level's epoch with a release store after publishing its
-    // block, so references tagged with epoch E reflect the epoch-E
-    // publication whenever E is still the level's published epoch.
-    void stage_levels(const LadderImage& image, bool force_full) noexcept {
-      release(stage_);
-      replaced_ = false;
+    // Re-references in place, through the image (its pin still held), each
+    // level whose kept references no longer match the image's epoch and
+    // trit: it takes the new references, then drops the old ones (commit()
+    // rebuilds the run list that still points into them).  Each reference
+    // is one `readers` count, taken before the pin is dropped: ibr_scan
+    // reads the announcements before the counts, so a scan that no longer
+    // sees the pin sees the count.  The image loaded each level's epoch
+    // (acquire) before its pointers, and a cascade releases a level's epoch
+    // after publishing its block, so references tagged with epoch E reflect
+    // the epoch-E publication whenever E is still the published epoch.
+    void reference_levels(const LadderImage& image, bool force_full) noexcept {
       const Tritmap tm = image.tritmap();
-      staged_ = 0;
       for (std::uint32_t level = 1; level < kLevels; ++level) {
         const std::uint32_t trit = tm.trit(level);
-        const LevelCache& kept = cache_[level];
+        LevelCache& kept = cache_[level];
         if (trit == 0 && kept.trit == 0) continue;  // nothing to take or let go
         const std::uint64_t epoch = image.epoch(level);
         if (!force_full && kept.matches(epoch, trit)) continue;
-        LevelCache& c = stage_[level];
+        LevelCache next{epoch, trit, {}};
         for (std::uint32_t slot = 0; slot < trit; ++slot) {
           QC_INJECT_STALL(querier_ref);  // chaos builds count references here
           const LevelBlock* b = image.block(level, slot);
           b->readers.fetch_add(1, std::memory_order_seq_cst);
-          c.blocks[slot] = b;
+          next.blocks[slot] = b;
         }
-        c.epoch = epoch;
-        c.trit = trit;
-        staged_ |= std::uint64_t{1} << level;
+        release(kept);
+        kept = next;
       }
     }
 
-    // Drops every reference `levels` holds.  Release order: the view's
-    // reads of a block happen before the scan that sees its count reach 0
-    // reclaims it.
-    static void release(std::vector<LevelCache>& levels) noexcept {
-      for (LevelCache& c : levels) {
-        for (std::uint32_t slot = 0; slot < c.trit; ++slot) {
-          c.blocks[slot]->readers.fetch_sub(1, std::memory_order_release);
-        }
-        c = LevelCache{};
+    // Drops the references `c` holds.  Release order: the view's reads of a
+    // block happen before the scan that sees its count reach 0 reclaims it.
+    static void release(LevelCache& c) noexcept {
+      for (std::uint32_t slot = 0; slot < c.trit; ++slot) {
+        c.blocks[slot]->readers.fetch_sub(1, std::memory_order_release);
       }
+      c = LevelCache{};
     }
 
-    // Bulk-copies the tail under tail_mu_ (memcpy, not per-element appends)
-    // when its version moved since the committed copy, then sorts the copy
-    // once, outside the mutex.  The version is compared under the mutex:
-    // quiesce() moves full batches from the tail into the ladder while
-    // holding it, so an unlocked check could pair a new ladder with the
-    // old tail.
-    void stage_tail(bool force_full) {
+    // Copies the tail under tail_mu_ (one bulk copy into the reserved 2k)
+    // when its version is not `buf_ver`, the one tail_buf_ holds, then
+    // sorts the copy once, outside the mutex.  The version is compared
+    // under the mutex: push_tail and quiesce() move full batches from the
+    // tail into the ladder while holding it, so an unlocked check could
+    // pair a new ladder with the old tail.
+    void copy_tail(std::uint64_t& buf_ver) noexcept {
       auto& s = *sketch_;
       {
         const sync::MutexLock lock(s.tail_mu_);
         const std::uint64_t ver = s.tail_version_.load(std::memory_order_relaxed);
-        if (!force_full && ver == tail_ver_) {
-          tail_staged_ = false;
-          return;
-        }
-        if (tail_staged_ && ver == tail_stage_ver_) return;
-        const std::size_t n = s.tail_.size();
-        QC_INJECT_OOM(querier_copy_alloc);
-        tail_stage_.resize(n);
-        if (n != 0) std::memcpy(tail_stage_.data(), s.tail_.data(), n * sizeof(T));
-        tail_stage_ver_ = ver;
+        if (ver == buf_ver) return;
+        // Past the bound the copy would allocate, inside a noexcept refresh.
+        QC_CHECK(s.tail_.size() < s.cap_, "tail holds 2k or more items outside tail_mu_");
+        tail_buf_.assign(s.tail_.begin(), s.tail_.end());
+        buf_ver = ver;
       }
-      std::sort(tail_stage_.begin(), tail_stage_.end(), s.cmp_);
-      tail_staged_ = true;
+      std::sort(tail_buf_.begin(), tail_buf_.end(), s.cmp_);
     }
 
-    // Stages the view's run list (level slots ascending, then the tail),
-    // pointing into the referenced blocks and whichever tail buffer —
-    // committed or staged — holds the tail; commit's swaps keep both in
-    // place.  The run order is deterministic, so incremental and full
-    // refreshes of the same snapshot produce identical views.  Allocates
-    // nothing: the constructor made room for kMaxRuns runs.
-    void stage_view(Tritmap tm) noexcept {
+    // Publishes the view: its run list (level slots ascending, then the
+    // tail) points into the referenced blocks and the tail buffer.  The run
+    // order is deterministic, so incremental and full refreshes of the same
+    // snapshot produce identical views.  Allocates nothing: the constructor
+    // made room for kMaxRuns runs.
+    void commit(Tritmap tm, std::uint64_t seq, std::uint64_t holes,
+                std::uint64_t tail_ver) noexcept {
       const std::uint32_t k = sketch_->opts_.k;
       auto& runs = view_.stage();
       for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
-        const LevelCache& c = (staged_ >> level & 1) != 0 ? stage_[level] : cache_[level];
-        for (std::uint32_t slot = 0; slot < tm.trit(level); ++slot) {
+        const LevelCache& c = cache_[level];
+        for (std::uint32_t slot = 0; slot < c.trit; ++slot) {
           runs.push_back({c.blocks[slot]->items.data(), k, 1ULL << level});
         }
       }
-      const std::vector<T>& tail = tail_staged_ ? tail_stage_ : tail_buf_;
-      if (!tail.empty()) runs.push_back({tail.data(), tail.size(), 1});
-    }
-
-    // Publishes the staged view.  No-throw: swaps and scalar stores.  The
-    // replaced references stay in stage_ until the next refresh.
-    void commit(std::uint64_t seq, std::uint64_t holes) noexcept {
-      for (std::uint64_t bits = staged_; bits != 0; bits &= bits - 1) {
-        const auto level = static_cast<std::size_t>(std::countr_zero(bits));
-        std::swap(cache_[level], stage_[level]);
-      }
-      replaced_ = staged_ != 0;
-      if (tail_staged_) {
-        tail_buf_.swap(tail_stage_);
-        tail_ver_ = tail_stage_ver_;
-      }
-      staged_ = 0;
-      tail_staged_ = false;
+      if (!tail_buf_.empty()) runs.push_back({tail_buf_.data(), tail_buf_.size(), 1});
       view_.commit();
       holes_ = holes;
       snap_seq_ = seq;
+      tail_ver_ = tail_ver;
       ++version_;
     }
 
     Quancurrent* sketch_;
     IbrSlotLease lease_;  // this handle's epoch announcement slot
 
-    // The committed view: the blocks and tail buffer its runs point into,
-    // what it was validated against, and the RunView answers read.
+    // The view: the blocks and tail buffer its runs point into, what it was
+    // validated against, and the RunView answers read.
     std::vector<LevelCache> cache_;
-    std::vector<T> tail_buf_;  // sorted tail copy
+    std::vector<T> tail_buf_;  // sorted tail copy, 2k items reserved
     RunView<T, Compare> view_;
     std::uint64_t holes_ = 0;
     std::uint64_t version_ = 0;
     std::uint64_t snap_seq_ = kNever;
     std::uint64_t tail_ver_ = kNever;
-
-    // The view a refresh is building, and between refreshes the references
-    // of the view the last commit replaced; nothing here is read by
-    // answers.
-    std::vector<LevelCache> stage_;
-    std::uint64_t staged_ = 0;  // bit `level`: stage_[level] holds this refresh's references
-    bool replaced_ = false;     // stage_ holds the replaced view's references
-    std::vector<T> tail_stage_;
-    std::uint64_t tail_stage_ver_ = kNever;
-    bool tail_staged_ = false;
   };
   Querier make_querier() { return Querier(*this); }
 
@@ -1396,6 +1346,12 @@ class Quancurrent {
     }
     sk->tail_version_.store(1, std::memory_order_relaxed);
     sk->tritmap_.store(tm, std::memory_order_release);
+    {
+      // Folded after the ladder is published, so an image whose tail holds
+      // 2k or more items still loads, into a sketch with the tail bound.
+      const sync::MutexLock lock(sk->tail_mu_);
+      sk->fold_tail();
+    }
     serde::set_status(status, serde::Status::ok);
     return sk;
   }
@@ -1624,7 +1580,7 @@ class Quancurrent {
   // the latch): the retire cap does not count it, since a view that is
   // never refreshed must not throttle ingest, and each scan re-checks only
   // its count.  The epoch rule bounds the pending blocks by the scan
-  // cadence; each querier holds at most two views' blocks.
+  // cadence; each querier holds at most one view's blocks.
   void ibr_scan() QC_REQUIRES(latch_) {
     ibr_scans_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t min_e = min_announced_epoch();
@@ -1957,8 +1913,38 @@ class Quancurrent {
     return pos;
   }
 
-  // Enqueues a sorted 2k batch and sees it through installation; the
-  // quiesce/tail path (no gather buffer involved) and tests use this.
+  // Appends to the tail with push_tail's strong guarantee.  Capacity is
+  // pre-reserved at construction, so this insert (one geometric
+  // reallocation at most, by the range-insert guarantee) almost never
+  // allocates under tail_mu_.
+  void append_tail(const T* items, std::uint64_t count) QC_REQUIRES(tail_mu_) {
+    if (count == 0) return;
+    QC_INJECT_OOM(tail_alloc);
+    tail_.insert(tail_.end(), items, items + count);
+    tail_size_.fetch_add(count, std::memory_order_acq_rel);
+    tail_version_.fetch_add(1, std::memory_order_release);
+  }
+
+  // Sorts the tail and installs its full 2k batches, inside the caller's
+  // tail_mu_ hold, so the tail holds fewer than 2k items whenever tail_mu_
+  // is free: the bound that lets a querier copy it without allocating.
+  void fold_tail() QC_REQUIRES(tail_mu_) QC_EXCLUDES(latch_) {
+    if (tail_.size() < cap_) return;
+    std::sort(tail_.begin(), tail_.end(), cmp_);
+    const std::size_t full = tail_.size() - tail_.size() % cap_;
+    for (std::size_t off = 0; off < full; off += cap_) {
+      // Subtract from the tail before publishing the batch so a concurrent
+      // size() never counts these elements twice (it may transiently
+      // undercount, which bounded relaxation already permits).
+      tail_size_.fetch_sub(cap_, std::memory_order_acq_rel);
+      install_batch(std::span<const T>(tail_.data() + off, cap_));
+    }
+    tail_.erase(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(full));
+    tail_version_.fetch_add(1, std::memory_order_release);
+  }
+
+  // Enqueues a sorted 2k batch and sees it through installation; the tail
+  // fold (no gather buffer involved) and tests use this.
   void install_batch(std::span<const T> sorted_batch) QC_EXCLUDES(latch_) {
     std::unique_lock<std::mutex> serialized;
     if (opts_.serialize_propagation) {
@@ -2141,7 +2127,7 @@ class Quancurrent {
 
   // level_epoch_[l]: epoch_counter_ value of the last batch cascade that
   // wrote level l's slots (not merely cleared them).  Queriers use it to
-  // reuse cached runs across refreshes; see Querier::stage_levels.
+  // reuse cached runs across refreshes; see Querier::reference_levels.
   std::array<std::atomic<std::uint64_t>, kLevels> level_epoch_{};
 
   // ----- IBR state.  The vectors and cadence counters are latch-protected;
@@ -2205,7 +2191,8 @@ class Quancurrent {
   // its tritmap CAS; queriers validate their ladder images against it.
   std::atomic<std::uint64_t> install_seq_{0};
 
-  // Tail: weight-1 residue from drains and quiesce, outside the tritmap.
+  // Tail: weight-1 residue from drains, merges and quiesce, outside the
+  // tritmap; fewer than 2k items whenever tail_mu_ is free (fold_tail).
   // tail_version_ bumps on every tail mutation so queriers can detect an
   // unchanged tail without taking the mutex.
   mutable sync::Mutex tail_mu_;

@@ -162,15 +162,14 @@ class ShardedQuancurrent {
         inners_.push_back(sketch.shards_[s]->make_querier());
       }
       versions_.assign(inners_.size(), ~std::uint64_t{0});
+      // Room for every shard's longest run list: no refresh allocates.
+      view_.stage(inners_.size() * Shard::Querier::kMaxRuns);
       catch_up();
     }
 
     // Refreshes every shard, then rebuilds the view if any shard's view
-    // moved.  If a shard throws bad_alloc the view is not rebuilt: it keeps
-    // answering exactly as before the call (unless an earlier refresh()
-    // threw too; the call then first caught up with the shards).
-    void refresh() {
-      catch_up();
+    // moved.  Never fails, like the shard refreshes.
+    void refresh() noexcept {
       for (auto& q : inners_) q.refresh();
       catch_up();
     }
@@ -185,20 +184,15 @@ class ShardedQuancurrent {
    private:
     // Rebuilds the view if any shard's view moved since the last rebuild.
     // The view points into the blocks and tail buffers the shard queriers
-    // hold, so versions are recorded only once it is rebuilt.  After a
-    // refresh that threw, it may still point at a committed shard's
-    // previous view, which that shard keeps only until its next refresh
-    // (its blocks referenced, its tail buffer unchanged); refresh() catches
-    // up first.
-    void catch_up() {
+    // hold, which a shard's refresh lets go of only when it publishes a new
+    // view: a moved version.
+    void catch_up() noexcept {
       bool moved = false;
-      std::size_t runs = 0;
       for (std::size_t s = 0; s < inners_.size(); ++s) {
         moved = moved || versions_[s] != inners_[s].version();
-        runs += inners_[s].runs().size();
       }
       if (!moved) return;
-      auto& staged = view_.stage(runs);
+      auto& staged = view_.stage();
       for (const auto& q : inners_) {
         staged.insert(staged.end(), q.runs().begin(), q.runs().end());
       }

@@ -41,9 +41,6 @@ enum class Point : std::uint8_t {
   level_block_alloc = 0,  // alloc_block(): a LevelBlock `new` on the cascade
                           // or deserialize path fails
   tail_alloc,             // push_tail(): the tail vector's growth fails
-  querier_copy_alloc,     // Querier::stage_tail(): the tail copy buffer's
-                          // growth fails (a refresh references its level
-                          // blocks, so this is its only allocation)
   merge_alloc,            // merge_into(): the run-buffer reserve fails
                           // (ladder imaged and pinned, nothing installed)
   deserialize_alloc,      // deserialize(): a payload allocation fails
@@ -52,7 +49,7 @@ enum class Point : std::uint8_t {
   latch_stall,            // drain_one(): wedge the install-latch holder
   querier_stall,          // Querier::refresh(): park a reader right after its
                           // LadderImage loaded the run pointers, pin held,
-                          // before the re-check and any copy
+                          // before the re-check and any reference
   gather_stall,           // flush_chunk(): preempt a writer between its
                           // reservation and its commit
   serde_corrupt,          // serde::Writer::put_bytes(): flip one bit in an
@@ -71,9 +68,9 @@ enum class Point : std::uint8_t {
                           // pointer loads and the install-seq re-check, pin
                           // held (an install here fails the attempt, and
                           // the attempt then references nothing)
-  querier_ref,            // Querier::stage_levels(): act before a view takes
-                          // a reference to a level block, pin held; its hit
-                          // count is the number of references taken
+  querier_ref,            // Querier::reference_levels(): act before a view
+                          // takes a reference to a level block, pin held;
+                          // its hit count is the number of references taken
   owner_merge,            // flush_chunk(): park a batch owner after it
                           // copied its gather buffer out and reopened the
                           // ordinal, before its chunk merge
@@ -86,7 +83,6 @@ inline const char* point_name(Point p) {
   switch (p) {
     case Point::level_block_alloc: return "level_block_alloc";
     case Point::tail_alloc: return "tail_alloc";
-    case Point::querier_copy_alloc: return "querier_copy_alloc";
     case Point::merge_alloc: return "merge_alloc";
     case Point::deserialize_alloc: return "deserialize_alloc";
     case Point::install_queue_full: return "install_queue_full";

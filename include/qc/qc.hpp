@@ -196,7 +196,8 @@ class UpdaterHandle {
 // the same sketch concurrently and wait-free.
 // Lifetime rule: the handle must not outlive the sketch; answers come from
 // the snapshot taken by the last refresh(), so call refresh() whenever newer
-// data should become visible (it is O(1) when nothing changed).  For
+// data should become visible (it is O(1) when nothing changed, and it never
+// throws: a concurrent engine's refresh allocates nothing).  For
 // sequential engines refresh() is a no-op and answers always reflect the
 // sketch's current state — under that engine's single-threaded contract.
 template <typename S>
@@ -210,7 +211,7 @@ class QuerierHandle {
   QuerierHandle(const QuerierHandle&) = delete;
   QuerierHandle& operator=(const QuerierHandle&) = delete;
 
-  void refresh() {
+  void refresh() noexcept {
     if constexpr (ConcurrentEngine<S>) impl_.refresh();
   }
 

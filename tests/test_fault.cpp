@@ -12,8 +12,7 @@
 //     safe by the image's pin, and a view accepted with holes answers from
 //     its runs;
 //   * a refresh attempt that fails validation references no block, and a
-//     failed refresh leaves the previous view and every reader count as
-//     they were;
+//     refresh allocates nothing, so it cannot fail;
 //   * a stalled querier keeps retired memory under Options::ibr_retire_cap
 //     with the episode reported through ibr_stats().degraded, a parked
 //     writer pins nothing, and a batch owner parked before its merge keeps
@@ -147,7 +146,6 @@ QC_TEST(chaos_matrix_ingest_merge_query_under_faults) {
   inj.arm_hit(Point::level_block_alloc, 1);
   inj.set_probability(Point::level_block_alloc, 0.05);
   inj.set_probability(Point::tail_alloc, 0.01);
-  inj.set_probability(Point::querier_copy_alloc, 0.02);
   inj.set_probability(Point::merge_alloc, 0.02);
   inj.set_probability(Point::install_queue_full, 0.002);
   inj.set_probability(Point::gather_stall, 0.002);
@@ -159,7 +157,6 @@ QC_TEST(chaos_matrix_ingest_merge_query_under_faults) {
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> merges_ok{0};
   std::atomic<std::uint64_t> merges_attempted{0};
-  std::atomic<std::uint64_t> query_oom{0};
   std::vector<std::thread> threads;
   threads.reserve(kUpdaters + 2);
   for (std::uint32_t t = 0; t < kUpdaters; ++t) {
@@ -171,14 +168,10 @@ QC_TEST(chaos_matrix_ingest_merge_query_under_faults) {
       u.drain();
     });
   }
-  threads.emplace_back([&] {  // querier: refresh may throw, the handle survives
+  threads.emplace_back([&] {  // querier: refresh never throws
     auto q = sk.make_querier();
     while (!done.load(std::memory_order_acquire)) {
-      try {
-        q.refresh();
-      } catch (const std::bad_alloc&) {
-        query_oom.fetch_add(1, std::memory_order_relaxed);
-      }
+      q.refresh();
       if (q.size() > 0) {
         const double mid = q.quantile(0.5);
         (void)mid;
@@ -375,7 +368,7 @@ QC_TEST(push_tail_failure_leaves_quiesce_retryable) {
   CHECK_EQ(sk.size(), std::uint64_t{10});
 }
 
-// ----- all-or-nothing query refresh ------------------------------------------
+// ----- query refresh ---------------------------------------------------------
 
 namespace {
 
@@ -408,198 +401,58 @@ void feed(qc::Quancurrent<double>& sk, std::uint32_t from, std::uint32_t count) 
   sk.quiesce();
 }
 
-// Installs `count` level-1 runs of `value`: the levels change, the tail
-// does not.  256 of them carry through every level of these tests' ladders
-// at least twice, so they displace (and retire) every block published
-// before them.
-void install_runs(qc::Quancurrent<double>& sk, int count, double value) {
-  const std::vector<double> run(sk.options().k, value);
-  for (int i = 0; i < count; ++i) sk.install_run(1, run);
-}
-
-// Fast reclamation: every allocation advances the epoch and every
-// retirement scans, so a retired block no view references is reclaimed,
-// and then reused, at once.
-qc::Options eager_reclaim_options() {
-  qc::Options o = small_options(64, 16);
-  o.ibr_epoch_freq = 1;
-  o.ibr_recl_freq = 1;
-  return o;
-}
-
-template <typename Querier>
-bool refresh_throws(Querier& q) {
-  try {
-    q.refresh();
-  } catch (const std::bad_alloc&) {
-    return true;
+// The items of the querier's weight-1 run (empty when it has none).
+std::vector<double> tail_of(const qc::Quancurrent<double>::Querier& q) {
+  for (const auto& run : q.runs()) {
+    if (run.weight == 1) return {run.data, run.data + run.size};
   }
-  return false;
+  return {};
 }
 
 }  // namespace
 
-// A refresh references the blocks of the changed levels and copies only the
-// tail, so the tail copy is its one failure point, and it runs before the
-// refresh releases or takes any reference.  Each failure below is checked
-// on a querier that never answered before it: its first answers come
-// straight from the runs, and its summary is merged from them, so both read
-// the referenced blocks.  The expected answers come from a twin querier
-// made at the same point and dropped at once.  After each failure, installs
-// displace every block of the sketch with eager reclamation: a block the
-// failed refresh had let go would be reused under the view.
-QC_TEST(failed_refresh_keeps_the_previous_view) {
+// A refresh allocates nothing, so it cannot fail: it re-references the
+// changed levels in place and copies the tail, which holds fewer than 2k
+// items, into the 2k its querier reserved.  Checked after both the levels
+// and the tail changed, for refresh(), refresh_full() and the sharded
+// facade's refresh(); the replaced view's references are gone at once.
+QC_TEST(refresh_allocates_nothing) {
   InjectorScope scope;
-  auto& inj = Injector::instance();
-  qc::Quancurrent<double> sk(eager_reclaim_options());
-  feed(sk, 0, 5000);
-  auto q = sk.make_querier();
-  feed(sk, 5000, 3000);
-  q.refresh();  // q now also keeps the view this refresh replaced
-  const ViewAnswers before = answers_of(sk.make_querier());
-  CHECK_EQ(before.size, std::uint64_t{8000});
-  const std::uint64_t refs = sk.view_references();
-  CHECK(refs > 0);
-
-  // Levels and the tail change; the tail copy fails.
-  feed(sk, 8000, 3000);
-  inj.reset();  // arm_hit counts hits since the last reset
-  inj.arm_hit(Point::querier_copy_alloc, 1);
-  CHECK(refresh_throws(q));
-  CHECK_EQ(inj.counters(Point::querier_ref).hits, std::uint64_t{0});
-  inj.reset();
-  CHECK_EQ(sk.view_references(), refs);
-  install_runs(sk, 256, 2000.0);
-  CHECK(answers_of(q) == before);
-  q.refresh();
-  CHECK_EQ(q.size(), sk.size());
-  CHECK(answers_of(q) == answers_of(sk.make_querier()));
-
-  // Only the tail changes (10 items: no new 2k batch).
-  auto fresh = sk.make_querier();
-  const ViewAnswers mid = answers_of(sk.make_querier());
-  const std::uint64_t mid_refs = sk.view_references();
-  feed(sk, 11'000, 10);
-  inj.reset();
-  inj.arm_hit(Point::querier_copy_alloc, 1);
-  CHECK(refresh_throws(fresh));
-  inj.reset();
-  CHECK_EQ(sk.view_references(), mid_refs);
-  CHECK(answers_of(fresh) == mid);
-  fresh.refresh();
-  CHECK_EQ(fresh.size(), sk.size());
-}
-
-// A cross-shard view points into its shard queriers' views.  Shard 0's
-// refresh commits, then shard 1's tail copy fails: the cross-shard view
-// keeps answering from the view shard 0 replaced, which shard 0 keeps
-// referenced until its next refresh.  Installs into shard 0 then displace
-// every block of that view with eager reclamation, so a block shard 0 had
-// let go at its commit would be reused under the cross-shard view.  Shard 0
-// changes only through installs, so its tail is never copied again and the
-// armed first copy is always shard 1's.  A second failure, after the view
-// caught up with shard 0, repeats this one view later, and the next clean
-// refresh catches up with every shard.
-QC_TEST(failed_sharded_refresh_keeps_the_previous_view) {
-  InjectorScope scope;
-  auto& inj = Injector::instance();
-  qc::ShardedQuancurrent<double> sk(2, eager_reclaim_options());
-  feed(sk.shard(0), 0, 5000);
-  feed(sk.shard(1), 0, 5000);
-  auto q = sk.make_querier();
-  const ViewAnswers before = answers_of(sk.make_querier());
-  const auto shard1_before = sk.shard(1).make_querier().summary();
-  CHECK_EQ(before.size, std::uint64_t{10'000});
-
-  const auto refresh_failing_shard1 = [&] {
-    inj.reset();
-    inj.arm_hit(Point::querier_copy_alloc, 1);
-    const bool threw = refresh_throws(q);
-    CHECK_EQ(inj.counters(Point::querier_copy_alloc).fires, std::uint64_t{1});
-    CHECK(inj.counters(Point::querier_ref).hits > 0);  // shard 0 committed
-    inj.reset();
-    return threw;
-  };
-
-  install_runs(sk.shard(0), 3, 1500.0);  // new levels in shard 0
-  feed(sk.shard(1), 5000, 3000);         // new levels and a new tail in shard 1
-  const auto shard0_mid = sk.shard(0).make_querier().summary();
-  CHECK(refresh_failing_shard1());
-  install_runs(sk.shard(0), 256, 2000.0);
-  CHECK(answers_of(q) == before);
-
-  // The view catches up with shard 0's committed view (shard0_mid) first;
-  // shard 0 then commits the displaced ladder and shard 1 fails again.
-  CHECK(refresh_failing_shard1());
-  install_runs(sk.shard(0), 256, 2500.0);
-  std::vector<std::pair<double, std::uint64_t>> items;
-  for (const auto* part : {&shard0_mid, &shard1_before}) {
-    const auto prefix = part->prefix_weights();
-    for (std::size_t i = 0; i < part->size(); ++i) {
-      items.emplace_back(part->items()[i], prefix[i] - (i == 0 ? 0 : prefix[i - 1]));
-    }
-  }
-  std::stable_sort(items.begin(), items.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  qc::core::WeightedSummary<double> merged;
-  for (const auto& [v, w] : items) merged.append(v, w);
-  CHECK_EQ(q.size(), merged.total_weight());
-  const ViewAnswers caught_up = answers_of(q);
-  CHECK(caught_up.summary == merged);
-  for (int i = 0; i <= 20; ++i) {
-    CHECK(caught_up.quantiles[static_cast<std::size_t>(i)] ==
-          qc::core::summary_quantile(merged, i / 20.0));
-  }
-
-  q.refresh();
-  CHECK_EQ(q.size(), sk.size());
-  CHECK(answers_of(q) == answers_of(sk.make_querier()));
-}
-
-QC_TEST(refresh_is_all_or_nothing_at_every_alloc_site) {
-  InjectorScope scope;
-  // Fail allocation n of a refresh, n = 1, 2, ... until one completes
-  // clean; each attempt replays the same change on a fresh sketch, with a
-  // querier that also keeps the view its last refresh replaced.  A failure
-  // leaves the answers and every reader count as they were.
-  bool clean = false;
-  std::uint64_t n = 0;
-  while (!clean && ++n < 1000) {
-    qc::Quancurrent<double> sk(small_options(64, 16));
-    feed(sk, 0, 5000);
-    auto q = sk.make_querier();
-    feed(sk, 5000, 3333);
-    q.refresh();
-    const ViewAnswers before = answers_of(sk.make_querier());
-    const std::uint64_t refs = sk.view_references();
-    feed(sk, 8333, 3333);
-    qc::test::alloc::fail_nth(n);
-    const bool threw = refresh_throws(q);
-    const bool injected = qc::test::alloc::fired;
-    qc::test::alloc::disarm();
-    if (injected) {
-      CHECK(threw);
-      CHECK_EQ(sk.view_references(), refs);
-      CHECK(answers_of(q) == before);
-    } else {
-      CHECK(answers_of(q) == answers_of(sk.make_querier()));
-      clean = true;
-    }
-  }
-  CHECK(clean);
-  std::fprintf(stderr, "qc chaos: querier refresh clean after %llu armed sites\n",
-               static_cast<unsigned long long>(n - 1));
-
-  // A refresh whose tail did not change copies nothing, so it allocates
-  // nothing at all.
   qc::Quancurrent<double> sk(small_options(64, 16));
   feed(sk, 0, 5000);
   auto q = sk.make_querier();
-  install_runs(sk, 3, 1500.0);
-  const std::uint64_t allocs = qc::test::alloc::total.load(std::memory_order_relaxed);
+  auto full = sk.make_querier();
+  const qc::Tritmap tm = sk.tritmap();
+  const std::vector<double> tail = tail_of(q);
+  feed(sk, 5000, 3333);
+  CHECK(sk.tritmap().raw() != tm.raw());
+
+  std::uint64_t allocs = qc::test::alloc::total.load(std::memory_order_relaxed);
   q.refresh();
+  full.refresh_full();
   CHECK_EQ(qc::test::alloc::total.load(std::memory_order_relaxed), allocs);
+  CHECK(tail_of(q) != tail);
   CHECK_EQ(q.size(), sk.size());
+  // Each querier references the blocks of its one view, no more.
+  std::uint64_t level_runs = 0;
+  for (const auto* view : {&q, &full}) {
+    for (const auto& run : view->runs()) level_runs += run.weight > 1 ? 1 : 0;
+  }
+  CHECK_EQ(sk.view_references(), level_runs);
+  CHECK(answers_of(q) == answers_of(full));
+  CHECK(answers_of(q) == answers_of(sk.make_querier()));
+
+  qc::ShardedQuancurrent<double> sharded(2, small_options(64, 16));
+  feed(sharded.shard(0), 0, 5000);
+  feed(sharded.shard(1), 0, 5000);
+  auto sq = sharded.make_querier();
+  feed(sharded.shard(0), 5000, 3333);
+  feed(sharded.shard(1), 5000, 3333);
+  allocs = qc::test::alloc::total.load(std::memory_order_relaxed);
+  sq.refresh();
+  CHECK_EQ(qc::test::alloc::total.load(std::memory_order_relaxed), allocs);
+  CHECK_EQ(sq.size(), sharded.size());
+  CHECK(answers_of(sq) == answers_of(sharded.make_querier()));
 }
 
 QC_TEST(answers_come_from_runs_until_the_summary_pays) {
@@ -1048,13 +901,14 @@ QC_TEST(owners_overlap_on_one_gather_buffer) {
   CHECK(max_err <= 12.0 / static_cast<double>(o.k));
 }
 
-// quiesce() installs the tail's full batches while holding tail_mu_, and an
+// push_tail installs the tail's full batches while holding tail_mu_, and an
 // install at ibr_retire_cap waits for every pin to clear.  A querier that
-// waited on tail_mu_ with its pin held would wait on quiesce() while
-// quiesce() waits on it.  The querier parks pinned until quiesce() has
-// degraded, then is released; both must finish.  A deadlocked thread cannot
-// be joined, so a watchdog aborts the binary on a hang.
-QC_TEST(pinned_querier_and_quiesce_do_not_deadlock) {
+// waited on tail_mu_ with its pin held would wait on push_tail while
+// push_tail waits on it.  The querier parks pinned, a push_tail of ~470
+// full 2k batches runs until it has degraded, and the querier is released;
+// both must finish.  A deadlocked thread cannot be joined, so a watchdog
+// aborts the binary on a hang.
+QC_TEST(pinned_querier_and_push_tail_do_not_deadlock) {
   InjectorScope scope;
   auto& inj = Injector::instance();
   ParkedReader pr;
@@ -1066,18 +920,16 @@ QC_TEST(pinned_querier_and_quiesce_do_not_deadlock) {
   o.ibr_recl_freq = 4;
   o.ibr_retire_cap = 64;
   qc::Quancurrent<double> sk(o);
-  // ~470 full 2k batches waiting in the tail for quiesce() to install.
   constexpr std::uint32_t kItems = 60'000;
   std::vector<double> items(kItems);
   for (std::uint32_t i = 0; i < kItems; ++i) items[i] = static_cast<double>(i % 1000);
-  sk.push_tail(items.data(), items.size());
 
   std::atomic<bool> finished{false};
   std::thread watchdog([&finished] {
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
     while (!finished.load(std::memory_order_acquire)) {
       if (std::chrono::steady_clock::now() > deadline) {
-        std::fprintf(stderr, "pinned querier vs quiesce did not finish in 60 s (deadlock)\n");
+        std::fprintf(stderr, "pinned querier vs push_tail: not done in 60 s (deadlock)\n");
         std::abort();
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -1090,11 +942,11 @@ QC_TEST(pinned_querier_and_quiesce_do_not_deadlock) {
     seen = q.size();
   });
   CHECK(wait_until([&] { return pr.parked.load(std::memory_order_acquire); }, 10'000));
-  std::thread quiescer([&] { sk.quiesce(); });
+  std::thread pusher([&] { sk.push_tail(items.data(), items.size()); });
   CHECK(wait_until([&] { return sk.ibr_stats().degraded; }, 10'000));
   pr.release.store(true, std::memory_order_release);
   reader.join();
-  quiescer.join();
+  pusher.join();
   finished.store(true, std::memory_order_release);
   watchdog.join();
   inj.reset();

@@ -270,7 +270,7 @@ QC_TEST(quiesce_reclaims_every_block_no_view_references) {
   // Views keep the blocks they reference past quiesce(): afterwards
   // live_blocks() is the published runs plus held_blocks.  With every
   // querier destroyed or refreshed, held_blocks is 0: a destroyed querier
-  // references nothing, and one refreshed until a refresh finds nothing new
+  // references nothing, and one refreshed since the ladder last changed
   // references only published blocks.
   qc::Options o = small_options(64, 8);
   o.ibr_epoch_freq = 4;
@@ -293,8 +293,8 @@ QC_TEST(quiesce_reclaims_every_block_no_view_references) {
   CHECK_EQ(s.live_blocks(), published_runs(sk) + s.held_blocks);
 
   dropped.reset();
-  kept.refresh();  // up to date, keeping the view it replaced
-  kept.refresh();  // nothing new: lets the replaced view go
+  kept.refresh();  // up to date: lets go of the view it replaced
+  kept.refresh();  // nothing new: O(1), references unchanged
   sk.quiesce();
   const qc::IbrStats s2 = sk.ibr_stats();
   CHECK_EQ(s2.held_blocks, std::uint64_t{0});

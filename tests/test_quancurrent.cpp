@@ -1,8 +1,10 @@
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "bench_util/workload.hpp"
+#include "core/batch_sort.hpp"
 #include "core/quancurrent.hpp"
 #include "qc_test.hpp"
 #include "stream/exact_quantiles.hpp"
@@ -162,6 +164,61 @@ QC_TEST(stats_expose_batches_and_propagations) {
   CHECK_EQ(st.batches, 1024u / 128u);
   CHECK(st.propagations >= st.batches);
   CHECK_NEAR(st.hole_rate_per_batch(), 0.0, 1e-9);
+}
+
+// Short-lived updaters (b = 16, 15 items each) never fill a local buffer,
+// so every item reaches the sketch through a drain's push_tail, and no
+// quiesce() ever runs.  push_tail folds the tail's full 2k batches into the
+// ladder, so a fresh querier never sees a weight-1 run of 2k or more, and
+// size() stays exact.  The concurrent phase drains from four threads while
+// a querier checks the same bound.
+QC_TEST(short_lived_updaters_keep_the_tail_under_2k) {
+  const std::uint32_t k = 64;
+  qc::core::Quancurrent<double> sk(small_options(k, 16));
+  const auto tail_under_2k = [&](const qc::core::Quancurrent<double>::Querier& q) {
+    for (const auto& run : q.runs()) {
+      if (run.weight == 1 && run.size >= 2 * k) return false;
+    }
+    return true;
+  };
+  std::uint64_t n = 0;
+  for (std::uint32_t u = 0; u < 200; ++u) {
+    {
+      auto updater = sk.make_updater(u % 4);
+      for (int i = 0; i < 15; ++i) updater.update(static_cast<double>(n++ % 1000));
+    }
+    CHECK_EQ(sk.size(), n);
+    auto q = sk.make_querier();
+    CHECK_EQ(q.size(), n);
+    CHECK(tail_under_2k(q));
+  }
+  CHECK(sk.tritmap().stream_size(k) > 0);  // full batches reached the ladder
+
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    auto q = sk.make_querier();
+    while (!stop.load(std::memory_order_acquire)) {
+      q.refresh();
+      CHECK(tail_under_2k(q));
+    }
+  });
+  std::vector<std::thread> writers;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    writers.emplace_back([&sk, t] {
+      for (int u = 0; u < 100; ++u) {
+        auto updater = sk.make_updater(t);
+        for (int i = 0; i < 15; ++i) updater.update(static_cast<double>(t * 1000 + i));
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  n += 4 * 100 * 15;
+  CHECK_EQ(sk.size(), n);
+  auto q = sk.make_querier();
+  CHECK_EQ(q.size(), n);
+  CHECK(tail_under_2k(q));
 }
 
 QC_TEST_MAIN()

@@ -356,6 +356,49 @@ QC_TEST(deserialize_rejects_overflowing_tail_count) {
   CHECK(st == qc::serde::Status::short_buffer);
 }
 
+// A live sketch folds its tail's full 2k batches into the ladder, but an
+// image is only bytes: one whose tail holds 2k or more items still loads.
+// deserialize() folds the tail after it publishes the ladder, so the sketch
+// keeps its size and its queriers see a weight-1 run under 2k.
+QC_TEST(deserialize_folds_a_tail_of_2k_or_more) {
+  // As above: the blob's final 8 bytes are tail_count = 0.
+  qc::Options o = small_options(64, 8);
+  o.topology = qc::numa::Topology::virtual_nodes(1, 1);
+  qc::Quancurrent<double> ck(o);
+  {
+    auto u = ck.make_updater(0);
+    for (int i = 0; i < 4 * 128; ++i) u.update(static_cast<double>(i));
+  }
+  ck.quiesce();
+  auto blob = serialize_of(ck);
+
+  const std::uint64_t tail = 3 * 128 + 5;
+  blob.resize(blob.size() - sizeof(tail));
+  const auto append = [&blob](const void* p, std::size_t n) {
+    const auto* bytes = static_cast<const std::byte*>(p);
+    blob.insert(blob.end(), bytes, bytes + n);
+  };
+  append(&tail, sizeof(tail));
+  for (std::uint64_t i = 0; i < tail; ++i) {
+    const double v = static_cast<double>((i * 37) % 1000);
+    append(&v, sizeof(v));
+  }
+
+  qc::serde::Status st = qc::serde::Status::short_buffer;
+  auto back = qc::Quancurrent<double>::deserialize(blob, &st);
+  CHECK(back != nullptr);
+  if (back == nullptr) return;
+  CHECK(st == qc::serde::Status::ok);
+  CHECK_EQ(back->size(), 4 * 128 + tail);
+  auto q = back->make_querier();
+  CHECK_EQ(q.size(), back->size());
+  std::uint64_t tail_run = 0;
+  for (const auto& run : q.runs()) {
+    if (run.weight == 1) tail_run = run.size;
+  }
+  CHECK_EQ(tail_run, std::uint64_t{5});
+}
+
 QC_TEST(deserialize_rejects_truncation_at_every_prefix_length) {
   qc::Quancurrent<double> ck(small_options(64, 8));
   for (int i = 0; i < 5'000; ++i) ck.update(static_cast<double>(i));
