@@ -23,9 +23,10 @@
 //     QC_EXCLUDES(latch_): calling them while holding the latch would
 //     deadlock in `drain_until` or double-acquire in `LatchGuard`.
 //
-//   * tail_mu_ (core/quancurrent.hpp) — a `sync::Mutex` guarding the
-//     unsorted tail vector; lock-free mirrors (`tail_size_`,
-//     `tail_version_`) stay plain atomics and are intentionally unguarded.
+//   * tail_mu_ (core/quancurrent.hpp) — a `sync::Mutex` serializing the
+//     tail writers and guarding their merge scratch.  The published tail
+//     block (`tail_`) and its size mirror (`tail_size_`) are atomics the
+//     install latch stores, intentionally unguarded by tail_mu_.
 //
 //   * FCDS propagator role (baselines/fcds.hpp) — a `sync::Role` phantom
 //     capability.  The ladder state (base buffer, levels, mergers, RNG) is

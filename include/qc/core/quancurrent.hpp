@@ -64,9 +64,9 @@
 // latch holder, which is the reclaimer.  A querier's view outlives its
 // image: before the image's pin is dropped, the querier raises the
 // `readers` count of every block the view points into, and drops it when
-// a later refresh (or the handle's destruction) lets the view go.  Every
-// Options::ibr_recl_freq retirements the latch holder scans the
-// announcements, then the reader counts, and reclaims exactly the retired
+// a later refresh (or the handle's destruction) lets the view go.  After
+// Options::ibr_recl_freq retirements since its last scan, the latch holder
+// scans the announcements, then the reader counts, and reclaims exactly the retired
 // blocks whose retire epoch precedes every announced epoch and whose count
 // is 0 (into a bounded reuse pool first, the allocator after); a block
 // only views keep is held on the retire list outside the retire cap.
@@ -85,16 +85,26 @@
 // accept the snapshot and report the racing installs as holes (counted,
 // never crashed on), mirroring the paper's hole analysis (§4.1).
 //
+// The weight-1 tail is one more immutable block: fewer than 2k sorted
+// items, zero when empty, never null.  push_tail (tail_mu_ only serializes
+// tail writers) merges its items into a replacement block, and one latched
+// install stores it, with the 2k batch it split off if any, before that
+// install's tritmap CAS and install_seq_ advance.  The tail pointer is
+// overwritten in place, not written into a slot the published tritmap marks
+// empty, so each tail block is stamped with the install_seq_ value that
+// publishes it: an unlatched image is valid only when its seq is stable,
+// it is complete, and its tail's stamp is at most the seq it loaded.
+//
 // Query engine.  Every published level slot is a sorted k-run (the KLL
-// compactor invariant), so a snapshot is a set of sorted runs, not a bag of
-// items.  Querier::refresh copies no level run: it publishes a run view (the
-// sorted weighted runs plus size()) whose level runs point into the
-// published blocks it references.  It is incremental: each level carries an
-// install epoch (a counter unique to the last batch cascade that wrote it),
-// and a refresh re-references only levels whose epoch or trit changed since
-// the querier's previous validated snapshot, and copies the tail (sorting
-// it once per copy) only when its version moved.  A refresh that finds
-// both the install seq and the tail version unchanged is O(1).
+// compactor invariant) and the tail block is sorted too, so a snapshot is a
+// set of sorted runs, not a bag of items.  Querier::refresh copies no run:
+// it publishes a run view (the sorted weighted runs plus size()) whose runs
+// point into the published blocks it references.  It is incremental: each
+// level carries an install epoch (a counter unique to the last batch
+// cascade that wrote it), and a refresh re-references only the levels whose
+// epoch or trit changed since the querier's previous validated snapshot,
+// and the tail only when its block did.  A refresh that finds the install
+// seq unchanged is O(1).
 // quantile/rank/cdf answer through a RunView (core/run_merge.hpp): from the
 // runs directly, then from the view's merged summary once enough answers
 // pay for the merge, with bit-identical results either way.
@@ -111,29 +121,31 @@
 // exception-safe with a DOCUMENTED outcome, enforced by the chaos suite
 // (tests/test_fault.cpp) under QC_FAULT_INJECT:
 //
-//   * Cascade OOM never half-publishes.  drain_one runs each cascade in
+//   * Cascade OOM never half-publishes.  install() runs each cascade in
 //     two phases: prepare_cascade simulates the cascade against the
 //     published tritmap, enforces the retire cap, and stages every block it will need
 //     in stash_ — all throws happen there, before any slot, epoch, or seq
 //     is touched.  apply_cascade then only consumes the stash (no-throw).
-//     On OOM the batch stays parked in its install cell and nothing is
-//     published: backpressure, not data loss (stats().install_defers).
+//     On OOM the batch stays parked in its install cell (push_tail keeps
+//     its replacement block) and nothing is published: backpressure, not
+//     data loss (stats().install_defers).
 //   * The install latch never leaks: every latch hold is scoped (LatchGuard
 //     or a noexcept drain), timed, and watchdogged (Options::latch_watchdog_ns,
 //     stats().latch_watchdog_trips).
-//   * push_tail / Updater::drain have the strong guarantee (vector range
-//     insert at end): on bad_alloc nothing is appended and the updater's
-//     local buffer is retained, so an explicit drain() can simply be
-//     retried.  Only ~Updater, which must not throw, drops the residue after
-//     bounded retries (counted in stats().oom_dropped_items, warned on
-//     stderr).
-//   * Querier::refresh never fails.  push_tail, quiesce and deserialize
-//     install the tail's full 2k batches inside their tail_mu_ hold, so the
-//     tail holds fewer than 2k items whenever tail_mu_ is free; a querier
-//     reserves 2k tail items and its run lists at construction and
-//     references level blocks instead of copying them, so a refresh
-//     allocates nothing.  A summary that cannot be allocated leaves the
-//     querier answering directly from its runs.
+//   * push_tail / Updater::drain have the strong guarantee for fewer than
+//     2k items (every drain and quiesce residue): everything that can throw
+//     (the merge scratch, the replacement tail block, an injected
+//     tail_alloc fault) runs before the install, so on bad_alloc nothing is
+//     appended and the updater's local buffer is retained, and an explicit
+//     drain() can simply be retried.  A longer push goes in slices of
+//     fewer than 2k, each all or nothing.  Only ~Updater, which must not
+//     throw, drops the residue after bounded retries (counted in
+//     stats().oom_dropped_items, warned on stderr).
+//   * Querier::refresh never fails and never waits: it takes no lock,
+//     references the published level and tail blocks instead of copying
+//     them, and runs on the run lists its querier reserved at
+//     construction, so it allocates nothing.  A summary that cannot be
+//     allocated leaves the querier answering directly from its runs.
 //   * A stalled reader cannot pin unbounded memory: when the blocks
 //     awaiting the epoch rule would exceed Options::ibr_retire_cap, the
 //     latch holder forces a scan and, if the scan cannot help, throttles
@@ -142,8 +154,9 @@
 //     ibr_stats().pinned_epoch_age says how far the oldest pin lags.  A
 //     querier that holds its view and never refreshes pins no epoch and
 //     never throttles ingest: it keeps at most the blocks of its view,
-//     2 x kMaxLevels, the memory a private copy of that view would take
-//     (ibr_stats().held_blocks counts the retired ones).
+//     2 x kMaxLevels + 1 with the tail block, the memory a private copy of
+//     that view would take (ibr_stats().held_blocks counts the retired
+//     ones).
 #pragma once
 
 #include <algorithm>
@@ -191,12 +204,12 @@ struct Stats {
   // counts flushes that reserved into a closed gather ordinal and had to
   // wait (gather_wait_ns sums how long they waited), and latch_spins counts
   // failed install-latch acquisitions by owners waiting on the install
-  // queue.  Every install publishes exactly one batch, so installs ==
-  // batches.
+  // queue.  Every batch install publishes exactly one batch, so installs ==
+  // batches; a tail install that carries no batch is not counted.
   std::uint64_t gather_waits = 0;    // flushes that waited for their ordinal
   std::uint64_t gather_wait_ns = 0;  // time those flushes spent waiting
   std::uint64_t latch_spins = 0;   // failed install-latch try-acquires
-  std::uint64_t installs = 0;      // tritmap publications (1 CAS each)
+  std::uint64_t installs = 0;      // batch publications (1 CAS each)
 
   // Degradation + latch observability (ALWAYS collected, unlike the
   // contention counters above: these move only on latch transitions or
@@ -243,7 +256,8 @@ struct IbrStats {
                                        // the global epoch (0 = no pin / fresh)
   bool degraded = false;  // cap reached and a scan could not free below it
 
-  // Blocks the sketch currently holds (published + retired + reuse pool).
+  // Blocks the sketch currently holds (published + retired + reuse pool +
+  // the spare tail block; quiesce() frees the pool and the spare).
   std::uint64_t live_blocks() const { return allocated - freed; }
 };
 
@@ -258,16 +272,18 @@ class Quancurrent {
   static constexpr std::size_t kIbrSlotsPerChunk = 32;
   static constexpr std::size_t kFreeListCap = 64;  // reuse-pool bound
 
-  // One published k-item run, immutable once its pointer is published;
-  // retire_epoch is the epoch it was unpublished at (ibr_scan's free rule).
-  // `readers` counts the query views that reference the block (a Querier
-  // takes one per block under its image's pin, see reference_levels); a
-  // retired block is reclaimed only at 0.  `held` marks a retired block
-  // past every pin that only views keep (latch-protected, like
-  // retire_epoch).
+  // One published run, immutable once its pointer is published: a level
+  // slot's k items, or the tail's fewer than 2k (stamp is the install_seq_
+  // value that publishes a tail block).  retire_epoch is the epoch it was
+  // unpublished at (ibr_scan's free rule).  `readers` counts the query
+  // views that reference the block (a Querier takes one per block under
+  // its image's pin, see reference_levels); a retired block is reclaimed
+  // only at 0.  `held` marks a retired block past every pin that only
+  // views keep (latch-protected, like retire_epoch).
   struct LevelBlock {
-    explicit LevelBlock(std::uint32_t k) : items(k) {}
+    explicit LevelBlock(std::size_t n) : items(n) {}
     std::uint64_t retire_epoch = 0;
+    std::uint64_t stamp = 0;
     mutable std::atomic<std::uint32_t> readers{0};
     bool held = false;
     std::vector<T> items;
@@ -331,24 +347,27 @@ class Quancurrent {
     IbrSlot* slot_;
   };
 
-  // Point-in-time image of the installed ladder: the tritmap, each level's
-  // install epoch and the run pointers, read under an IBR pin.  It is the
-  // only reader of ladder slot pointers off the install latch.  The k-runs
-  // are read through the pointers after the load (published blocks are
-  // immutable; the pin keeps them from reclamation).  Two entry points
-  // share one loader:
+  // Point-in-time image of the installed ladder and the tail: the tritmap,
+  // each level's install epoch, the run pointers and the tail block, read
+  // under an IBR pin.  It is the only reader of ladder slot and tail
+  // pointers off the install latch.  The runs are read through the
+  // pointers after the load (published blocks are immutable; the pin keeps
+  // them from reclamation).  Level 0 never holds a published run, so the
+  // image keeps the tail block in its place: block(0, 0), with the tail's
+  // stamp as epoch(0).  Two entry points share one loader:
   //   * LadderImage(s) (serialize, merge_into) loads under one latch hold,
   //     O(levels), because it also reads the rng state; the image is exact.
   //   * LadderImage(s, slot, tm) (Querier::refresh) takes no latch and pins
   //     through the querier's own slot.  The caller validates the image
-  //     against install_seq_ before it references a block; complete() is
-  //     false when the loader met a slot a racing quiesce() had unpublished,
-  //     and tritmap() then ends that level at the slot.
+  //     before it references a block: install_seq_ unchanged since `tm`'s
+  //     seq was loaded, complete(), and the tail's stamp at most that seq.
+  //     complete() is false when the loader met a slot a racing quiesce()
+  //     had unpublished, and tritmap() then ends that level at the slot.
   // Deadlock rules: pin under the latch or with no lock held, never before
   // acquiring the latch (a latch holder throttled by ibr_retire_cap waits
   // on pins), and wait on nothing of this sketch while the image lives —
-  // not the latch, not tail_mu_ (push_tail and quiesce hold it while they
-  // install), not an install queue.
+  // not the latch, not tail_mu_ (push_tail holds it while it installs),
+  // not an install queue.
   class LadderImage {
    public:
     explicit LadderImage(const Quancurrent& s) : lease_(std::in_place, s) {
@@ -371,6 +390,7 @@ class Quancurrent {
     const T* run(std::uint32_t level, std::uint32_t slot) const {
       return block(level, slot)->items.data();
     }
+    const std::vector<T>& tail() const { return block(0, 0)->items; }
 
     // Calls fn(items, level) for each k-run, in ladder order.
     template <typename Fn>
@@ -387,14 +407,17 @@ class Quancurrent {
 
    private:
     // Announces the pin, then loads each level's epoch (acquire) before its
-    // pointers (seq_cst: in the single total order they follow the
-    // announcement, which is what lets the reclaimer's scan prove the
-    // blocks cannot be freed under us; see the IBR section of the file
-    // comment).  A cascade releases a level's epoch only after publishing
-    // its block, so an epoch read here is never newer than the pointers.
+    // pointers, and the tail pointer (seq_cst: in the single total order
+    // they follow the announcement, which is what lets the reclaimer's scan
+    // prove the blocks cannot be freed under us; see the IBR section of the
+    // file comment).  A cascade releases a level's epoch only after
+    // publishing its block, so an epoch read here is never newer than the
+    // pointers; a tail block's stamp is written before its pointer.
     void load(const Quancurrent& s, IbrSlot* slot, Tritmap tm) {
       pin_.emplace(s, slot);
       tm_ = tm;
+      blocks_[0] = s.tail_.load(std::memory_order_seq_cst);
+      epochs_[0] = blocks_[0]->stamp;
       const std::uint32_t top = tm.num_levels();
       for (std::uint32_t level = 1; level < top; ++level) {
         epochs_[level] = s.level_epoch_[level].load(std::memory_order_acquire);
@@ -446,14 +469,17 @@ class Quancurrent {
       install_q_[i].items.resize(cap_);
       install_q_[i].seq.store(i, std::memory_order_relaxed);
     }
-    // Pre-reserve the tail for its worst case at quiesce (one partial
-    // gather buffer per node, appended before the fold) so appends almost
-    // never reallocate while holding tail_mu_.
-    tail_.reserve(static_cast<std::size_t>(opts_.topology.nodes) * opts_.rho * cap_);
     nodes_.reserve(opts_.topology.nodes);
     for (std::uint32_t n = 0; n < opts_.topology.nodes; ++n) {
       nodes_.push_back(std::make_unique<Node>(opts_.rho, cap_));
     }
+    // The empty tail and the first push's block, allocated here and not
+    // at that push (often quiesce()'s, after the ladder has grown), where
+    // they would pin the allocator's heap top above the blocks ingest
+    // frees later.
+    std::unique_ptr<LevelBlock> tail(new_tail_block());
+    spare_tail_.store(new_tail_block(), std::memory_order_relaxed);
+    tail_.store(tail.release(), std::memory_order_relaxed);
   }
 
   Quancurrent(const Quancurrent&) = delete;
@@ -469,6 +495,8 @@ class Quancurrent {
     self_querier_.reset();
     self_updater_.reset();
     for (auto& ref : slot_blocks_) delete ref.load(std::memory_order_relaxed);
+    delete tail_.load(std::memory_order_relaxed);
+    delete spare_tail_.load(std::memory_order_relaxed);
     for (LevelBlock* b : retired_) delete b;
     for (LevelBlock* b : free_blocks_) delete b;
     for (LevelBlock* b : stash_) delete b;  // nonempty only after a mid-drain throw
@@ -561,10 +589,6 @@ class Quancurrent {
     }
 
    private:
-    // quiesce() appends the convenience updater's residue inside its own
-    // tail_mu_ hold, next to the gather residues.
-    friend class Quancurrent;
-
     // Stage 1 of the ingest pipeline: sort the full local buffer while it is
     // cache-hot, then flush it as one pre-sorted b-chunk.  A buffer of up to
     // 16 items goes straight through a branchless sorting network
@@ -602,9 +626,9 @@ class Quancurrent {
 
   Updater make_updater(std::uint32_t thread_index) { return Updater(*this, thread_index); }
 
-  // Drains batches still parked in the install queue, flushes partially
-  // filled gather buffers into the tail, folds the tail's full batches into
-  // the ladder, and hands reclaimable level blocks back to the allocator.
+  // Drains batches still parked in the install queue, pushes the
+  // convenience updater's residue and partially filled gather buffers into
+  // the tail, and hands reclaimable level blocks back to the allocator.
   // Precondition: no concurrent update() calls (updaters must have drained);
   // concurrent queries are fine.  No head==tail assert after the drain: a
   // concurrent merge_into() targeting this sketch may legitimately enqueue
@@ -613,52 +637,39 @@ class Quancurrent {
   // drain below already published everything that was parked when we looked.
   void quiesce() QC_EXCLUDES(latch_) {
     drain_installs();
-    {
-      // Every residue is appended first and the tail folded once, in one
-      // tail_mu_ hold.  On bad_alloc the residues not yet appended stay
-      // where they are for a retry, and the fold still runs, so the tail
-      // is under 2k again when tail_mu_ is released.
-      const sync::MutexLock lock(tail_mu_);
-      try {
-        // The convenience updater belongs to the sketch, so quiesce() may
-        // (and must) drain it: its buffered items are otherwise unreachable.
-        if (self_updater_ != nullptr) {
-          append_tail(self_updater_->local_.data(), self_updater_->count_);
-          self_updater_->count_ = 0;
-        }
-        for (auto& node : nodes_) {
-          for (auto& gb : node->bufs) {
-            const std::uint64_t committed = gb->committed.load(std::memory_order_acquire);
-            // Memory safety, not just accounting: a reserved-but-uncommitted
-            // flush means a concurrent update() is still copying into this
-            // buffer, and the append below would publish (and later recycle)
-            // slots it is mid-write on.
-            QC_CHECK(committed == gb->reserved.load(std::memory_order_acquire),
-                     "quiesce() requires all updaters drained (no concurrent update())");
-            const std::uint64_t residue = committed % cap_;
-            if (residue == 0) continue;
-            append_tail(gb->slots.data(), residue);
-            // Pad the counters to the next batch boundary and advance the
-            // ordinal by hand: the batch this would have formed has been
-            // routed through the tail instead.
-            gb->reserved.fetch_add(cap_ - residue, std::memory_order_acq_rel);
-            gb->committed.fetch_add(cap_ - residue, std::memory_order_acq_rel);
-            gb->ordinal.fetch_add(1, std::memory_order_release);
-          }
-        }
-      } catch (const std::bad_alloc&) {
-        fold_tail();
-        throw;
+    // The convenience updater belongs to the sketch, so quiesce() may (and
+    // must) drain it: its buffered items are otherwise unreachable.  Each
+    // residue is one push of fewer than 2k items, all or nothing, so on
+    // bad_alloc the residues not yet pushed stay where they are for a retry.
+    if (self_updater_ != nullptr) self_updater_->drain();
+    for (auto& node : nodes_) {
+      for (auto& gb : node->bufs) {
+        const std::uint64_t committed = gb->committed.load(std::memory_order_acquire);
+        // Memory safety, not just accounting: a reserved-but-uncommitted
+        // flush means a concurrent update() is still copying into this
+        // buffer, and the push below would publish (and later recycle)
+        // slots it is mid-write on.
+        QC_CHECK(committed == gb->reserved.load(std::memory_order_acquire),
+                 "quiesce() requires all updaters drained (no concurrent update())");
+        const std::uint64_t residue = committed % cap_;
+        if (residue == 0) continue;
+        push_tail(gb->slots.data(), residue);
+        // Pad the counters to the next batch boundary and advance the
+        // ordinal by hand: the batch this would have formed has been routed
+        // through the tail instead.
+        gb->reserved.fetch_add(cap_ - residue, std::memory_order_acq_rel);
+        gb->committed.fetch_add(cap_ - residue, std::memory_order_acq_rel);
+        gb->ordinal.fetch_add(1, std::memory_order_release);
       }
-      fold_tail();
     }
     // Give memory back.  Unpublish every slot the published tritmap no
     // longer references (cascades leave consumed slots published so lagging
     // queriers can still reference them; quiesce is where they are let go),
     // then scan, then return the reuse pool to the allocator.  Afterwards,
     // with no refresh in flight, ibr_stats().live_blocks() equals the
-    // number of tritmap-referenced runs plus ibr_stats().held_blocks, the
-    // retired blocks query views still reference.  With every querier
+    // number of tritmap-referenced runs plus the 1 tail block plus
+    // ibr_stats().held_blocks, the retired blocks query views still
+    // reference.  With every querier
     // destroyed or refreshed since the ladder last changed, held_blocks is
     // 0: a refresh lets go of the view it replaced, so such a querier
     // references only published blocks (the eventual-reclamation tests'
@@ -685,6 +696,10 @@ class Quancurrent {
       ibr_freed_.fetch_add(1, std::memory_order_relaxed);
     }
     free_blocks_.clear();
+    if (LevelBlock* spare = spare_tail_.exchange(nullptr, std::memory_order_acquire)) {
+      delete spare;
+      ibr_freed_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   // ----- introspection -----------------------------------------------------
@@ -716,7 +731,7 @@ class Quancurrent {
     s.gather_waits = stat_gather_waits_.load(std::memory_order_relaxed);
     s.gather_wait_ns = stat_gather_wait_ns_.load(std::memory_order_relaxed);
     s.latch_spins = stat_latch_spins_.load(std::memory_order_relaxed);
-    s.installs = s.batches;  // every install publishes exactly one batch
+    s.installs = s.batches;  // every batch install publishes exactly one batch
     s.install_defers = stat_install_defers_.load(std::memory_order_relaxed);
     s.queue_full_waits = stat_queue_full_waits_.load(std::memory_order_relaxed);
     s.oom_dropped_items = stat_oom_dropped_.load(std::memory_order_relaxed);
@@ -760,12 +775,14 @@ class Quancurrent {
     return s;
   }
 
-  // References query views hold on this sketch's level blocks: the reader
-  // counts of every published and retired block, summed under the install
-  // latch.  A diagnostic for tests of the refresh's reference protocol.
+  // References query views hold on this sketch's blocks: the reader counts
+  // of every published level and tail block and every retired block, summed
+  // under the install latch.  A diagnostic for tests of the refresh's
+  // reference protocol.
   std::uint64_t view_references() const QC_EXCLUDES(latch_) {
     const LatchGuard guard(*this);
-    std::uint64_t refs = 0;
+    std::uint64_t refs = tail_.load(std::memory_order_relaxed)->readers.load(
+        std::memory_order_relaxed);
     for (const auto& slot : slot_blocks_) {
       const LevelBlock* b = slot.load(std::memory_order_relaxed);
       if (b != nullptr) refs += b->readers.load(std::memory_order_relaxed);
@@ -827,18 +844,49 @@ class Quancurrent {
     drain_until(pos);
   }
 
-  // Appends weight-1 items to the tail, immediately visible to queries.
-  // Pushed items may be installed at once: whenever the tail then holds 2k
-  // or more items, its full batches are sorted and installed before this
-  // returns (fold_tail), so the tail stays under 2k.  Thread-safe; merge
-  // and ingestion-adjacent code paths use it for residue that does not fill
-  // a 2k batch.  Strong exception guarantee: on bad_alloc (the insert's
-  // growth, or an injected tail_alloc fault) nothing is appended and the
-  // counters are untouched — callers retry or report.
+  // Adds weight-1 items to the tail, visible to queries once this returns.
+  // The items go in slices of fewer than 2k: each slice is sorted and
+  // merged with the tail block into a replacement, and when the two hold
+  // 2k or more items the smallest 2k split off as a batch, so the tail
+  // stays under 2k.  One latched install publishes the replacement and
+  // the batch together.  Thread-safe; merge and ingestion-adjacent code
+  // paths use it for residue that does not fill a 2k batch.  Strong
+  // exception guarantee per slice: on bad_alloc (the merge scratch, the
+  // block, or an injected tail_alloc fault) that slice is not added and
+  // the sketch is untouched by it — a push of fewer than 2k items is all
+  // or nothing, and callers retry or report.
   void push_tail(const T* items, std::uint64_t count) QC_EXCLUDES(latch_) {
     const sync::MutexLock lock(tail_mu_);
-    append_tail(items, count);
-    fold_tail();
+    while (count != 0) {
+      const std::size_t n = static_cast<std::size_t>(std::min(count, cap_ - 1));
+      const std::vector<T>& cur = tail_.load(std::memory_order_relaxed)->items;
+      const std::size_t total = cur.size() + n;
+      const std::size_t batch = total >= cap_ ? cap_ : 0;
+      // The scratch lives for one slice only: a buffer the sketch kept
+      // would pin the allocator's heap top above blocks freed later.
+      QC_INJECT_OOM(tail_alloc);
+      const auto scratch = std::make_unique_for_overwrite<T[]>(total + n);
+      T* const merged = scratch.get();
+      T* const slice = merged + total;
+      LevelBlock* nb = spare_tail_.exchange(nullptr, std::memory_order_acquire);
+      if (nb == nullptr) nb = new_tail_block();  // the last step that can throw
+      std::copy_n(items, n, slice);
+      if (!std::is_sorted(slice, slice + n, cmp_)) std::sort(slice, slice + n, cmp_);
+      std::merge(cur.begin(), cur.end(), slice, slice + n, merged, cmp_);
+      nb->items.assign(merged + batch, merged + total);  // within its 2k - 1
+      // A deferred install (its cascade's staging failed) is retried, off
+      // the latch between attempts, like a drainer's.
+      Backoff backoff;
+      for (;;) {
+        {
+          const LatchGuard guard(*this);
+          if (install(std::span<const T>(merged, batch), 0, nb)) break;
+        }
+        backoff.spin();
+      }
+      items += n;
+      count -= n;
+    }
   }
 
   // Installs every batch currently parked in the install queue, one per
@@ -862,9 +910,9 @@ class Quancurrent {
 
   // ----- queries -----------------------------------------------------------
 
-  // Point-in-time view of the sketch.  refresh() snapshots the tritmap,
-  // references (or keeps) the published level blocks it names, and copies
-  // the tail, into a run view: a list of sorted, weighted runs.
+  // Point-in-time view of the sketch.  refresh() snapshots the tritmap and
+  // references (or keeps) the published level blocks it names and the tail
+  // block, into a run view: a list of sorted, weighted runs.
   // quantile/rank/cdf answer from that view (a RunView) without touching
   // shared state.
   //
@@ -882,11 +930,7 @@ class Quancurrent {
           lease_(sketch),
           cache_(kLevels),
           view_(sketch.opts_.k, sketch.cmp_) {
-      // Room for every view's run list and answer scratch, and for the
-      // tail, which holds fewer than 2k items whenever tail_mu_ is free: no
-      // refresh allocates.
-      view_.stage(kMaxRuns);
-      tail_buf_.reserve(sketch.cap_);
+      view_.stage(kMaxRuns);  // room for every view's run list: no refresh allocates
       refresh();
     }
 
@@ -902,26 +946,25 @@ class Quancurrent {
 
     // Incremental refresh: keeps the level references of earlier refreshes
     // when the level's install epoch and trit are unchanged, and the tail
-    // copy while the tail version is; O(1) when nothing was published and
-    // the tail did not change.  Never fails: nothing on its path allocates.
+    // reference while the tail block is; O(1) when nothing was published.
+    // Never fails and never waits: nothing on its path allocates or locks.
     void refresh() noexcept { refresh_impl(/*force_full=*/false); }
 
-    // Ignores the kept references and the tail copy and re-references
-    // everything the tritmap names; the view is identical to refresh()'s
-    // (tested), just slower to build.
+    // Ignores the kept references and re-references everything the image
+    // names; the view is identical to refresh()'s (tested), just slower to
+    // build.
     void refresh_full() noexcept { refresh_impl(/*force_full=*/true); }
 
     std::uint64_t holes() const { return holes_; }
 
     // Bumps every time a refresh publishes a new view; an O(1) refresh
-    // (nothing published, no tail churn) leaves it unchanged.
+    // (nothing published) leaves it unchanged.
     // ShardedQuancurrent::Querier uses it to rebuild its cross-shard view
     // only when some shard's view moved.
     std::uint64_t version() const { return version_; }
 
-    // The current view's runs point into the published level blocks it
-    // references and into this handle's sorted tail copy, until the next
-    // refresh() call.
+    // The current view's runs point into the level and tail blocks it
+    // references, until the next refresh() call.
     std::span<const RunRef<T>> runs() const { return view_.runs(); }
 
     // Answers from the current view; see RunView.
@@ -939,7 +982,8 @@ class Quancurrent {
     // reader count each, tagged with the install epoch and trit they
     // reflect.  Valid for reuse while the level's published epoch and trit
     // both still match: slot contents change only through installs, and
-    // every batch cascade that writes a level stores a fresh epoch.
+    // every batch cascade that writes a level stores a fresh epoch.  As in
+    // the image, level 0 holds the tail block, tagged with its stamp.
     struct LevelCache {
       std::uint64_t epoch = kNever;
       std::uint32_t trit = 0;  // referenced slots
@@ -948,18 +992,12 @@ class Quancurrent {
       bool matches(std::uint64_t e, std::uint32_t t) const { return epoch == e && trit == t; }
     };
 
-    // Reference-only: a refresh copies the tail into its buffer when the
-    // tail's version moved, takes a LadderImage and validates it, then
-    // re-references the changed levels under the image's pin and rebuilds
-    // the run list.  A failed attempt costs O(levels) loads and references
-    // nothing.  Once an attempt has rewritten the tail buffer the refresh
-    // ends in a commit (the last attempt is accepted with holes), and
-    // tail_ver_ moves only there, so the O(1) path never keeps a view whose
-    // tail run no longer matches the buffer.
+    // Reference-only: a refresh takes a LadderImage and validates it, then
+    // re-references the changed levels and the tail under the image's pin
+    // and rebuilds the run list.  A failed attempt costs O(levels) loads
+    // and references nothing.
     void refresh_impl(bool force_full) noexcept {
       auto& s = *sketch_;
-      // The tail version tail_buf_ holds; a full refresh copies anew.
-      std::uint64_t buf_ver = force_full ? kNever : tail_ver_;
       for (std::uint32_t attempt = 0;; ++attempt) {
         // Snapshot validation uses the install sequence number, not tritmap
         // equality: the tritmap word can return to a previous value (ABA)
@@ -967,15 +1005,12 @@ class Quancurrent {
         // seq-stable implies no install published between this load and the
         // re-check.  An install only writes slots its pre-publish tritmap
         // marks empty, so every pointer of a seq-stable image is the one
-        // `tm` describes.
+        // `tm` describes.  The tail pointer is overwritten in place instead:
+        // a stamp at most `seq` names the tail install `seq` published (the
+        // acquire load above sees at least that one), and a later stamp
+        // fails the attempt.
         const std::uint64_t seq = s.install_seq_.load(std::memory_order_acquire);
-        if (!force_full && seq == snap_seq_ &&
-            s.tail_version_.load(std::memory_order_acquire) == tail_ver_) {
-          return;  // nothing published and no tail churn: the view is current
-        }
-        // Before the image, unpinned: push_tail and quiesce() install under
-        // tail_mu_, and an install at ibr_retire_cap waits for every pin.
-        copy_tail(buf_ver);
+        if (!force_full && seq == snap_seq_) return;  // nothing published
         const Tritmap tm = s.tritmap_.load(std::memory_order_acquire);
         // qc-lint-allow(qc-check-over-assert): ladder-shape documentation on
         // the snapshot retry loop — a violation reads a stale level-0 view
@@ -992,7 +1027,7 @@ class Quancurrent {
         // published synchronizes with every earlier install's seq advance:
         // such an image cannot re-read `seq` here.
         const std::uint64_t check = s.install_seq_.load(std::memory_order_acquire);
-        const bool valid = check == seq && image.complete();
+        const bool valid = check == seq && image.complete() && image.epoch(0) <= seq;
         if (!valid && attempt + 1 < kSnapshotRetries) {
           if (s.opts_.collect_stats) {
             s.stat_query_retries_.fetch_add(1, std::memory_order_relaxed);
@@ -1000,12 +1035,12 @@ class Quancurrent {
           continue;
         }
         // An invalid image here is the last attempt, accepted: the racing
-        // installs count as holes, as in the paper.  Every referenced block
-        // is immutable, so the view answers from its runs like any other;
-        // the kept references are poisoned so the next refresh
-        // re-references every level.
+        // installs count as holes, as in the paper, the one whose tail the
+        // image holds included.  Every referenced block is immutable, so the
+        // view answers from its runs like any other; the kept references
+        // are poisoned so the next refresh re-references every level.
         reference_levels(image, force_full);
-        commit(image.tritmap(), valid ? seq : kNever, check - seq, buf_ver);
+        commit(image.tritmap(), valid ? seq : kNever, std::max(check, image.epoch(0)) - seq);
         if (!valid) {
           for (auto& c : cache_) c.epoch = kNever;
           if (s.opts_.collect_stats) {
@@ -1016,20 +1051,20 @@ class Quancurrent {
       }
     }
 
-    // Re-references in place, through the image (its pin still held), each
-    // level whose kept references no longer match the image's epoch and
-    // trit: it takes the new references, then drops the old ones (commit()
-    // rebuilds the run list that still points into them).  Each reference
-    // is one `readers` count, taken before the pin is dropped: ibr_scan
-    // reads the announcements before the counts, so a scan that no longer
-    // sees the pin sees the count.  The image loaded each level's epoch
+    // Re-references in place, through the image (its pin still held), the
+    // tail and each level whose kept references no longer match the image's
+    // epoch and trit: it takes the new references, then drops the old ones
+    // (commit() rebuilds the run list that still points into them).  Each
+    // reference is one `readers` count, taken before the pin is dropped:
+    // ibr_scan reads the announcements before the counts, so a scan that no
+    // longer sees the pin sees the count.  The image loaded each level's epoch
     // (acquire) before its pointers, and a cascade releases a level's epoch
     // after publishing its block, so references tagged with epoch E reflect
     // the epoch-E publication whenever E is still the published epoch.
     void reference_levels(const LadderImage& image, bool force_full) noexcept {
       const Tritmap tm = image.tritmap();
-      for (std::uint32_t level = 1; level < kLevels; ++level) {
-        const std::uint32_t trit = tm.trit(level);
+      for (std::uint32_t level = 0; level < kLevels; ++level) {
+        const std::uint32_t trit = level == 0 ? 1 : tm.trit(level);
         LevelCache& kept = cache_[level];
         if (trit == 0 && kept.trit == 0) continue;  // nothing to take or let go
         const std::uint64_t epoch = image.epoch(level);
@@ -1055,33 +1090,12 @@ class Quancurrent {
       c = LevelCache{};
     }
 
-    // Copies the tail under tail_mu_ (one bulk copy into the reserved 2k)
-    // when its version is not `buf_ver`, the one tail_buf_ holds, then
-    // sorts the copy once, outside the mutex.  The version is compared
-    // under the mutex: push_tail and quiesce() move full batches from the
-    // tail into the ladder while holding it, so an unlocked check could
-    // pair a new ladder with the old tail.
-    void copy_tail(std::uint64_t& buf_ver) noexcept {
-      auto& s = *sketch_;
-      {
-        const sync::MutexLock lock(s.tail_mu_);
-        const std::uint64_t ver = s.tail_version_.load(std::memory_order_relaxed);
-        if (ver == buf_ver) return;
-        // Past the bound the copy would allocate, inside a noexcept refresh.
-        QC_CHECK(s.tail_.size() < s.cap_, "tail holds 2k or more items outside tail_mu_");
-        tail_buf_.assign(s.tail_.begin(), s.tail_.end());
-        buf_ver = ver;
-      }
-      std::sort(tail_buf_.begin(), tail_buf_.end(), s.cmp_);
-    }
-
     // Publishes the view: its run list (level slots ascending, then the
-    // tail) points into the referenced blocks and the tail buffer.  The run
-    // order is deterministic, so incremental and full refreshes of the same
-    // snapshot produce identical views.  Allocates nothing: the constructor
-    // made room for kMaxRuns runs.
-    void commit(Tritmap tm, std::uint64_t seq, std::uint64_t holes,
-                std::uint64_t tail_ver) noexcept {
+    // tail) points into the referenced blocks.  The run order is
+    // deterministic, so incremental and full refreshes of the same snapshot
+    // produce identical views.  Allocates nothing: the constructor made room
+    // for kMaxRuns runs.
+    void commit(Tritmap tm, std::uint64_t seq, std::uint64_t holes) noexcept {
       const std::uint32_t k = sketch_->opts_.k;
       auto& runs = view_.stage();
       for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
@@ -1090,26 +1104,24 @@ class Quancurrent {
           runs.push_back({c.blocks[slot]->items.data(), k, 1ULL << level});
         }
       }
-      if (!tail_buf_.empty()) runs.push_back({tail_buf_.data(), tail_buf_.size(), 1});
+      const std::vector<T>& tail = cache_[0].blocks[0]->items;
+      if (!tail.empty()) runs.push_back({tail.data(), tail.size(), 1});
       view_.commit();
       holes_ = holes;
       snap_seq_ = seq;
-      tail_ver_ = tail_ver;
       ++version_;
     }
 
     Quancurrent* sketch_;
     IbrSlotLease lease_;  // this handle's epoch announcement slot
 
-    // The view: the blocks and tail buffer its runs point into, what it was
-    // validated against, and the RunView answers read.
+    // The view: the blocks its runs point into, what it was validated
+    // against, and the RunView answers read.
     std::vector<LevelCache> cache_;
-    std::vector<T> tail_buf_;  // sorted tail copy, 2k items reserved
     RunView<T, Compare> view_;
     std::uint64_t holes_ = 0;
     std::uint64_t version_ = 0;
     std::uint64_t snap_seq_ = kNever;
-    std::uint64_t tail_ver_ = kNever;
   };
   Querier make_querier() { return Querier(*this); }
 
@@ -1156,6 +1168,7 @@ class Quancurrent {
     if (&target == this || target.opts_.k != opts_.k) return false;
     std::vector<T> run_items;
     std::vector<std::uint32_t> run_levels;
+    std::vector<T> tail_copy;
     {  // the image is dropped before anything below can wait (its rules)
       const LadderImage image(*this);
       QC_INJECT_OOM(merge_alloc);
@@ -1165,11 +1178,7 @@ class Quancurrent {
         run_items.insert(run_items.end(), items, items + opts_.k);
         run_levels.push_back(level);
       });
-    }
-    std::vector<T> tail_copy;
-    {
-      const sync::MutexLock lock(tail_mu_);
-      tail_copy = tail_;
+      tail_copy = image.tail();
     }
     const T* run = run_items.data();
     for (const std::uint32_t level : run_levels) {
@@ -1330,27 +1339,21 @@ class Quancurrent {
         serde::set_status(status, serde::Status::short_buffer);
         return nullptr;
       }
-      {
-        // Same discipline as the ladder rebuild above: tail_ is guarded.
-        const sync::MutexLock lock(sk->tail_mu_);
-        sk->tail_.resize(static_cast<std::size_t>(tail_count));
-        if (!r.get_bytes(sk->tail_.data(), sk->tail_.size() * sizeof(T))) {
-          serde::set_status(status, serde::Status::short_buffer);
-          return nullptr;
-        }
+      std::vector<T> tail(static_cast<std::size_t>(tail_count));
+      if (!r.get_bytes(tail.data(), tail.size() * sizeof(T))) {
+        serde::set_status(status, serde::Status::short_buffer);
+        return nullptr;
       }
-      sk->tail_size_.store(tail_count, std::memory_order_relaxed);
+      // serialize() writes the tail sorted, older images in insertion
+      // order.  Pushed sorted after the ladder is published, so an image
+      // whose tail holds 2k or more items still loads, its full batches
+      // installed in sorted order, into a sketch with the tail bound.
+      std::sort(tail.begin(), tail.end(), sk->cmp_);
+      sk->tritmap_.store(tm, std::memory_order_release);
+      sk->push_tail(tail.data(), tail.size());
     } catch (const std::bad_alloc&) {
       serde::set_status(status, serde::Status::bad_payload);
       return nullptr;
-    }
-    sk->tail_version_.store(1, std::memory_order_relaxed);
-    sk->tritmap_.store(tm, std::memory_order_release);
-    {
-      // Folded after the ladder is published, so an image whose tail holds
-      // 2k or more items still loads, into a sketch with the tail bound.
-      const sync::MutexLock lock(sk->tail_mu_);
-      sk->fold_tail();
     }
     serde::set_status(status, serde::Status::ok);
     return sk;
@@ -1526,7 +1529,8 @@ class Quancurrent {
   }
 
   // Moves a displaced block onto the retire list, stamped with the current
-  // epoch; runs a reclamation scan every ibr_recl_freq retirements.
+  // epoch; runs a reclamation scan once ibr_recl_freq retirements have
+  // accumulated since the last scan.
   void retire_block(LevelBlock* b) QC_REQUIRES(latch_) {
     b->retire_epoch = ibr_epoch_.load(std::memory_order_relaxed);
     // qc-lint-allow(no-alloc-under-latch): no-throw in practice — capacity is
@@ -1538,10 +1542,7 @@ class Quancurrent {
     if (pending > ibr_peak_unreclaimed_.load(std::memory_order_relaxed)) {
       ibr_peak_unreclaimed_.store(pending, std::memory_order_relaxed);
     }
-    if (++retires_since_scan_ >= opts_.ibr_recl_freq) {
-      retires_since_scan_ = 0;
-      ibr_scan();
-    }
+    if (++retires_since_scan_ >= opts_.ibr_recl_freq) ibr_scan();
   }
 
   // The oldest epoch any handle currently announces (kIdleEpoch when all
@@ -1583,6 +1584,7 @@ class Quancurrent {
   // cadence; each querier holds at most one view's blocks.
   void ibr_scan() QC_REQUIRES(latch_) {
     ibr_scans_.fetch_add(1, std::memory_order_relaxed);
+    retires_since_scan_ = 0;  // every scan restarts the cadence, forced ones too
     const std::uint64_t min_e = min_announced_epoch();
     std::size_t kept = 0;
     std::size_t held = 0;
@@ -1593,13 +1595,8 @@ class Quancurrent {
         b->held = true;
         retired_[kept++] = b;
         ++held;
-      } else if (free_blocks_.size() < kFreeListCap) {
-        // qc-lint-allow(no-alloc-under-latch): bounded by kFreeListCap and
-        // pool capacity is warmed by the first scans; never on the hot path.
-        free_blocks_.push_back(b);
       } else {
-        delete b;
-        ibr_freed_.fetch_add(1, std::memory_order_relaxed);
+        recycle(b);
       }
     }
     ibr_reclaimed_.fetch_add(retired_.size() - kept, std::memory_order_relaxed);
@@ -1658,20 +1655,23 @@ class Quancurrent {
 
   // Phase one: SIMULATE the cascade apply_cascade would run from `tm` (the
   // same tritmap transitions, no slot writes), count the blocks it publishes,
-  // enforce the retire cap against that worst-case retirement burst, and
-  // stage every allocation in stash_.  All throwing work happens here,
-  // BEFORE anything becomes visible: on bad_alloc the staged blocks return
-  // to the pool and the caller defers the batch.  Returns false iff the
-  // staging allocations failed.
-  bool prepare_cascade(Tritmap tm, std::uint32_t entry_level) QC_REQUIRES(latch_) {
+  // enforce the retire cap against that worst-case retirement burst (plus
+  // the tail block a tail install displaces, when `tail`), and stage every
+  // allocation in stash_.  `batch` false: no cascade, only the tail.  All
+  // throwing work happens here, BEFORE anything becomes visible: on
+  // bad_alloc the staged blocks return to the pool and the caller defers
+  // the install.  Returns false iff the staging allocations failed.
+  bool prepare_cascade(Tritmap tm, std::uint32_t entry_level, bool batch, bool tail)
+      QC_REQUIRES(latch_) {
     std::uint32_t blocks = 0;
     std::uint32_t level = entry_level;
-    if (entry_level == 0) {
+    if (batch && entry_level == 0) {
       tm = tm.after_batch_update();
-    } else {
+    } else if (batch) {
       ++blocks;  // the entry-level k-run publication
       tm = tm.with_trit(entry_level, tm.trit(entry_level) + 1);
     }
+    // Without a batch the walk ends at once: published level 0 is empty.
     while (tm.trit(level) == 2) {
       const std::uint32_t dest_level = level + 1;
       if (dest_level >= kLevels) {
@@ -1686,9 +1686,10 @@ class Quancurrent {
       level = dest_level;
     }
     // Each publication retires at most the one block it displaces, so
-    // `blocks` bounds the retirement burst.  The cap check runs before any
+    // `retires` bounds the retirement burst.  The cap check runs before any
     // allocation: a degraded throttle never sits on staged blocks.
-    enforce_retire_cap(blocks);
+    const std::uint32_t retires = blocks + (tail ? 1 : 0);
+    enforce_retire_cap(retires);
     try {
       // Pre-reserving the retire list makes retire_block's push_back during
       // the apply no-throw; stash_ itself was reserved at construction
@@ -1696,7 +1697,7 @@ class Quancurrent {
       // qc-lint-allow(no-alloc-under-latch): this IS the pre-reserve phase —
       // all throwing work happens here, before anything is published, and a
       // bad_alloc unwinds to release_stash with shared state untouched.
-      retired_.reserve(retired_.size() + blocks);
+      retired_.reserve(retired_.size() + retires);
       // qc-lint-allow(no-alloc-under-latch): stash_ capacity reserved at
       // construction (kLevels + 1); alloc_block is the audited staging site.
       while (stash_.size() < blocks) stash_.push_back(alloc_block());
@@ -1718,20 +1719,42 @@ class Quancurrent {
   }
 
   // Returns staged blocks nobody will consume (a failed prepare) to the
-  // reuse pool, allocator-bound overflow freed.  The accounting stays
-  // consistent: pooled blocks count as live until quiesce flushes the pool.
+  // reuse pool.  The accounting stays consistent: pooled blocks count as
+  // live until quiesce flushes the pool.
   void release_stash() QC_REQUIRES(latch_) {
-    for (LevelBlock* b : stash_) {
-      if (free_blocks_.size() < kFreeListCap) {
-        // qc-lint-allow(no-alloc-under-latch): bounded pool, same rationale
-        // as the ibr_scan free-list push.
-        free_blocks_.push_back(b);
-      } else {
-        delete b;
-        ibr_freed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    for (LevelBlock* b : stash_) recycle(b);
     stash_.clear();
+  }
+
+  // Reuses a block no image or view can reach, or frees it.  Only k-item
+  // level blocks enter the reuse pool (alloc_block hands them out as level
+  // blocks); a tail block becomes the next push's spare if there is none.
+  void recycle(LevelBlock* b) QC_REQUIRES(latch_) {
+    if (b->items.capacity() == cap_ - 1) {
+      b->held = false;
+      LevelBlock* none = nullptr;
+      if (spare_tail_.compare_exchange_strong(none, b, std::memory_order_release,
+                                              std::memory_order_relaxed)) {
+        return;
+      }
+    } else if (b->items.size() == opts_.k && free_blocks_.size() < kFreeListCap) {
+      // qc-lint-allow(no-alloc-under-latch): bounded by kFreeListCap and
+      // pool capacity is warmed by the first scans; never on the hot path.
+      free_blocks_.push_back(b);
+      return;
+    }
+    delete b;
+    ibr_freed_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // A tail block with room for any tail, 2k - 1 items, so that a reclaimed
+  // one can serve the next push.  No latch: tail writers call it under
+  // tail_mu_, and the constructor.
+  LevelBlock* new_tail_block() {
+    auto b = std::make_unique<LevelBlock>(0);
+    b->items.reserve(cap_ - 1);
+    ibr_allocated_.fetch_add(1, std::memory_order_relaxed);
+    return b.release();
   }
 
   // Claims a free announcement slot, growing the chunk list when none is
@@ -1795,17 +1818,14 @@ class Quancurrent {
       w.put_bytes(nullptr, static_cast<std::size_t>(tail) * sizeof(T));
       return;
     }
-    {  // the image is dropped before tail_mu_ is taken (its rules)
-      const LadderImage image(*this);
-      w.put(image.rng_state());
-      w.put(image.tritmap().raw());
-      image.for_each_run([&](const T* items, std::uint32_t) {
-        w.put_bytes(items, opts_.k * sizeof(T));
-      });
-    }
-    const sync::MutexLock lock(tail_mu_);
-    w.put(static_cast<std::uint64_t>(tail_.size()));
-    w.put_bytes(tail_.data(), tail_.size() * sizeof(T));
+    const LadderImage image(*this);
+    w.put(image.rng_state());
+    w.put(image.tritmap().raw());
+    image.for_each_run([&](const T* items, std::uint32_t) {
+      w.put_bytes(items, opts_.k * sizeof(T));
+    });
+    w.put(static_cast<std::uint64_t>(image.tail().size()));
+    w.put_bytes(image.tail().data(), image.tail().size() * sizeof(T));
   }
 
   Updater& self_updater() {
@@ -1913,46 +1933,6 @@ class Quancurrent {
     return pos;
   }
 
-  // Appends to the tail with push_tail's strong guarantee.  Capacity is
-  // pre-reserved at construction, so this insert (one geometric
-  // reallocation at most, by the range-insert guarantee) almost never
-  // allocates under tail_mu_.
-  void append_tail(const T* items, std::uint64_t count) QC_REQUIRES(tail_mu_) {
-    if (count == 0) return;
-    QC_INJECT_OOM(tail_alloc);
-    tail_.insert(tail_.end(), items, items + count);
-    tail_size_.fetch_add(count, std::memory_order_acq_rel);
-    tail_version_.fetch_add(1, std::memory_order_release);
-  }
-
-  // Sorts the tail and installs its full 2k batches, inside the caller's
-  // tail_mu_ hold, so the tail holds fewer than 2k items whenever tail_mu_
-  // is free: the bound that lets a querier copy it without allocating.
-  void fold_tail() QC_REQUIRES(tail_mu_) QC_EXCLUDES(latch_) {
-    if (tail_.size() < cap_) return;
-    std::sort(tail_.begin(), tail_.end(), cmp_);
-    const std::size_t full = tail_.size() - tail_.size() % cap_;
-    for (std::size_t off = 0; off < full; off += cap_) {
-      // Subtract from the tail before publishing the batch so a concurrent
-      // size() never counts these elements twice (it may transiently
-      // undercount, which bounded relaxation already permits).
-      tail_size_.fetch_sub(cap_, std::memory_order_acq_rel);
-      install_batch(std::span<const T>(tail_.data() + off, cap_));
-    }
-    tail_.erase(tail_.begin(), tail_.begin() + static_cast<std::ptrdiff_t>(full));
-    tail_version_.fetch_add(1, std::memory_order_release);
-  }
-
-  // Enqueues a sorted 2k batch and sees it through installation; the tail
-  // fold (no gather buffer involved) and tests use this.
-  void install_batch(std::span<const T> sorted_batch) QC_EXCLUDES(latch_) {
-    std::unique_lock<std::mutex> serialized;
-    if (opts_.serialize_propagation) {
-      serialized = std::unique_lock<std::mutex>(prop_mu_);
-    }
-    drain_until(enqueue_batch(sorted_batch));
-  }
-
   // Whether the cell at queue position `head` holds a filled batch.  Drainers
   // peek at this before they try the latch: while the head batch's owner is
   // still merging it, a hold could install nothing, and an empty hold would
@@ -1985,45 +1965,68 @@ class Quancurrent {
     }
   }
 
-  // Installs the batch at the head of the install queue, if it is ready:
-  // applies its cascade against the published tritmap and publishes it with
-  // one tritmap CAS and one install_seq_ advance.
-  //
-  // Caller must hold latch_.  The latch serializes drainers, and protects
-  // exactly the pre-publication install state: the blocks being filled,
-  // rng_ (the parity coins), epoch_counter_ / level_epoch_,
-  // install_head_, the tritmap_ CAS, and the install_seq_ advance — plus all
-  // block allocation, retirement, and reclamation (alloc_block /
-  // retire_block / ibr_scan are latch-holder-only).  The reuse pool keeps
-  // the common case allocation-free; stats counters are relaxed atomics.
+  // Installs the batch at the head of the install queue, if it is ready.
   void drain_one() QC_REQUIRES(latch_) {
-    // Chaos builds: wedge the latch holder right here — producers park on the
-    // ring, queriers keep answering from the published state, and the hold
-    // must show up in latch_current_hold_ns / latch_watchdog_trips.
-    QC_INJECT_STALL(latch_stall);
     const std::uint64_t head = install_head_.load(std::memory_order_relaxed);
     InstallCell& cell = install_q_[head & (opts_.install_queue - 1)];
     if (cell.seq.load(std::memory_order_acquire) != head + 1) return;
+    const std::size_t n = cell.level == 0 ? cap_ : opts_.k;
+    if (!install(std::span<const T>(cell.items.data(), n), cell.level, nullptr)) return;
+    cell.seq.store(head + opts_.install_queue, std::memory_order_release);
+    install_head_.store(head + 1, std::memory_order_release);
+  }
+
+  // The install body shared by the queue drain and push_tail: applies the
+  // cascade of `items` (a sorted 2k batch at entry level 0 or one k-run
+  // above it; none when empty) against the published tritmap, stores `tail`
+  // (when set) as the new tail block, and publishes both with one tritmap
+  // CAS and one install_seq_ advance.  Returns false, with nothing
+  // published, when the cascade's staging failed.
+  //
+  // Caller must hold latch_.  The latch serializes installers, and protects
+  // exactly the pre-publication install state: the blocks being filled,
+  // rng_ (the parity coins), epoch_counter_ / level_epoch_,
+  // install_head_, the tail pointer's store, the tritmap_ CAS, and the
+  // install_seq_ advance — plus all block allocation, retirement, and
+  // reclamation (alloc_block / retire_block / ibr_scan are
+  // latch-holder-only).  The reuse pool keeps the common case
+  // allocation-free; stats counters are relaxed atomics.
+  bool install(std::span<const T> items, std::uint32_t entry_level, LevelBlock* tail)
+      QC_REQUIRES(latch_) {
     Tritmap published = tritmap_.load(std::memory_order_relaxed);
+    const bool batch = !items.empty();
     // Two-phase install (failure-model section of the file comment): first
     // SIMULATE the cascade and stage every block it will publish — all
     // allocation, and therefore all throwing, happens before a single slot
-    // is written.  On OOM the cell stays parked in the ring, nothing is
-    // published, and the producer's drain_until retries the install later:
-    // backpressure, never a torn publication or a lost batch
+    // is written.  On OOM nothing is published and the caller retries
+    // later: backpressure, never a torn publication or a lost batch
     // (stats().install_defers counts these).
-    if (!prepare_cascade(published, cell.level)) {
+    if (!prepare_cascade(published, entry_level, batch, tail != nullptr)) {
       stat_install_defers_.fetch_add(1, std::memory_order_relaxed);
-      return;
+      return false;
     }
     std::uint64_t steps = 0;
-    const std::size_t cell_items = cell.level == 0 ? cap_ : opts_.k;
-    const Tritmap tm = apply_cascade(
-        published, std::span<const T>(cell.items.data(), cell_items), cell.level, steps);
+    const Tritmap tm = batch ? apply_cascade(published, items, entry_level, steps) : published;
     QC_CHECK(stash_.empty(), "cascade simulation diverged from its application");
-    // The cascade fully consumed the cell's items; free it for the next lap
-    // before publishing so producers stall as little as possible.
-    cell.seq.store(head + opts_.install_queue, std::memory_order_release);
+    LevelBlock* old_tail = nullptr;
+    if (tail != nullptr) {
+      // Stamped before the pointer store that publishes it (see the
+      // validation in Querier::refresh_impl), which comes last before the
+      // CAS: a refresh that loads the new tail before the seq advance
+      // fails its attempt, so the window is kept short.  The tail size
+      // moves first: a concurrent size() may undercount a split-off batch
+      // for a moment, never count it twice.
+      tail->stamp = install_seq_.load(std::memory_order_relaxed) + 1;
+      old_tail = tail_.load(std::memory_order_relaxed);
+      tail_size_.store(tail->items.size(), std::memory_order_release);
+      tail_.store(tail, std::memory_order_seq_cst);
+    }
+    // Chaos builds: wedge the latch holder right here, its install written
+    // but not yet published — producers park on the ring, queriers keep
+    // answering from the published state (a refresh that loads the new tail
+    // fails validation), and the hold must show up in
+    // latch_current_hold_ns / latch_watchdog_trips.
+    QC_INJECT_STALL(latch_stall);
     const bool swapped = tritmap_.compare_exchange_strong(
         published, tm, std::memory_order_release, std::memory_order_relaxed);
     // Only the latch holder ever writes tritmap_; a failed CAS is not a race
@@ -2031,11 +2034,12 @@ class Quancurrent {
     // it would mean wild slot reads, so fail loudly in every build.
     QC_CHECK(swapped, "tritmap changed under the install latch");
     install_seq_.fetch_add(1, std::memory_order_release);
-    install_head_.store(head + 1, std::memory_order_release);
-    if (opts_.collect_stats) {
+    if (old_tail != nullptr) retire_block(old_tail);
+    if (opts_.collect_stats && batch) {
       stat_batches_.fetch_add(1, std::memory_order_relaxed);
       stat_propagations_.fetch_add(steps, std::memory_order_relaxed);
     }
+    return true;
   }
 
   // Applies one install's full propagation cascade against the published
@@ -2192,13 +2196,15 @@ class Quancurrent {
   std::atomic<std::uint64_t> install_seq_{0};
 
   // Tail: weight-1 residue from drains, merges and quiesce, outside the
-  // tritmap; fewer than 2k items whenever tail_mu_ is free (fold_tail).
-  // tail_version_ bumps on every tail mutation so queriers can detect an
-  // unchanged tail without taking the mutex.
-  mutable sync::Mutex tail_mu_;
-  std::vector<T> tail_ QC_GUARDED_BY(tail_mu_);
+  // tritmap, as one immutable sorted block of fewer than 2k items, stored
+  // only by install().  tail_mu_ only serializes tail writers (push_tail).
+  // tail_size_ mirrors the block's size for the lock-free size().
+  sync::Mutex tail_mu_;
+  std::atomic<LevelBlock*> tail_{nullptr};
   std::atomic<std::uint64_t> tail_size_{0};
-  std::atomic<std::uint64_t> tail_version_{0};
+  // A reclaimed (or never published) tail block for the next push to fill,
+  // or null; recycle() stores it, push_tail takes it, quiesce() frees it.
+  std::atomic<LevelBlock*> spare_tail_{nullptr};
 
   mutable std::atomic<std::uint64_t> stat_batches_{0};
   mutable std::atomic<std::uint64_t> stat_propagations_{0};

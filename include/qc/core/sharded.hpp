@@ -183,7 +183,7 @@ class ShardedQuancurrent {
 
    private:
     // Rebuilds the view if any shard's view moved since the last rebuild.
-    // The view points into the blocks and tail buffers the shard queriers
+    // The view points into the level and tail blocks the shard queriers
     // hold, which a shard's refresh lets go of only when it publishes a new
     // view: a moved version.
     void catch_up() noexcept {

@@ -40,13 +40,16 @@ namespace qc::fault {
 enum class Point : std::uint8_t {
   level_block_alloc = 0,  // alloc_block(): a LevelBlock `new` on the cascade
                           // or deserialize path fails
-  tail_alloc,             // push_tail(): the tail vector's growth fails
+  tail_alloc,             // push_tail(): allocating the merge scratch or
+                          // the replacement tail block fails
   merge_alloc,            // merge_into(): the run-buffer reserve fails
                           // (ladder imaged and pinned, nothing installed)
   deserialize_alloc,      // deserialize(): a payload allocation fails
   install_queue_full,     // acquire_cell(): delay a producer as if the ring
                           // were full (backpressure path)
-  latch_stall,            // drain_one(): wedge the install-latch holder
+  latch_stall,            // install(): wedge the install-latch holder (a
+                          // queue drainer or push_tail) between writing its
+                          // install and publishing it
   querier_stall,          // Querier::refresh(): park a reader right after its
                           // LadderImage loaded the run pointers, pin held,
                           // before the re-check and any reference

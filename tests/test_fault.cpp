@@ -12,7 +12,8 @@
 //     safe by the image's pin, and a view accepted with holes answers from
 //     its runs;
 //   * a refresh attempt that fails validation references no block, and a
-//     refresh allocates nothing, so it cannot fail;
+//     refresh allocates nothing, so it cannot fail, and takes no lock, so
+//     it finishes while a tail writer is parked inside its latched install;
 //   * a stalled querier keeps retired memory under Options::ibr_retire_cap
 //     with the episode reported through ibr_stats().degraded, a parked
 //     writer pins nothing, and a batch owner parked before its merge keeps
@@ -60,15 +61,16 @@ qc::Options small_options(std::uint32_t k, std::uint32_t b) {
   return o;
 }
 
-// Number of level blocks the published tritmap references (the live-block
-// ledger's right-hand side once quiesce() has trimmed).
-std::uint64_t published_runs(const qc::Quancurrent<double>& sk) {
+// Number of blocks the sketch publishes: the level runs the tritmap
+// references plus the tail block (the live-block ledger's right-hand side
+// once quiesce() has trimmed).
+std::uint64_t published_blocks(const qc::Quancurrent<double>& sk) {
   const auto tm = sk.tritmap();
   std::uint64_t runs = 0;
   for (std::uint32_t level = 0; level < qc::Tritmap::kMaxLevels; ++level) {
     runs += tm.trit(level);
   }
-  return runs;
+  return runs + 1;  // the tail block, published even when empty
 }
 
 bool wait_until(const std::function<bool()>& pred, int timeout_ms) {
@@ -205,7 +207,7 @@ QC_TEST(chaos_matrix_ingest_merge_query_under_faults) {
     CHECK(q.quantile(0.5) <= q.quantile(1.0));
   }
   const auto s = sk.ibr_stats();
-  CHECK_EQ(s.live_blocks(), published_runs(sk));
+  CHECK_EQ(s.live_blocks(), published_blocks(sk));
   CHECK(!s.degraded);
 
   // The merge target folded every COMPLETED merge plus prefixes of thrown
@@ -215,7 +217,7 @@ QC_TEST(chaos_matrix_ingest_merge_query_under_faults) {
   CHECK(tgt.size() >= merges_ok.load(std::memory_order_relaxed) * src_size);
   CHECK(tgt.size() <= merges_attempted.load(std::memory_order_relaxed) * src_size);
   const auto ts = tgt.ibr_stats();
-  CHECK_EQ(ts.live_blocks(), published_runs(tgt));
+  CHECK_EQ(ts.live_blocks(), published_blocks(tgt));
 
   // The armed first-allocation failure guarantees at least one deferred
   // install across the two sketches (whichever drained first took the hit).
@@ -334,7 +336,7 @@ QC_TEST(merge_into_survives_failure_at_every_alloc_site) {
       auto q = tgt.make_querier();
       if (q.size() > 0) CHECK(q.quantile(0.0) <= q.quantile(1.0));
       const auto ts = tgt.ibr_stats();
-      CHECK_EQ(ts.live_blocks(), published_runs(tgt));
+      CHECK_EQ(ts.live_blocks(), published_blocks(tgt));
     } else {
       CHECK(!threw);
       tgt.quiesce();
@@ -412,8 +414,7 @@ std::vector<double> tail_of(const qc::Quancurrent<double>::Querier& q) {
 }  // namespace
 
 // A refresh allocates nothing, so it cannot fail: it re-references the
-// changed levels in place and copies the tail, which holds fewer than 2k
-// items, into the 2k its querier reserved.  Checked after both the levels
+// changed levels and the tail block in place.  Checked after both the levels
 // and the tail changed, for refresh(), refresh_full() and the sharded
 // facade's refresh(); the replaced view's references are gone at once.
 QC_TEST(refresh_allocates_nothing) {
@@ -433,12 +434,13 @@ QC_TEST(refresh_allocates_nothing) {
   CHECK_EQ(qc::test::alloc::total.load(std::memory_order_relaxed), allocs);
   CHECK(tail_of(q) != tail);
   CHECK_EQ(q.size(), sk.size());
-  // Each querier references the blocks of its one view, no more.
+  // Each querier references the blocks of its one view, no more: its level
+  // runs and its tail block.
   std::uint64_t level_runs = 0;
   for (const auto* view : {&q, &full}) {
     for (const auto& run : view->runs()) level_runs += run.weight > 1 ? 1 : 0;
   }
-  CHECK_EQ(sk.view_references(), level_runs);
+  CHECK_EQ(sk.view_references(), level_runs + 2);
   CHECK(answers_of(q) == answers_of(full));
   CHECK(answers_of(q) == answers_of(sk.make_querier()));
 
@@ -559,7 +561,7 @@ QC_TEST(ladder_image_copies_off_the_latch_under_its_pin) {
   o.ibr_recl_freq = 1;
   qc::Quancurrent<double> sk(o);
   feed(sk, 0, 5000);
-  const std::uint64_t imaged_runs = published_runs(sk);
+  const std::uint64_t imaged_runs = published_blocks(sk) - 1;  // the level runs
   std::vector<std::byte> before(sk.serialized_size());
   CHECK_EQ(sk.serialize(before), before.size());
   qc::Quancurrent<double> merged_before(o);
@@ -782,7 +784,7 @@ QC_TEST(stalled_querier_keeps_retired_memory_under_cap) {
   const auto s = sk.ibr_stats();
   CHECK(!s.degraded);
   CHECK(s.retire_list_len <= cap);
-  CHECK_EQ(s.live_blocks(), published_runs(sk));
+  CHECK_EQ(s.live_blocks(), published_blocks(sk));
 }
 
 // A writer parked between its gather reservation and its commit reads no
@@ -884,7 +886,7 @@ QC_TEST(owners_overlap_on_one_gather_buffer) {
   inj.reset();
   sk.quiesce();
   CHECK_EQ(sk.size(), std::uint64_t{2} * cap);
-  CHECK_EQ(sk.ibr_stats().live_blocks(), published_runs(sk));
+  CHECK_EQ(sk.ibr_stats().live_blocks(), published_blocks(sk));
 
   std::vector<double> all;
   for (std::uint32_t i = 0; i < cap; ++i) {
@@ -955,6 +957,70 @@ QC_TEST(pinned_querier_and_push_tail_do_not_deadlock) {
   CHECK_EQ(sk.size(), std::uint64_t{kItems});
   CHECK_EQ(sk.make_querier().size(), std::uint64_t{kItems});
   CHECK(!sk.ibr_stats().degraded);
+}
+
+// A refresh takes no lock, so it never waits on a tail writer.  A
+// push_tail of 2k items parks inside its latched install, holding tail_mu_
+// and the install latch, after it stored its new tail block but before the
+// CAS and the seq advance that publish it.  A stale querier on another
+// thread must still finish refresh() and refresh_full(), and neither may
+// validate that tail against the ladder it came with: each view is a hole
+// view (the tail's stamp is ahead of the seq), missing the 2k batch the
+// parked install split off.  The main thread releases the writer after a
+// bounded wait either way, so a querier that waits fails the test instead
+// of hanging it.
+QC_TEST(refresh_never_waits_on_a_tail_writer) {
+  InjectorScope scope;
+  auto& inj = Injector::instance();
+  qc::Quancurrent<double> sk(small_options(64, 16));
+  feed(sk, 0, 5000);
+  auto q = sk.make_querier();
+  feed(sk, 5000, 3333);  // new levels and a new tail: q's refresh has work
+  const std::uint64_t visible = sk.size();
+  const std::vector<double> batch(2 * 64, 500.0);
+
+  ParkedReader pw;
+  pw.point = Point::latch_stall;
+  inj.reset();  // arm_hit counts hits since the last reset
+  inj.set_stall_handler(&park_handler, &pw);
+  inj.arm_hit(Point::latch_stall, 1);
+  std::thread pusher([&] { sk.push_tail(batch.data(), batch.size()); });
+  const bool parked = wait_until([&] { return pw.parked.load(std::memory_order_acquire); }, 10'000);
+  CHECK(parked);
+  CHECK(sk.stats().latch_current_hold_ns != 0);
+
+  const std::uint64_t attempts = inj.counters(Point::querier_recheck).hits;
+  std::atomic<bool> refreshed{false};
+  std::uint64_t sizes[2] = {0, 0};
+  std::uint64_t holes[2] = {0, 0};
+  std::thread querier([&] {
+    q.refresh();
+    sizes[0] = q.size();
+    holes[0] = q.holes();
+    q.refresh_full();
+    sizes[1] = q.size();
+    holes[1] = q.holes();
+    refreshed.store(true, std::memory_order_release);
+  });
+  const bool done = wait_until([&] { return refreshed.load(std::memory_order_acquire); }, 5'000);
+  CHECK(done);
+  pw.release.store(true, std::memory_order_release);
+  querier.join();
+  pusher.join();
+  // Every attempt of both refreshes failed validation.
+  CHECK_EQ(inj.counters(Point::querier_recheck).hits - attempts, std::uint64_t{16});
+  inj.reset();
+  // The parked install merged the first 2k - 1 pushed items into the tail
+  // and split 2k off it: its tail without its batch.
+  const std::uint64_t torn = visible + (batch.size() - 1) - batch.size();
+  CHECK_EQ(holes[0], std::uint64_t{1});
+  CHECK_EQ(holes[1], std::uint64_t{1});
+  CHECK_EQ(sizes[0], torn);
+  CHECK_EQ(sizes[1], torn);
+  q.refresh();
+  CHECK_EQ(q.holes(), std::uint64_t{0});
+  CHECK_EQ(q.size(), visible + batch.size());
+  CHECK_EQ(sk.size(), visible + batch.size());
 }
 
 // ----- latch + queue observability -------------------------------------------

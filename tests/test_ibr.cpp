@@ -31,15 +31,16 @@ qc::Options small_options(std::uint32_t k, std::uint32_t b) {
   return o;
 }
 
-// Number of level blocks the published tritmap references: each non-empty
-// run at each level is exactly one live block once quiesce() has trimmed.
-std::uint64_t published_runs(const qc::Quancurrent<double>& sk) {
+// Number of blocks the sketch publishes: each non-empty run at each level
+// is exactly one live block once quiesce() has trimmed, and the tail is one
+// more.
+std::uint64_t published_blocks(const qc::Quancurrent<double>& sk) {
   const auto tm = sk.tritmap();
   std::uint64_t runs = 0;
   for (std::uint32_t level = 0; level < qc::Tritmap::kMaxLevels; ++level) {
     runs += tm.trit(level);
   }
-  return runs;
+  return runs + 1;  // the tail block, published even when empty
 }
 
 bool wait_until(const std::atomic<bool>& flag, int timeout_ms) {
@@ -200,11 +201,11 @@ QC_TEST(idle_queriers_do_not_throttle_ingest) {
   const qc::IbrStats s = sk.ibr_stats();
   CHECK_EQ(s.held_blocks, std::uint64_t{68});
   CHECK(s.retire_list_len <= o.ibr_retire_cap);
-  CHECK_EQ(s.live_blocks(), published_runs(sk) + s.held_blocks);
+  CHECK_EQ(s.live_blocks(), published_blocks(sk) + s.held_blocks);
   idle.clear();
   sk.quiesce();
   CHECK_EQ(sk.ibr_stats().held_blocks, std::uint64_t{0});
-  CHECK_EQ(sk.ibr_stats().live_blocks(), published_runs(sk));
+  CHECK_EQ(sk.ibr_stats().live_blocks(), published_blocks(sk));
   CHECK_EQ(sk.size(), std::uint64_t{kItems} + std::uint64_t{kInstalled} * 2 * o.k);
 }
 
@@ -242,8 +243,8 @@ QC_TEST(ibr_stats_are_monotone_and_consistent) {
 }
 
 QC_TEST(quiesce_reclaims_every_unreferenced_block) {
-  // After quiesce() with no readers, exactly the tritmap-referenced runs may
-  // remain live: consumed-but-published stale blocks are trimmed, the retire
+  // After quiesce() with no readers, exactly the tritmap-referenced runs and
+  // the tail block may remain live: consumed-but-published stale blocks are trimmed, the retire
   // list is drained (idle handles announce no epoch), and the reuse pool is
   // flushed back to the allocator.
   qc::Options o = small_options(64, 8);
@@ -257,18 +258,18 @@ QC_TEST(quiesce_reclaims_every_unreferenced_block) {
   CHECK(s.allocated > 0);
   CHECK(s.reclaimed > 0);
   CHECK_EQ(s.reclaimed, s.retired);  // retire list fully drained
-  CHECK_EQ(s.live_blocks(), published_runs(sk));
+  CHECK_EQ(s.live_blocks(), published_blocks(sk));
 
   // Idempotent: a second quiesce retires nothing further.
   sk.quiesce();
   const qc::IbrStats s2 = sk.ibr_stats();
-  CHECK_EQ(s2.live_blocks(), published_runs(sk));
+  CHECK_EQ(s2.live_blocks(), published_blocks(sk));
   CHECK_EQ(s2.retired, s.retired);
 }
 
 QC_TEST(quiesce_reclaims_every_block_no_view_references) {
   // Views keep the blocks they reference past quiesce(): afterwards
-  // live_blocks() is the published runs plus held_blocks.  With every
+  // live_blocks() is the published runs and tail block plus held_blocks.  With every
   // querier destroyed or refreshed, held_blocks is 0: a destroyed querier
   // references nothing, and one refreshed since the ladder last changed
   // references only published blocks.
@@ -290,7 +291,7 @@ QC_TEST(quiesce_reclaims_every_block_no_view_references) {
   const qc::IbrStats s = sk.ibr_stats();
   CHECK(s.held_blocks > 0);
   CHECK_EQ(s.retire_list_len, std::uint64_t{0});
-  CHECK_EQ(s.live_blocks(), published_runs(sk) + s.held_blocks);
+  CHECK_EQ(s.live_blocks(), published_blocks(sk) + s.held_blocks);
 
   dropped.reset();
   kept.refresh();  // up to date: lets go of the view it replaced
@@ -298,7 +299,7 @@ QC_TEST(quiesce_reclaims_every_block_no_view_references) {
   sk.quiesce();
   const qc::IbrStats s2 = sk.ibr_stats();
   CHECK_EQ(s2.held_blocks, std::uint64_t{0});
-  CHECK_EQ(s2.live_blocks(), published_runs(sk));
+  CHECK_EQ(s2.live_blocks(), published_blocks(sk));
   CHECK_EQ(kept.size(), sk.size());
 }
 
@@ -360,7 +361,7 @@ QC_TEST(quiesce_tolerates_concurrent_merge_into) {
   target.quiesce();
   CHECK_EQ(target.size(), src_size * kMerges);
   const qc::IbrStats s = target.ibr_stats();
-  CHECK_EQ(s.live_blocks(), published_runs(target));
+  CHECK_EQ(s.live_blocks(), published_blocks(target));
 }
 
 QC_TEST(sharded_ibr_stats_aggregate_over_shards) {

@@ -314,15 +314,15 @@ QC_TEST(stats_expose_ingest_contention_counters) {
 
   // One updater: no flush finds its ordinal closed, and every latch hold
   // installs a batch (drainers do not take the latch for a head batch that
-  // is not ready), so the holds are the batches plus quiesce()'s own
-  // reclamation hold.
+  // is not ready), so the holds are the batches plus quiesce()'s two: the
+  // tail install of the 32-item gather residue and the reclamation hold.
   qc::core::Quancurrent<double> one(pipeline_options(64, 8));
   qc::bench::ingest_quancurrent(one, data, 1, /*quiesce=*/true);
   const auto s1 = one.stats();
   CHECK(s1.batches > 0u);
   CHECK_EQ(s1.gather_waits, 0u);
   CHECK_EQ(s1.gather_wait_ns, 0u);
-  CHECK_EQ(s1.latch_holds, s1.batches + 1);
+  CHECK_EQ(s1.latch_holds, s1.batches + 2);
   CHECK_EQ(one.size(), n);
 }
 

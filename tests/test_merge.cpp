@@ -2,16 +2,19 @@
 // order independence (associativity within the rank-error envelope), the
 // leveled install path it rides on, and wait-freedom of concurrent queriers
 // while a merge is in flight.
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_util/workload.hpp"
+#include "core/small_sort.hpp"
 #include "qc.hpp"
 #include "qc_test.hpp"
 #include "stream/exact_quantiles.hpp"
@@ -241,8 +244,27 @@ QC_TEST(cascade_images_match_pinned_digests) {
   const std::uint32_t got[3] = {digest(src), digest(target), digest(seq)};
   std::printf("    digests: %08x %08x %08x\n", got[0], got[1], got[2]);
   CHECK_EQ(got[0], 0x0f4f23d8u);
-  CHECK_EQ(got[1], 0x2d988403u);
+  CHECK_EQ(got[1], 0x3111c3afu);
   CHECK_EQ(got[2], 0x9f3227e2u);
+
+  // target's 85-item tail is an immutable sorted block, so the image writes
+  // it sorted.  An engine that kept the tail in insertion order wrote the
+  // 5 items the updater drained, then quiesce()'s 80-item gather residue
+  // as ten presorted 8-item chunks; with its tail put back in that order,
+  // the image must keep that engine's digest, so only the order moved.
+  auto image = qc::to_bytes(target);
+  const std::size_t m = n / 3;
+  std::vector<double> inserted(data.begin() + static_cast<std::ptrdiff_t>(m - 5),
+                               data.begin() + static_cast<std::ptrdiff_t>(m));
+  for (std::size_t c = m - 85; c < m - 5; c += 8) {
+    std::array<double, 8> chunk{};
+    std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(c), 8, chunk.begin());
+    qc::core::small_sort(std::span<double>(chunk));
+    inserted.insert(inserted.end(), chunk.begin(), chunk.end());
+  }
+  std::memcpy(image.data() + image.size() - 85 * sizeof(double), inserted.data(),
+              85 * sizeof(double));
+  CHECK_EQ(qc::recovery::crc32c(image.data(), image.size()), 0x2d988403u);
 }
 
 QC_TEST(queriers_stay_live_during_concurrent_merge) {

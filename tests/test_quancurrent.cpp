@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -219,6 +221,88 @@ QC_TEST(short_lived_updaters_keep_the_tail_under_2k) {
   auto q = sk.make_querier();
   CHECK_EQ(q.size(), n);
   CHECK(tail_under_2k(q));
+}
+
+// serialize() and merge_into() read the ladder and the tail as one image.
+// One thread makes short-lived updaters of 15 items each (k = 64, b = 16),
+// so every item arrives through Updater::drain -> push_tail, and a push
+// that completes a 2k batch moves it from the tail into the ladder.
+// Another alternates serialize -> deserialize with merge_into a fresh
+// target: each result must hold every item whose push returned before the
+// call.  An image that read the ladder before such a move and the tail
+// after it would miss up to 2k items.
+QC_TEST(images_hold_every_item_pushed_before_them) {
+  const std::uint32_t k = 64;
+  qc::core::Quancurrent<double> sk(small_options(k, 16));
+  std::atomic<std::uint64_t> pushed{0};
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    std::uint64_t n = 0;
+    for (std::uint32_t u = 0; !stop.load(std::memory_order_acquire); ++u) {
+      {
+        auto updater = sk.make_updater(u % 4);
+        for (int i = 0; i < 15; ++i) updater.update(static_cast<double>(n++ % 1000));
+      }
+      pushed.store(n, std::memory_order_release);
+    }
+  });
+  int short_images = 0;
+  int short_merges = 0;
+  std::vector<std::byte> blob;
+  for (int round = 0; round < 2000; ++round) {
+    const std::uint64_t before = pushed.load(std::memory_order_acquire);
+    if (round % 2 == 0) {
+      std::size_t bytes = 0;
+      while (bytes == 0) {  // the size is a probe: installs may outgrow it
+        blob.resize(sk.serialized_size() + 4 * 2 * k * sizeof(double));
+        bytes = sk.serialize(blob);
+      }
+      const auto back = qc::core::Quancurrent<double>::deserialize(
+          std::span<const std::byte>(blob.data(), bytes));
+      CHECK(back != nullptr);
+      if (back == nullptr || back->size() < before) ++short_images;
+    } else {
+      qc::core::Quancurrent<double> target(small_options(k, 16));
+      CHECK(sk.merge_into(target));
+      if (target.size() < before) ++short_merges;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  CHECK_EQ(short_images, 0);
+  CHECK_EQ(short_merges, 0);
+  CHECK_EQ(sk.size(), pushed.load(std::memory_order_acquire));
+}
+
+// Every push of a 15-item short-lived updater (b = 16) is one install that
+// adds 15 items, so every published state holds a multiple of 15.  A
+// querier refreshing against a stream of such pushes must only validate
+// views of published states: the tail block is overwritten in place, and a
+// view pairing the tail of one install with the ladder of another is off
+// by the 2k batch the install split off (128 items at k = 64).
+QC_TEST(validated_views_pair_ladder_and_tail_of_one_install) {
+  const std::uint32_t k = 64;
+  qc::core::Quancurrent<double> sk(small_options(k, 16));
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (std::uint32_t u = 0; !stop.load(std::memory_order_acquire); ++u) {
+      auto updater = sk.make_updater(u % 4);
+      for (int i = 0; i < 15; ++i) updater.update(static_cast<double>((u * 15 + i) % 1000));
+    }
+  });
+  auto q = sk.make_querier();
+  std::uint64_t views = 0;
+  std::uint64_t torn = 0;
+  while (views < 200'000) {
+    q.refresh_full();
+    if (q.holes() != 0) continue;
+    ++views;
+    if (q.size() % 15 != 0) ++torn;
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  CHECK_EQ(torn, std::uint64_t{0});
+  CHECK(sk.tritmap().stream_size(k) > 0);
 }
 
 QC_TEST_MAIN()

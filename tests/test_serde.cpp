@@ -399,6 +399,58 @@ QC_TEST(deserialize_folds_a_tail_of_2k_or_more) {
   CHECK_EQ(tail_run, std::uint64_t{5});
 }
 
+// serialize() writes the tail sorted, as the immutable block it is; an
+// image written in insertion order (the same v4 format) still loads:
+// deserialize() sorts its tail first.  A hand-built image with an unsorted
+// 100-item tail answers bit-identically to a sketch pushed the same items,
+// and re-serializes byte for byte like it, with its tail sorted.
+QC_TEST(unsorted_tail_image_loads_and_reserializes_sorted) {
+  qc::Options o = small_options(64, 8);
+  o.topology = qc::numa::Topology::virtual_nodes(1, 1);
+  const auto ladder_only = [&o](qc::Quancurrent<double>& sk) {
+    auto u = sk.make_updater(0);
+    for (int i = 0; i < 4 * 128; ++i) u.update(static_cast<double>(i));
+  };
+  qc::Quancurrent<double> ck(o);
+  ladder_only(ck);
+  ck.quiesce();
+  auto blob = serialize_of(ck);  // its final 8 bytes are tail_count = 0
+
+  std::vector<double> tail;
+  for (int i = 0; i < 100; ++i) tail.push_back(static_cast<double>((i * 37) % 1000));
+  CHECK(!std::is_sorted(tail.begin(), tail.end()));
+  const std::uint64_t count = tail.size();
+  blob.resize(blob.size() - sizeof(count));
+  const auto* count_bytes = reinterpret_cast<const std::byte*>(&count);
+  blob.insert(blob.end(), count_bytes, count_bytes + sizeof(count));
+  const auto* tail_bytes = reinterpret_cast<const std::byte*>(tail.data());
+  blob.insert(blob.end(), tail_bytes, tail_bytes + tail.size() * sizeof(double));
+
+  qc::serde::Status st = qc::serde::Status::short_buffer;
+  auto back = qc::Quancurrent<double>::deserialize(blob, &st);
+  CHECK(back != nullptr);
+  if (back == nullptr) return;
+  CHECK(st == qc::serde::Status::ok);
+
+  qc::Quancurrent<double> fed(o);
+  ladder_only(fed);
+  fed.quiesce();
+  fed.push_tail(tail.data(), tail.size());
+  CHECK_EQ(back->size(), fed.size());
+  auto q_back = back->make_querier();
+  auto q_fed = fed.make_querier();
+  CHECK(q_back.summary() == q_fed.summary());
+  for (int i = 0; i <= 20; ++i) CHECK(q_back.quantile(i / 20.0) == q_fed.quantile(i / 20.0));
+
+  const auto again = serialize_of(*back);
+  CHECK(again == serialize_of(fed));
+  std::vector<double> written(tail.size());
+  std::memcpy(written.data(), again.data() + again.size() - tail.size() * sizeof(double),
+              tail.size() * sizeof(double));
+  std::sort(tail.begin(), tail.end());
+  CHECK(written == tail);
+}
+
 QC_TEST(deserialize_rejects_truncation_at_every_prefix_length) {
   qc::Quancurrent<double> ck(small_options(64, 8));
   for (int i = 0; i < 5'000; ++i) ck.update(static_cast<double>(i));

@@ -3,6 +3,7 @@
 // per-shard summaries), weight conservation, accuracy against the exact
 // oracle, and incremental cross-shard refresh.
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -376,6 +377,48 @@ QC_TEST(sharded_restore_reroutes_into_different_width) {
     }
     CHECK(max_err < 16.0 / static_cast<double>(k));
   }
+}
+
+// The sharded checkpoint images each shard, and a shard merges through the
+// single sketch's merge_into, so both must hold every item whose push
+// returned before the call while short-lived updaters (15 items each, so
+// every item arrives through Updater::drain -> push_tail) move full 2k
+// batches from the shards' tails into their ladders.
+QC_TEST(sharded_images_hold_every_item_pushed_before_them) {
+  const std::uint32_t k = 64;
+  qc::ShardedQuancurrent<double> sk(2, small_options(k, 16));
+  std::atomic<std::uint64_t> pushed{0};
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    std::uint64_t n = 0;
+    for (std::uint32_t u = 0; !stop.load(std::memory_order_acquire); ++u) {
+      {
+        auto updater = sk.make_updater(u % 4);
+        for (int i = 0; i < 15; ++i) updater.update(static_cast<double>(n++ % 1000));
+      }
+      pushed.store(n, std::memory_order_release);
+    }
+  });
+  int short_images = 0;
+  int short_merges = 0;
+  for (int round = 0; round < 1000; ++round) {
+    const std::uint64_t before = pushed.load(std::memory_order_acquire);
+    if (round % 2 == 0) {
+      const auto back = qc::recovery::deserialize_sharded<double>(
+          qc::recovery::serialize_sharded(sk));
+      CHECK(back != nullptr);
+      if (back == nullptr || back->size() < before) ++short_images;
+    } else {
+      qc::Quancurrent<double> target(small_options(k, 16));
+      for (std::uint32_t s = 0; s < sk.num_shards(); ++s) CHECK(sk.shard(s).merge_into(target));
+      if (target.size() < before) ++short_merges;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  CHECK_EQ(short_images, 0);
+  CHECK_EQ(short_merges, 0);
+  CHECK_EQ(sk.size(), pushed.load(std::memory_order_acquire));
 }
 
 QC_TEST_MAIN()

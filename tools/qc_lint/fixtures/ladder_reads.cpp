@@ -1,7 +1,8 @@
 // qc-lint fixture: ladder-read-through-image.
 // Never compiled — parsed textually by qc_lint.py.  Off the install latch,
-// ladder slot pointers are read only by LadderImage's members; any other
-// reader would need its own pin, epoch load order and seq validation.
+// ladder slot and tail pointers are read only by LadderImage's members; any
+// other reader would need its own pin, load order and seq validation.  A
+// tail writer may also read the tail pointer under tail_mu_.
 struct Sketch {
   // Positives: a querier-style load loop with its own pin and re-check.
   void stage_levels(Tritmap tm) {
@@ -33,8 +34,20 @@ struct Sketch {
     retire(early, old);
   }
 
-  // Negatives: a latched writer, a read under a LatchGuard, and the image
-  // loader.
+  // Tail pointer: an unpinned reader, and one that reads before taking
+  // tail_mu_.
+  std::uint64_t tail_items() const {
+    return tail_.load(std::memory_order_acquire)->items.size();  // qc-lint-expect: ladder-read-through-image
+  }
+
+  void push_tail_early(const double* items, std::size_t n) {
+    const LevelBlock* cur = tail_.load(std::memory_order_relaxed);  // qc-lint-expect: ladder-read-through-image
+    const sync::MutexLock lock(tail_mu_);
+    merge(cur, items, n);
+  }
+
+  // Negatives: a latched writer, a read under a LatchGuard, a tail writer
+  // under tail_mu_, the destructor, and the image loader.
   void publish_slot(std::uint32_t level, std::uint32_t slot, LevelBlock* nb)
       QC_REQUIRES(latch_) {
     auto& ref = slot_block(level, slot);
@@ -44,7 +57,19 @@ struct Sketch {
   void rebuild(Sketch* sk) {
     const LatchGuard guard(*sk);
     sk->slot_block(1, 0).store(fresh(), std::memory_order_relaxed);
+    retire(sk->tail_.load(std::memory_order_relaxed));
   }
+
+  void push_tail(const double* items, std::size_t n) {
+    const sync::MutexLock lock(tail_mu_);
+    merge(tail_.load(std::memory_order_relaxed), items, n);
+  }
+
+  void merge_tail(const double* items, std::size_t n) QC_REQUIRES(tail_mu_) {
+    merge(tail_.load(std::memory_order_relaxed), items, n);
+  }
+
+  ~Sketch() { delete tail_.load(std::memory_order_relaxed); }
 
   class LadderImage {
    public:
@@ -55,6 +80,7 @@ struct Sketch {
 
    private:
     void load(const Sketch& s, Tritmap tm) {
+      tail_ = s.tail_.load(std::memory_order_seq_cst);
       for (std::uint32_t level = 1; level < tm.num_levels(); ++level) {
         for (std::uint32_t i = 0; i < tm.trit(level); ++i) {
           runs_[level * 2 + i] = s.slot_block(level, i).load(std::memory_order_seq_cst);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """qc-lint: repo-specific static checks for the Quancurrent engine.
 
-Eight checks, each enforcing an invariant the compiler cannot see:
+Nine checks, each enforcing an invariant the compiler cannot see:
 
   explicit-memory-order   Every atomic operation names its memory order.  The
                           snapshot-validation and IBR correctness arguments in
@@ -28,13 +28,25 @@ Eight checks, each enforcing an invariant the compiler cannot see:
                           directly or through the call graph.  A latch
                           holder throttled at ibr_retire_cap waits for every
                           pin, so a pinned waiter deadlocks against it.
+  no-lock-on-query-path   Queries never wait: nothing reachable from a
+                          member of a Querier class, or from a LadderImage
+                          constructor that takes a pin slot (the unlatched
+                          loader), through the call graph takes tail_mu_
+                          (MutexLock), the install latch (LatchGuard,
+                          acquire_latch, try_acquire_latch) or an
+                          install-queue wait (drain_until, drain_installs,
+                          acquire_cell).  Refreshes are noexcept and
+                          lock-free; a lock there makes every query wait on
+                          a writer.
   ladder-read-through-image
-                          Off the install latch, ladder slot pointers are
-                          read only through LadderImage: a slot_block() call
-                          must sit in a QC_REQUIRES(latch_) function, after a
-                          LatchGuard in its scope, or in a member of
-                          LadderImage.  The image owns the pin and the
-                          epoch-before-pointer load order that its callers'
+                          Off the install latch, ladder slot and tail
+                          pointers are read only through LadderImage: a
+                          slot_block() call or tail_ load must sit in a
+                          QC_REQUIRES(latch_) function, after a LatchGuard
+                          in its scope, or in a member of LadderImage (a
+                          tail_ load also under tail_mu_, which serializes
+                          the tail writers, or in a destructor).  The image
+                          owns the pin and the load order that its callers'
                           seq validation rests on; a second reader would
                           have to repeat both.
   ref-under-image         A query view references a level block
@@ -89,6 +101,7 @@ CHECKS = (
     "no-alloc-under-latch",
     "no-blocking-under-latch",
     "no-wait-while-pinned",
+    "no-lock-on-query-path",
     "ladder-read-through-image",
     "ref-under-image",
     "reopen-after-claim",
@@ -147,11 +160,20 @@ SKETCH_WAIT_TOKENS = [
     (re.compile(r"\bacquire_cell\s*\("), "acquire_cell()"),
     (re.compile(r"\bdrain_installs\s*\("), "drain_installs()"),
 ]
+# What a query must never take: the sketch's mutex, its install latch (even
+# a try), and its install-queue waits.
+QUERY_LOCK_TOKENS = SKETCH_WAIT_TOKENS[:3] + [
+    (re.compile(r"\btry_acquire_latch\s*\("), "try_acquire_latch()"),
+] + SKETCH_WAIT_TOKENS[3:]
+# The classes whose members are query-path roots.
+QUERIER_CLASS_RE = re.compile(r"\b(?:class|struct)\s+Querier\b[^;{]*\{")
 # A declared IBR pin: the scoped announcement or the image that holds one.
 PIN_DECL_RE = re.compile(r"\b(?:IbrPin|LadderImage)\s+[A-Za-z_]\w*\s*[({=;]")
 # The one type allowed to read ladder slot pointers off the latch.
 IMAGE_CLASS_RE = re.compile(r"\b(?:class|struct)\s+LadderImage\b[^;{]*\{")
-SLOT_READ_RE = re.compile(r"\bslot_block\s*\(")
+SLOT_READ_RE = re.compile(r"\bslot_block\s*\(|\btail_\s*(?:\.|->)\s*load\s*\(")
+# A tail_mu_ hold: the scope a tail writer may read the tail pointer in.
+TAIL_LOCK_RE = re.compile(r"\bMutexLock\s+\w+\s*[({]\s*tail_mu_\s*[)}]")
 # A view taking a reference to a level block, and the image that must be in
 # hand when it does.
 REF_TAKE_RE = re.compile(r"\breaders\s*(?:\.|->)\s*fetch_add\s*\(")
@@ -281,6 +303,9 @@ class Function:
             re.search(r"QC_REQUIRES\s*\([^)]*latch", trailer))
         self.excludes_latch = bool(
             re.search(r"QC_EXCLUDES\s*\([^)]*latch", trailer))
+        self.requires_tail_mu = bool(
+            re.search(r"QC_REQUIRES\s*\([^)]*tail_mu", trailer))
+        self.destructor = False
 
 
 def extract_functions(clean: str, path: str):
@@ -363,8 +388,10 @@ def extract_functions(clean: str, path: str):
         body_end = match_delim(clean, i, "{", "}")
         body = clean[i + 1:body_end - 1]
         params = clean[paren_open + 1:after_params - 1]
-        funcs.append(Function(name, path, line_of(clean, m.start()),
-                              params, trailer, body, i))
+        fn = Function(name, path, line_of(clean, m.start()), params, trailer,
+                      body, i)
+        fn.destructor = prev.endswith("~")
+        funcs.append(fn)
     return funcs
 
 
@@ -596,24 +623,65 @@ def check_pinned(path, fn, base_line, allow, waiting, out):
                 emit(m, f"call to {callee}(), which can wait on the sketch")
 
 
-def image_spans(clean: str):
-    """(start, end) offsets of every LadderImage class body in a file."""
+def class_spans(clean: str, class_re):
+    """(start, end) offsets of every body of the matched classes in a file."""
     return [(m.end() - 1, match_delim(clean, m.end() - 1, "{", "}"))
-            for m in IMAGE_CLASS_RE.finditer(clean)]
+            for m in class_re.finditer(clean)]
+
+
+def query_roots(fn: Function, queriers, images):
+    """Whether fn starts a query path: a Querier member, or a LadderImage
+    constructor that takes a pin slot (more parameters than the sketch)."""
+    if any(s <= fn.body_offset < e for s, e in queriers):
+        return True
+    return (fn.name == "LadderImage" and "," in fn.params
+            and any(s <= fn.body_offset < e for s, e in images))
+
+
+def check_query_locks(funcs_by_name, roots, allow_by_path, out):
+    """Flags QUERY_LOCK_TOKENS in every function the query roots reach
+    through the name-based call graph."""
+    reached = {}  # id(fn) -> (fn, root name)
+    work = [(fn, fn.name) for fn in roots]
+    while work:
+        fn, root = work.pop()
+        if id(fn) in reached:
+            continue
+        reached[id(fn)] = (fn, root)
+        for callee in body_calls(fn.body):
+            work += [(cf, root) for cf in funcs_by_name.get(callee, ())]
+    for fn, root in reached.values():
+        for rex, what in QUERY_LOCK_TOKENS:
+            for m in rex.finditer(fn.body):
+                line = fn.base_line + fn.body[:m.start()].count("\n")
+                if not allowed(allow_by_path[fn.path], "no-lock-on-query-path",
+                               line):
+                    via = "" if root == fn.name else f", reached from {root}"
+                    out.append(Violation(fn.path, line, "no-lock-on-query-path",
+                                         f"{what} on the query path (in "
+                                         f"{fn.name}{via})"))
 
 
 def check_ladder_reads(path, fn, base_line, allow, images, out):
-    """Flags slot_block() calls outside the latch and outside LadderImage."""
+    """Flags slot_block() calls and tail_ loads outside the latch and
+    outside LadderImage; a tail_ load may also sit under tail_mu_ or in a
+    destructor."""
     if fn.requires_latch or any(s <= fn.body_offset < e for s, e in images):
         return
     latched = latched_regions(fn)
+    tail_ok = latched + [(m.start(), scope_end(fn.body, m.end()))
+                         for m in TAIL_LOCK_RE.finditer(fn.body)]
+    if fn.requires_tail_mu or fn.destructor:
+        tail_ok = [(0, len(fn.body))]
     for m in SLOT_READ_RE.finditer(fn.body):
-        if any(s <= m.start() < e for s, e in latched):
+        tail = not m.group(0).startswith("slot_block")
+        if any(s <= m.start() < e for s, e in (tail_ok if tail else latched)):
             continue
         line = base_line + fn.body[:m.start()].count("\n")
+        what = "tail_ load" if tail else "slot_block() read"
         if not allowed(allow, "ladder-read-through-image", line):
             out.append(Violation(path, line, "ladder-read-through-image",
-                                 "slot_block() read off the latch outside "
+                                 f"{what} off the latch outside "
                                  f"LadderImage (in {fn.name}); load ladder "
                                  "pointers through a LadderImage"))
 
@@ -799,13 +867,18 @@ def run_checks(paths, fixture_mode=False):
     waiting = waiting_functions(funcs_by_name)
 
     violations = []
+    roots = []
     for p in paths:
         clean, allow = cleans[p], allows[p]
         violations += check_memory_order(p, clean, atomics, flags, scalars,
                                          allow)
-        images = image_spans(clean)
+        images = class_spans(clean, IMAGE_CLASS_RE)
+        queriers = class_spans(clean, QUERIER_CLASS_RE)
         for fn in per_file_funcs[p]:
             base = line_of(clean, fn.body_offset)
+            fn.base_line = base
+            if query_roots(fn, queriers, images):
+                roots.append(fn)
             if fn.requires_latch or (fn.name in reach
                                      and not fn.excludes_latch):
                 scan_region(p, fn, 0, len(fn.body), base, allow,
@@ -820,6 +893,7 @@ def run_checks(paths, fixture_mode=False):
             check_reopen_after_claim(p, fn, base, allow, violations)
         engine = is_engine_header(p) or (fixture_mode and p.endswith(".hpp"))
         violations += check_assert(p, clean, allow, engine)
+    check_query_locks(funcs_by_name, roots, allows, violations)
     # one diagnostic per (file, line, check)
     seen, unique = set(), []
     for v in violations:
