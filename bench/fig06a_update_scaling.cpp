@@ -1,6 +1,9 @@
 // Figure 6a: update-only throughput vs. number of update threads.
 // Paper parameters: k = 4096, b = 16, 10M elements; Quancurrent scales
-// linearly, reaching 12x the sequential sketch at 32 threads.
+// linearly, reaching 12x the sequential sketch at 32 threads.  The
+// sequential baseline presorts and compacts through the engine's own
+// kernels (core/run_merge.hpp presort and merge_compact), so one updater
+// ingests about as fast as it and the speedup column measures concurrency.
 //
 // Writes BENCH_ingest.json when QC_BENCH_JSON is set.
 //

@@ -9,10 +9,9 @@
 // kernels' throughput lands in BENCH_query_micro.json.
 //
 // Ingest side: the owner's Gather&Sort cost — multiway merge of pre-sorted
-// b-chunks vs. the full-sort baseline (radix batch_sort and std::sort) across
-// k x b — the cascade step under the install latch (fused merge-compaction
-// vs. std::merge + stride copy), plus the substrate ops (batch radix sort,
-// tritmap arithmetic).
+// b-chunks vs. the full-sort baseline (std::sort) across k x b — the
+// cascade step under the install latch (fused merge-compaction vs.
+// std::merge + stride copy), plus the tritmap arithmetic.
 // These quantify the constants behind fig06a/fig07a/fig07b; results land in
 // BENCH_ingest_micro.json.
 //
@@ -32,7 +31,6 @@
 #include "common/env.hpp"
 #include "common/fmt_table.hpp"
 #include "common/timer.hpp"
-#include "core/batch_sort.hpp"
 #include "core/quancurrent.hpp"
 #include "core/run_merge.hpp"
 #include "stream/generators.hpp"
@@ -199,7 +197,7 @@ int main() {
   // The batch owner's critical-path work per 2k batch: merging the gather
   // buffer's 2k/b pre-sorted chunks (the new pipeline; chunk sorting happened
   // on the writer threads) vs sorting the full 2k buffer from scratch (the
-  // baseline; radix batch_sort and std::sort).  "merge" is the production
+  // baseline, std::sort).  "merge" is the production
   // ChunkMerger (interleaved pairwise), "tree" the generic loser-tree raw
   // merge.  Cost accounting mirrors flush_chunk exactly: the merge writes the
   // sorted batch straight into the install cell, while a full sort works on
@@ -210,8 +208,7 @@ int main() {
   bool gather_merge_wins = true;
   {
     std::printf("gather path: chunk merge vs full sort (owner cost per 2k batch)\n");
-    Table g({"k", "b", "chunks", "merge", "tree", "batch_sort", "std::sort",
-             "sort/merge"});
+    Table g({"k", "b", "chunks", "merge", "tree", "std::sort", "sort/merge"});
     for (const std::uint32_t gk : {256u, 1024u, 4096u}) {
       for (const std::uint32_t gb : {16u, 64u, 256u}) {
         if (gb > 2 * gk) continue;
@@ -225,7 +222,6 @@ int main() {
         }
         std::vector<double> out(cap);
         std::vector<double> work(cap);
-        std::vector<double> aux;
         std::vector<core::RunRef<double>> runs;
         core::chunk_runs(std::span<const double>(chunked), gb, runs);
         core::ChunkMerger<double> chunk_merger;
@@ -245,31 +241,23 @@ int main() {
           tree_merger.merge_items(runs_span, std::span<double>(out));
           keep(out.data());
         });
-        // sort variants: reset input (subtracted), sort in place, copy the
-        // sorted batch into the install cell (`out`) as flush_chunk does.
-        const double radix_t = best_time_per_op(iters, [&] {
-          std::copy(raw.begin(), raw.end(), work.begin());
-          core::batch_sort(std::span<double>(work), aux);
-          std::memcpy(out.data(), work.data(), cap * sizeof(double));
-          keep(out.data());
-        }) - copy_t;
+        // the sort: reset input (subtracted), sort in place, copy the sorted
+        // batch into the install cell (`out`) as flush_chunk does.
         const double std_t = best_time_per_op(iters, [&] {
           std::copy(raw.begin(), raw.end(), work.begin());
           std::sort(work.begin(), work.end());
           std::memcpy(out.data(), work.data(), cap * sizeof(double));
           keep(out.data());
         }) - copy_t;
-        const double best_sort = std::min(radix_t, std_t);
-        if (gk >= 1024 && merge_t >= best_sort) gather_merge_wins = false;
+        if (gk >= 1024 && merge_t >= std_t) gather_merge_wins = false;
         g.add_row({Table::integer(gk), Table::integer(gb),
                    Table::integer(cap / gb), micros(merge_t), micros(tree_t),
-                   micros(radix_t), micros(std_t),
-                   Table::num(best_sort / merge_t, 2) + "x"});
+                   micros(std_t), Table::num(std_t / merge_t, 2) + "x"});
         char key[64];
         std::snprintf(key, sizeof(key), "gather_merge_us_k%u_b%u", gk, gb);
         ingest_json.add(key, merge_t * 1e6);
         std::snprintf(key, sizeof(key), "gather_sort_us_k%u_b%u", gk, gb);
-        ingest_json.add(key, best_sort * 1e6);
+        ingest_json.add(key, std_t * 1e6);
       }
     }
     g.print();
@@ -330,23 +318,6 @@ int main() {
 
   // ----- ingest substrates -------------------------------------------------
   {
-    auto batch = stream::make_stream(stream::Distribution::kUniform, 2 * k, 3);
-    std::vector<double> work(batch.size());
-    std::vector<double> aux;
-    const double radix_t = time_per_op(200, [&] {
-      std::copy(batch.begin(), batch.end(), work.begin());
-      core::batch_sort(std::span<double>(work), aux);
-      keep(work.data());
-    });
-    const double std_t = time_per_op(200, [&] {
-      std::copy(batch.begin(), batch.end(), work.begin());
-      std::sort(work.begin(), work.end());
-      keep(work.data());
-    });
-    t.add_row({"batch_sort (radix, 2k)", micros(radix_t), ""});
-    t.add_row({"std::sort (2k)", micros(std_t),
-               Table::num(std_t / radix_t, 2) + "x vs radix"});
-
     // The shape of every published tritmap: level 0 drained, no trit above
     // 1, so the level-0 propagation below is a valid transition.
     Tritmap tm(0);

@@ -5,10 +5,10 @@
 // Architecture, as in the FCDS paper:
 //
 //   * N WORKERS, each owning TWO buffers of B elements.  A worker fills its
-//     current buffer; when full it pre-sorts the buffer in place
-//     (core/batch_sort.hpp — sort work stays on the worker, exactly as
-//     Quancurrent's updaters pre-sort their b-chunks), marks it ready with
-//     one release store, and switches to its other buffer.  If that buffer
+//     current buffer; when full it pre-sorts the buffer (core/run_merge.hpp
+//     presort — sort work stays on the worker, exactly as Quancurrent's
+//     updaters pre-sort their b-chunks, with the same code), marks it ready
+//     with one release store, and switches to its other buffer.  If that buffer
 //     is still awaiting the propagator, the worker BLOCKS — the bottleneck
 //     Quancurrent's §5.5 analysis attributes FCDS's flat scaling to.
 //   * ONE PROPAGATOR thread round-robins over the workers, consuming ready
@@ -16,7 +16,8 @@
 //     sorted buffers accumulate as runs of a 2k base; a full base is
 //     multiway-merged (core/run_merge.hpp RunMerger — the same primitive as
 //     Quancurrent's Gather&Sort, so the baseline is not a strawman), halved
-//     by odd/even sampling, and propagated up k-sized levels.
+//     by odd/even sampling, and propagated up k-sized levels in storage the
+//     propagator keeps.
 //   * DOUBLE-BUFFERED SNAPSHOTS, WAIT-FREE READERS.  Every `publish_every`
 //     propagated elements the propagator rebuilds the query summary into the
 //     inactive snapshot buffer and flips the active index with one atomic
@@ -61,7 +62,6 @@
 #include "common/annotations.hpp"
 #include "common/backoff.hpp"
 #include "common/rng.hpp"
-#include "core/batch_sort.hpp"
 #include "core/run_merge.hpp"
 #include "sequential/quantiles_sketch.hpp"
 
@@ -119,7 +119,8 @@ class FcdsQuantiles {
     Updater(FcdsQuantiles& sketch, std::uint32_t worker_index)
         : sketch_(&sketch),
           slot_(sketch.slots_[worker_index % sketch.opts_.num_workers].get()),
-          b_(sketch.opts_.worker_buffer) {
+          b_(sketch.opts_.worker_buffer),
+          sorted_(sketch.opts_.worker_buffer) {
       // Two updaters sharing a slot race on its buffers; the modulo above
       // keeps a release build in-bounds, but the misuse must fail fast.
       // qc-lint-allow(qc-check-over-assert): the modulo makes Release
@@ -136,7 +137,8 @@ class FcdsQuantiles {
           b_(other.b_),
           cur_(other.cur_),
           count_(std::exchange(other.count_, 0)),
-          sort_aux_(std::move(other.sort_aux_)) {}
+          sorted_(std::move(other.sorted_)),
+          merger_(std::move(other.merger_)) {}
     Updater& operator=(Updater&&) = delete;
 
     ~Updater() { drain(); }
@@ -156,10 +158,16 @@ class FcdsQuantiles {
     // Pre-sorts the current buffer (worker-side sort, as FCDS prescribes),
     // publishes it to the propagator, and switches to the other buffer —
     // blocking until the propagator has consumed it (the 2NB relaxation
-    // bound: a worker never holds more than two unconsumed buffers).
+    // bound: a worker never holds more than two unconsumed buffers).  A
+    // presort that merged into sorted_ swaps it with the buffer's storage:
+    // sorted_ then holds this seal's unpublished input, which the next seal
+    // may overwrite.
     void seal() {
       Buffer& buf = slot_->bufs[cur_];
-      core::batch_sort(std::span<T>(buf.items.data(), count_), sort_aux_, sketch_->cmp_);
+      const std::span<const T> sorted =
+          core::presort(std::span<T>(buf.items.data(), count_),
+                        std::span<T>(sorted_.data(), count_), merger_, sketch_->cmp_);
+      if (sorted.data() == sorted_.data()) buf.items.swap(sorted_);
       buf.count = count_;
       buf.full.store(true, std::memory_order_release);
       cur_ ^= 1;
@@ -173,7 +181,8 @@ class FcdsQuantiles {
     std::uint64_t b_;
     std::uint32_t cur_ = 0;
     std::uint64_t count_ = 0;
-    std::vector<T> sort_aux_;  // radix scratch for the worker-side sort
+    std::vector<T> sorted_;  // presort output, B items
+    core::ChunkMerger<T, Compare> merger_;
   };
 
   Updater make_updater(std::uint32_t worker_index) { return Updater(*this, worker_index); }
@@ -312,13 +321,13 @@ class FcdsQuantiles {
     }
     merger_.merge_items(std::span<const core::RunRef<T>>(runs_), std::span<T>(merged_),
                         cmp_);
-    std::vector<T> carry = sequential::sample_odd_or_even(
-        std::span<const T>(merged_.data(), cap_), rng_.next_bool());
+    sequential::sample_odd_or_even(std::span<const T>(merged_.data(), cap_),
+                                   rng_.next_bool(), carry_);
     base_.clear();
     base_starts_.clear();
     // The shared classic ladder (sequential/quantiles_sketch.hpp), so the
     // baseline's compaction can never drift from the sequential sketch's.
-    sequential::ladder_propagate(levels_, std::move(carry), 1u, rng_, cmp_);
+    sequential::ladder_propagate(levels_, carry_, spare_, 1u, rng_, cmp_);
   }
 
   // Reader side of the pin protocol: pick the active snapshot, pin it, then
@@ -394,6 +403,9 @@ class FcdsQuantiles {
   std::vector<T> merged_ QC_GUARDED_BY(propagator_role_);
   // levels_[i]: k items of weight 2^(i+1)
   std::vector<std::vector<T>> levels_ QC_GUARDED_BY(propagator_role_);
+  // the run moving up the ladder, and the merge output that swaps with it
+  std::vector<T> carry_ QC_GUARDED_BY(propagator_role_);
+  std::vector<T> spare_ QC_GUARDED_BY(propagator_role_);
   std::vector<core::RunRef<T>> runs_ QC_GUARDED_BY(propagator_role_);
   core::RunMerger<T, Compare> merger_ QC_GUARDED_BY(propagator_role_);
   core::RunMerger<T, Compare> snap_merger_ QC_GUARDED_BY(propagator_role_);

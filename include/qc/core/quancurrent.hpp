@@ -186,7 +186,6 @@
 #include "common/rng.hpp"
 #include "core/options.hpp"
 #include "core/run_merge.hpp"
-#include "core/small_sort.hpp"
 #include "fault/inject.hpp"
 #include "sequential/quantiles_sketch.hpp"
 #include "serde/binary.hpp"
@@ -520,7 +519,7 @@ class Quancurrent {
           node_(sketch.opts_.topology.node_of(thread_index)),
           b_(sketch.opts_.b),
           local_(sketch.opts_.b) {
-      if (b_ > 16) sorted_.resize(b_);
+      if (b_ > kPresortBlock) sorted_.resize(b_);
     }
 
     Updater(const Updater&) = delete;
@@ -590,25 +589,14 @@ class Quancurrent {
 
    private:
     // Stage 1 of the ingest pipeline: sort the full local buffer while it is
-    // cache-hot, then flush it as one pre-sorted b-chunk.  A buffer of up to
-    // 16 items goes straight through a branchless sorting network
-    // (small_sort); a larger one network-sorts each 16-item block (the last
-    // may be shorter) and chunk-merges the blocks.  Either way the
-    // per-update sort cost stays a fraction of what a from-scratch sort of
-    // the owner's batch would pay per item.
+    // cache-hot (run_merge.hpp presort: a branchless network per 16-item
+    // block, then a chunk merge when b > 16), then flush it as one
+    // pre-sorted b-chunk.  The per-update sort cost stays a fraction of what
+    // a from-scratch sort of the owner's batch would pay per item.
     void flush_local() {
-      if (b_ <= 16) {
-        small_sort(std::span<T>(local_), sketch_->cmp_);
-        sketch_->flush_chunk(node_, local_.data(), b_, merger_);
-      } else {
-        for (std::uint32_t off = 0; off < b_; off += 16) {
-          small_sort(std::span<T>(local_.data() + off, std::min(b_ - off, 16U)),
-                     sketch_->cmp_);
-        }
-        merger_.merge(std::span<const T>(local_), 16, std::span<T>(sorted_),
-                      sketch_->cmp_);
-        sketch_->flush_chunk(node_, sorted_.data(), b_, merger_);
-      }
+      const std::span<const T> sorted =
+          presort(std::span<T>(local_), std::span<T>(sorted_), merger_, sketch_->cmp_);
+      sketch_->flush_chunk(node_, sorted.data(), b_, merger_);
       count_ = 0;
     }
 

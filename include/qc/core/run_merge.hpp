@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "core/small_sort.hpp"
 
 namespace qc::core {
 
@@ -528,7 +529,7 @@ void chunk_runs(std::span<const T> data, std::size_t chunk,
 //
 // Unlike the loser tree this is O(R log(R/chunk)) total work rather than
 // O(R log L) comparisons with pointer-chasing constants; on uniform doubles
-// it beats even the radix batch_sort baseline across k x b (see
+// it beats a std::sort of the whole batch across k x b (see
 // micro_primitives).  The output value sequence is exactly what a full sort
 // of `data` would produce.
 template <typename T, typename Compare = std::less<T>>
@@ -756,6 +757,29 @@ class ChunkMerger {
   std::vector<T> tmp_;
   std::vector<Task> tasks_;
 };
+
+// Block length of the ingest presort: small_sort's largest network.
+inline constexpr std::size_t kPresortBlock = 16;
+
+// The ingest presort all three sketches share (the Quancurrent Updater's
+// local buffer, the sequential sketch's base buffer, an FCDS worker's
+// buffer): small_sort every kPresortBlock-item block of `data` in place (the
+// last may be shorter) from offset `presorted` on, a whole number of blocks
+// the caller sorted already, then chunk-merge the blocks into `out`.
+// Returns the sorted sequence: `data` itself when it is one block and there
+// is nothing to merge, otherwise `out`, which must then hold data.size()
+// items and not overlap `data`.
+template <typename T, typename Compare>
+std::span<const T> presort(std::span<T> data, std::span<T> out,
+                           ChunkMerger<T, Compare>& merger, Compare cmp = Compare(),
+                           std::size_t presorted = 0) {
+  for (std::size_t off = presorted; off < data.size(); off += kPresortBlock) {
+    small_sort(data.subspan(off, std::min(kPresortBlock, data.size() - off)), cmp);
+  }
+  if (data.size() <= kPresortBlock) return data;
+  merger.merge(std::span<const T>(data), kPresortBlock, out, cmp);
+  return out;
+}
 
 namespace detail {
 

@@ -1,13 +1,12 @@
 // small_sort: branchless sorting networks (Batcher odd-even mergesort,
 // compile-time generated, fully unrolled, cmov compare-exchanges over
-// order-preserving integer images for float/double) for the tiny runs the
-// Updater pre-sort stage produces; every update passes through it, so its
-// constant factor is the writer-side cost of the pipeline (~6x faster than
-// std::sort at n = 16).  batch_sort's radix passes (core/batch_sort.hpp)
-// sort by the same images.
+// order-preserving integer images for float/double) for the 16-item blocks
+// of the ingest presort (core/run_merge.hpp presort); every update of all
+// three sketches passes through it, so its constant factor is the
+// writer-side cost of the pipeline (~6x faster than std::sort at n = 16).
 //
 // NaNs are not supported (same precondition std::sort has with operator<;
-// the image-based paths place NaNs by bit pattern).
+// the image-based networks place NaNs by bit pattern).
 #pragma once
 
 #include <algorithm>
@@ -56,9 +55,9 @@ T from_sort_image(std::uint64_t key) {
 // (unsigned min/max compiles to cmp + cmov) AND remain true permutations of
 // the input bits: IEEE min/max instructions return the second operand for
 // {+0.0, -0.0} pairs, which would duplicate one zero and destroy the other.
-// The image order refines operator< exactly like the radix path (-0.0 sorts
-// before +0.0; NaNs land by bit pattern), keeping small_sort and batch_sort
-// byte-identical on every input.
+// The image order refines operator< (-0.0 sorts before +0.0; NaNs land by
+// bit pattern), so a floating-point block sorts to the same bytes whatever
+// its input order.
 template <typename T, typename Compare>
 inline constexpr bool network_uses_image =
     std::is_floating_point_v<T> && std::is_same_v<Compare, std::less<T>>;
@@ -126,10 +125,10 @@ inline void network_sort(T* v, Compare cmp) {
 }  // namespace detail
 
 // Sorts tiny runs: branchless unrolled networks for power-of-two sizes up to
-// 16, std::sort otherwise.  This is the Updater pre-sort primitive (stage 1
-// of the ingest pipeline): every local buffer of up to 16 items, and every
-// 16-item block of a larger one, goes through it while the data is still
-// L1-hot, so the batch owner only ever merges sorted runs.
+// 16, std::sort otherwise.  This is the presort's block sort (stage 1 of the
+// ingest pipeline): every buffer of up to 16 items, and every 16-item block
+// of a larger one, goes through it while the data is still L1-hot, so the
+// merges downstream only ever see sorted runs.
 template <typename T, typename Compare = std::less<T>>
 void small_sort(std::span<T> data, Compare cmp = Compare()) {
   switch (data.size()) {

@@ -9,16 +9,13 @@
 // propagates up the ladder, merging and re-compacting wherever a level is
 // already occupied.  The expected normalized rank error is O(1/k).
 //
-// The base buffer is kept as a sequence of pre-sorted chunks: every time it
-// crosses a `presort_chunk` boundary the newest chunk is sorted in place
-// while it is still cache-hot, and the compaction/query paths produce the
-// fully sorted base with the same chunk-merge primitive Quancurrent's
-// Gather&Sort uses (core/run_merge.hpp ChunkMerger) instead of a
-// from-scratch full sort — the Ivkin-style amortization of update-time sort
-// work.  The
-// merged output is the same value sequence a full sort would produce, so the
-// sketch's state and answers are bit-identical either way (presort_chunk = 0
-// restores the plain full-sort path).
+// The base buffer presorts the way Quancurrent's updaters do (core/run_merge.hpp
+// presort): every time it crosses a 16-item block boundary the newest block
+// is network-sorted in place while it is still cache-hot, and the
+// compaction/query paths produce the fully sorted base with one chunk merge
+// of those blocks instead of a from-scratch full sort — the Ivkin-style
+// amortization of update-time sort work.  Compaction writes into buffers the
+// sketch keeps, so steady-state ingest allocates nothing.
 //
 // Queries go through the same merge-based engine as Quancurrent's Querier
 // (core/run_merge.hpp): the levels are sorted runs already, so the summary is
@@ -45,41 +42,43 @@
 
 namespace qc::sequential {
 
-// Keeps the odd- or even-indexed half of a sorted run (the KLL compaction
-// step); the surviving items double their weight.
+// Writes the odd- or even-indexed half of a sorted run into `out` (the KLL
+// compaction step); the surviving items double their weight.
 template <typename T>
-std::vector<T> sample_odd_or_even(std::span<const T> sorted, bool keep_odd) {
-  std::vector<T> out;
-  out.reserve((sorted.size() + (keep_odd ? 0 : 1)) / 2);
-  for (std::size_t i = keep_odd ? 1 : 0; i < sorted.size(); i += 2) {
-    out.push_back(sorted[i]);
-  }
-  return out;
+void sample_odd_or_even(std::span<const T> sorted, bool keep_odd, std::vector<T>& out) {
+  const std::size_t first = keep_odd ? 1 : 0;
+  out.resize((sorted.size() + 1 - first) / 2);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = sorted[2 * i + first];
 }
 
-// Installs a k-sized sorted carry at `level` of a classic ladder (levels[i]
-// holds one run of weight 2^(i+1)), merging and re-compacting upward while
-// occupied — one rng coin per re-compaction, and one fused merge-compaction
-// (core/run_merge.hpp merge_compact, the kernel Quancurrent's cascade runs)
-// that writes only the kept half.  Shared by QuantilesSketch and
-// the FCDS baseline (baselines/fcds.hpp), whose single-worker bit-for-bit
+// Installs the k-sized sorted `carry` at `level` of a classic ladder
+// (levels[i] holds one run of weight 2^(i+1)), merging and re-compacting
+// upward while occupied — one rng coin per re-compaction, and one fused
+// merge-compaction (core/run_merge.hpp merge_compact, the kernel
+// Quancurrent's cascade runs) that writes only the kept half, into `spare`.
+// Runs move between carry, spare and the level slots by swap, and a vacated
+// slot keeps its capacity, so no step allocates once every level has held
+// a run; `carry` comes back empty.  Shared by QuantilesSketch and the FCDS
+// baseline (baselines/fcds.hpp), whose single-worker bit-for-bit
 // equivalence depends on the two ladders staying in lockstep.
 template <typename T, typename Compare, typename Rng>
-void ladder_propagate(std::vector<std::vector<T>>& levels, std::vector<T> carry,
-                      std::uint32_t level, Rng& rng, Compare cmp) {
+void ladder_propagate(std::vector<std::vector<T>>& levels, std::vector<T>& carry,
+                      std::vector<T>& spare, std::uint32_t level, Rng& rng,
+                      Compare cmp) {
   for (;; ++level) {
     if (levels.size() < level) levels.resize(level);
     auto& slot = levels[level - 1];
     if (slot.empty()) {
-      slot = std::move(carry);
+      slot.reserve(carry.size());  // a new level brings storage for the next carry
+      slot.swap(carry);
       return;
     }
     const std::uint32_t parity = rng.next_bool() ? 1 : 0;
-    std::vector<T> next((slot.size() + carry.size() + 1 - parity) / 2);
+    spare.resize((slot.size() + carry.size() + 1 - parity) / 2);
     core::merge_compact(slot.data(), slot.size(), carry.data(), carry.size(), parity,
-                        next.data(), cmp);
+                        spare.data(), cmp);
     slot.clear();
-    carry = std::move(next);
+    carry.swap(spare);
   }
 }
 
@@ -91,25 +90,22 @@ class QuantilesSketch {
  public:
   using value_type = T;
 
-  explicit QuantilesSketch(std::uint32_t k, std::uint64_t seed = 0x5eed5eed5eed5eedULL,
-                           std::uint32_t presort_chunk = 256)
+  explicit QuantilesSketch(std::uint32_t k, std::uint64_t seed = 0x5eed5eed5eed5eedULL)
       // Same k ceiling as the concurrent engine (core::Options::kMaxK), so
       // serialized images of either engine never carry a k that deserialize
       // must reject.
       : k_(std::min(k == 0 ? 1 : k, core::Options::kMaxK)), rng_(seed), cmp_() {
     base_.reserve(2 * static_cast<std::size_t>(k_));
-    chunk_ = std::min<std::size_t>(presort_chunk, 2 * static_cast<std::size_t>(k_));
-    if (chunk_ == 2 * static_cast<std::size_t>(k_)) chunk_ = 0;  // one chunk = full sort
   }
 
   void update(const T& v) {
     base_.push_back(v);
     ++n_;
     dirty_ = true;
-    if (chunk_ > 1 && base_.size() % chunk_ == 0) {
-      // Sort the just-completed chunk while it is cache-hot; the base buffer
-      // stays a sequence of sorted chunk_-runs plus an unsorted tail.
-      std::sort(base_.end() - static_cast<std::ptrdiff_t>(chunk_), base_.end(), cmp_);
+    if (base_.size() % core::kPresortBlock == 0) {
+      // Sort the just-completed block while it is cache-hot; the base buffer
+      // stays a sequence of sorted blocks plus an unsorted tail.
+      core::small_sort(std::span<T>(base_).last(core::kPresortBlock), cmp_);
     }
     if (base_.size() == 2 * static_cast<std::size_t>(k_)) compact_base();
   }
@@ -164,7 +160,8 @@ class QuantilesSketch {
     if (target.k_ != k_ || &target == this) return false;
     for (std::size_t i = 0; i < levels_.size(); ++i) {
       if (levels_[i].empty()) continue;
-      target.propagate(levels_[i], static_cast<std::uint32_t>(i + 1));
+      target.carry_.assign(levels_[i].begin(), levels_[i].end());
+      target.propagate(static_cast<std::uint32_t>(i + 1));
       target.n_ += static_cast<std::uint64_t>(k_) << (i + 1);
     }
     for (const T& v : base_) target.update(v);
@@ -226,7 +223,6 @@ class QuantilesSketch {
     try {
       QC_INJECT_OOM(deserialize_alloc);
       QuantilesSketch sk(k);
-      sk.chunk_ = static_cast<std::size_t>(chunk);
       sk.n_ = n;
       sk.rng_.set_state(rng_state);
       std::uint64_t base_count = 0;
@@ -249,19 +245,32 @@ class QuantilesSketch {
         serde::set_status(status, serde::Status::short_buffer);
         return std::nullopt;
       }
-      // The base ships in ingestion order, but its completed chunk_-sized
-      // blocks are sorted in place by update() — the chunk-merge query path
-      // trusts exactly that, so a crafted image violating it is malformed.
-      if (sk.chunk_ > 1) {
-        for (std::size_t off = 0; off + sk.chunk_ <= sk.base_.size();
-             off += sk.chunk_) {
+      // update() compacts a base the moment it holds 2k items, so a full
+      // one is malformed (it would never compact again).
+      if (base_count == 2 * static_cast<std::uint64_t>(k)) {
+        serde::set_status(status, serde::Status::bad_payload);
+        return std::nullopt;
+      }
+      // The base ships in ingestion order with its completed chunk-sized
+      // blocks sorted in place by update(); an image violating that is
+      // malformed.  Images written before the presort block was 16 declare
+      // chunk 0 (an unsorted base) or another chunk length, so every
+      // complete block is then sorted again at today's length, the layout
+      // the chunk-merge paths trust.
+      if (chunk > 1) {
+        for (std::size_t off = 0; off + chunk <= sk.base_.size(); off += chunk) {
           const auto first = sk.base_.begin() + static_cast<std::ptrdiff_t>(off);
-          if (!std::is_sorted(first, first + static_cast<std::ptrdiff_t>(sk.chunk_),
+          if (!std::is_sorted(first, first + static_cast<std::ptrdiff_t>(chunk),
                               sk.cmp_)) {
             serde::set_status(status, serde::Status::bad_payload);
             return std::nullopt;
           }
         }
+      }
+      for (std::size_t off = 0; off + core::kPresortBlock <= sk.base_.size();
+           off += core::kPresortBlock) {
+        core::small_sort(std::span<T>(sk.base_).subspan(off, core::kPresortBlock),
+                         sk.cmp_);
       }
       std::uint32_t num_levels = 0;
       if (!r.get(num_levels)) {
@@ -299,6 +308,26 @@ class QuantilesSketch {
           return std::nullopt;
         }
       }
+      // n counts the stream the contents stand for: the base's weight-1
+      // items plus k * 2^(i+1) per occupied level i.  A sum that overflows
+      // is malformed too.
+      std::uint64_t weight = base_count;
+      for (std::size_t i = 0; i < sk.levels_.size(); ++i) {
+        if (sk.levels_[i].empty()) continue;
+        const std::uint64_t level_weight =
+            i + 1 < 64 && k <= (~std::uint64_t{0} >> (i + 1))
+                ? static_cast<std::uint64_t>(k) << (i + 1)
+                : 0;
+        if (level_weight == 0 || weight > ~std::uint64_t{0} - level_weight) {
+          serde::set_status(status, serde::Status::bad_payload);
+          return std::nullopt;
+        }
+        weight += level_weight;
+      }
+      if (weight != n) {
+        serde::set_status(status, serde::Status::bad_payload);
+        return std::nullopt;
+      }
       sk.dirty_ = true;
       serde::set_status(status, serde::Status::ok);
       return sk;
@@ -313,13 +342,15 @@ class QuantilesSketch {
     serde::write_header(w, serde::Engine::sequential,
                         static_cast<std::uint8_t>(sizeof(T)));
     w.put(k_);
-    w.put(static_cast<std::uint64_t>(chunk_));
+    // The presort block, clamped to the 2k base a sketch with k < 8 has.
+    w.put(static_cast<std::uint64_t>(
+        std::min<std::size_t>(core::kPresortBlock, 2 * static_cast<std::size_t>(k_))));
     w.put(n_);
     w.put(rng_.state());
     w.put(static_cast<std::uint64_t>(base_.size()));
-    // The base buffer ships in ingestion order so its sorted-chunk invariant
-    // (every completed chunk_ block is sorted in place) survives the round
-    // trip and future updates resume mid-chunk correctly.
+    // The base buffer ships in ingestion order so its sorted-block invariant
+    // (every completed 16-item block is sorted in place) survives the round
+    // trip and future updates resume mid-block correctly.
     w.put_bytes(base_.data(), base_.size() * sizeof(T));
     w.put(static_cast<std::uint32_t>(levels_.size()));
     for (const auto& level : levels_) {
@@ -328,73 +359,65 @@ class QuantilesSketch {
     }
   }
 
+  // Sorts the full base (its unsorted tail block, then one chunk merge)
+  // into scratch, keeps one parity into carry_ and propagates it.
   void compact_base() {
-    sorted_base_into(compact_scratch_);
-    std::vector<T> carry =
-        sample_odd_or_even(std::span<const T>(compact_scratch_), rng_.next_bool());
+    const std::span<const T> sorted = presort_base(base_);
+    sample_odd_or_even(sorted, rng_.next_bool(), carry_);
     base_.clear();
-    propagate(std::move(carry), 1);
+    propagate(1);
   }
 
-  // Installs a k-sized array at `level`, merging upward while occupied.
-  void propagate(std::vector<T> carry, std::uint32_t level) {
-    ladder_propagate(levels_, std::move(carry), level, rng_, cmp_);
+  // Installs carry_ (k items) at `level`, merging upward while occupied.
+  void propagate(std::uint32_t level) {
+    ladder_propagate(levels_, carry_, spare_, level, rng_, cmp_);
   }
 
-  // Produces the fully sorted contents of the base buffer in `out`.  With
-  // chunk pre-sorting on, base_ is already a sequence of sorted chunk_-runs
-  // (plus an unsorted tail below the last chunk boundary), so this is the
-  // shared chunk-merge primitive, not a full sort; either path yields the
-  // identical sorted value sequence.
-  void sorted_base_into(std::vector<T>& out) const {
-    const std::size_t n = base_.size();
-    if (chunk_ <= 1 || n <= chunk_) {
-      out = base_;
-      std::sort(out.begin(), out.end(), cmp_);
-      return;
-    }
-    chunk_scratch_ = base_;
-    const std::size_t tail = n % chunk_;
-    if (tail != 0) {
-      std::sort(chunk_scratch_.end() - static_cast<std::ptrdiff_t>(tail),
-                chunk_scratch_.end(), cmp_);
-    }
-    out.resize(n);
-    chunk_merger_.merge(std::span<const T>(chunk_scratch_), chunk_, std::span<T>(out),
-                        cmp_);
+  // The sorted contents of `base` (base_ itself, or a copy of it): its
+  // complete blocks are sorted already, so presort sorts only the tail
+  // block and merges the blocks into sorted_base_.
+  std::span<const T> presort_base(std::vector<T>& base) const {
+    sorted_base_.resize(base.size());
+    const std::size_t sorted_blocks = base.size() - base.size() % core::kPresortBlock;
+    return core::presort(std::span<T>(base), std::span<T>(sorted_base_), merger_, cmp_,
+                         sorted_blocks);
   }
 
   void build_summary() const {
     if (!dirty_) return;
     // The base buffer's sorted image is the one weight-1 run; every other
     // run (the occupied levels) is already sorted, and the multiway merge
-    // assembles the summary.
-    sorted_base_into(sorted_base_);
+    // assembles the summary.  The base stays in ingestion order, so its
+    // tail block is sorted in a copy.
+    query_base_.assign(base_.begin(), base_.end());
+    const std::span<const T> sorted = presort_base(query_base_);
     runs_.clear();
-    if (!sorted_base_.empty()) {
-      runs_.push_back({sorted_base_.data(), sorted_base_.size(), 1});
-    }
+    if (!sorted.empty()) runs_.push_back({sorted.data(), sorted.size(), 1});
     for (std::size_t i = 0; i < levels_.size(); ++i) {
       if (levels_[i].empty()) continue;
       runs_.push_back({levels_[i].data(), levels_[i].size(), 1ULL << (i + 1)});
     }
-    merger_.merge(std::span<const core::RunRef<T>>(runs_), summary_, cmp_);
+    run_merger_.merge(std::span<const core::RunRef<T>>(runs_), summary_, cmp_);
     dirty_ = false;
   }
 
   std::uint32_t k_;
   Xoshiro256 rng_;
   Compare cmp_;
-  std::size_t chunk_ = 0;  // pre-sorted chunk length; <= 1 disables
   std::uint64_t n_ = 0;
-  std::vector<T> base_;                 // weight-1 items, sorted chunk-wise
+  std::vector<T> base_;                 // weight-1 items, sorted block-wise
   std::vector<std::vector<T>> levels_;  // levels_[i]: k items of weight 2^(i+1)
-  std::vector<T> compact_scratch_;
+  // Compaction storage: the run moving up the ladder and the merge output
+  // that swaps with it.
+  std::vector<T> carry_;
+  std::vector<T> spare_;
+  // Presort storage of compaction and queries: the sorted base, its merge
+  // scratch, and the copy a query sorts the tail block of.
   mutable std::vector<T> sorted_base_;
-  mutable std::vector<T> chunk_scratch_;
-  mutable core::ChunkMerger<T, Compare> chunk_merger_;
+  mutable core::ChunkMerger<T, Compare> merger_;
+  mutable std::vector<T> query_base_;
   mutable std::vector<core::RunRef<T>> runs_;
-  mutable core::RunMerger<T, Compare> merger_;
+  mutable core::RunMerger<T, Compare> run_merger_;
   mutable core::WeightedSummary<T> summary_;
   mutable bool dirty_ = true;
 };

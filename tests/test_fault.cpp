@@ -457,6 +457,28 @@ QC_TEST(refresh_allocates_nothing) {
   CHECK(answers_of(sq) == answers_of(sharded.make_querier()));
 }
 
+// Steady-state sequential ingest allocates nothing: compaction writes the
+// sorted base, the carry and each merge's output into storage the sketch
+// keeps, and runs swap between it and the level slots.  Once a k = 64
+// sketch has compacted 2^10 times its ladder reaches level 11, so the next
+// 2^10 - 1 compactions add no level; a ladder that allocated every carry
+// and merge output would allocate ~2,000 times over them.
+QC_TEST(steady_state_sequential_ingest_allocates_nothing) {
+  InjectorScope scope;
+  const std::uint64_t batch = 2 * 64;
+  qc::sequential::QuantilesSketch<double> sk(64, 5);
+  qc::Xoshiro256 rng(19);
+  const auto compact = [&](std::uint64_t times) {
+    for (std::uint64_t i = 0; i < times * batch; ++i) sk.update(rng.next_double());
+  };
+  compact(1u << 10);
+  const std::uint64_t allocs = qc::test::alloc::total.load(std::memory_order_relaxed);
+  compact((1u << 10) - 1);
+  CHECK_EQ(qc::test::alloc::total.load(std::memory_order_relaxed), allocs);
+  CHECK_EQ(sk.size(), ((std::uint64_t{1} << 11) - 1) * batch);
+  CHECK_EQ(sk.retained(), std::uint64_t{11 * 64});  // levels 1..11 each hold one run
+}
+
 QC_TEST(answers_come_from_runs_until_the_summary_pays) {
   InjectorScope scope;
   qc::Quancurrent<double> sk(small_options(64, 16));

@@ -62,7 +62,11 @@ ChunkedInput make_chunked(std::size_t n, std::size_t chunk, std::uint64_t seed) 
 // Property test: merging pre-sorted chunks produces exactly the value
 // sequence a full sort would, for both the production ChunkMerger and the
 // generic loser-tree raw merge, across sizes, chunk lengths (dividing and
-// not), and the degenerate single-chunk / chunk-of-one cases.
+// not), and the degenerate single-chunk / chunk-of-one cases.  So does the
+// ingest presort (small_sort per 16-item block, then the chunk merge) on
+// unsorted input, with a short last block, and when the caller sorted the
+// complete blocks already: every size up to 17, FCDS's 100 and 1000 and a
+// 1024-item local buffer.
 QC_TEST(chunk_merge_equals_full_sort) {
   qc::core::ChunkMerger<double> chunk_merger;
   qc::core::RunMerger<double> tree_merger;
@@ -87,6 +91,26 @@ QC_TEST(chunk_merge_equals_full_sort) {
           std::span<double>(tree_out));
       CHECK_EQ(written, n);
       CHECK(tree_out == in.expected);
+    }
+  }
+
+  std::vector<std::size_t> presort_sizes{100, 1000, 1024};
+  for (std::size_t n = 1; n <= 17; ++n) presort_sizes.push_back(n);
+  for (const std::size_t n : presort_sizes) {
+    const std::size_t block = qc::core::kPresortBlock;
+    const auto in = make_chunked(n, 1, seed++);  // chunks of one: unsorted
+    const auto presorted = make_chunked(n, block, seed - 1);
+    const std::size_t complete = n - n % block;
+    for (std::size_t sorted_prefix : {std::size_t{0}, complete}) {
+      std::vector<double> data = in.chunked;
+      if (sorted_prefix != 0) {
+        std::copy_n(presorted.chunked.begin(), complete, data.begin());
+      }
+      std::vector<double> out(n, -1.0);
+      const auto sorted = qc::core::presort(std::span<double>(data), std::span<double>(out),
+                                            chunk_merger, std::less<double>(), sorted_prefix);
+      CHECK(std::equal(sorted.begin(), sorted.end(), in.expected.begin(), in.expected.end()));
+      CHECK_EQ(sorted.data() == data.data(), n <= block);
     }
   }
 }

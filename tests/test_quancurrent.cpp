@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bench_util/workload.hpp"
-#include "core/batch_sort.hpp"
 #include "core/quancurrent.hpp"
 #include "qc_test.hpp"
 #include "stream/exact_quantiles.hpp"
@@ -26,34 +25,6 @@ qc::core::Options small_options(std::uint32_t k, std::uint32_t b) {
 }
 
 }  // namespace
-
-QC_TEST(batch_sort_matches_std_sort) {
-  qc::Xoshiro256 rng(31);
-  std::vector<double> aux;
-  // Mixed-sign doubles, duplicates, tiny (<64) fallback path, presorted.
-  for (const std::size_t n : {std::size_t{3}, std::size_t{63}, std::size_t{64},
-                              std::size_t{8192}}) {
-    std::vector<double> a(n);
-    for (auto& v : a) {
-      v = (rng.next_double() - 0.5) * 1e6;
-      if (rng() % 4 == 0) v = static_cast<double>(static_cast<int>(v) % 16);  // dups
-    }
-    auto expected = a;
-    std::sort(expected.begin(), expected.end());
-    qc::core::batch_sort(std::span<double>(a), aux);
-    CHECK(a == expected);
-    qc::core::batch_sort(std::span<double>(a), aux);  // already sorted
-    CHECK(a == expected);
-  }
-  // Signed integers exercise the sign-flip key path.
-  std::vector<std::int64_t> ints(4096);
-  std::vector<std::int64_t> iaux;
-  for (auto& v : ints) v = static_cast<std::int64_t>(rng()) >> 16;
-  auto iexpected = ints;
-  std::sort(iexpected.begin(), iexpected.end());
-  qc::core::batch_sort(std::span<std::int64_t>(ints), iaux);
-  CHECK(ints == iexpected);
-}
 
 QC_TEST(options_normalize_clamps_b_to_divide_batches) {
   qc::core::Options o;

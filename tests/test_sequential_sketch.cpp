@@ -10,8 +10,9 @@ using qc::stream::Distribution;
 
 QC_TEST(sample_odd_or_even_halves) {
   const std::vector<double> v{0, 1, 2, 3, 4, 5};
-  const auto even = qc::sequential::sample_odd_or_even(std::span<const double>(v), false);
-  const auto odd = qc::sequential::sample_odd_or_even(std::span<const double>(v), true);
+  std::vector<double> even, odd;
+  qc::sequential::sample_odd_or_even(std::span<const double>(v), false, even);
+  qc::sequential::sample_odd_or_even(std::span<const double>(v), true, odd);
   CHECK(even == (std::vector<double>{0, 2, 4}));
   CHECK(odd == (std::vector<double>{1, 3, 5}));
 }

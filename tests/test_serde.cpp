@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <initializer_list>
 #include <vector>
 
 #include "bench_util/workload.hpp"
@@ -28,6 +29,14 @@ std::vector<std::byte> serialize_of(const S& s) {
   std::vector<std::byte> out(s.serialized_size());
   CHECK_EQ(s.serialize(out), out.size());
   return out;
+}
+
+// Sequential image layout: k at 12, chunk at 16, n at 24, base_count at 64,
+// the base items from 72, then the level count and the levels.
+template <typename V>
+void append_value(std::vector<std::byte>& image, const V& v) {
+  const auto* bytes = reinterpret_cast<const std::byte*>(&v);
+  image.insert(image.end(), bytes, bytes + sizeof(v));
 }
 
 }  // namespace
@@ -331,6 +340,119 @@ QC_TEST(sequential_deserialize_bounds_base_count_by_buffer) {
   qc::serde::Status st = qc::serde::Status::ok;
   CHECK(!qc::QuantilesSketch<double>::deserialize(blob, &st).has_value());
   CHECK(st == qc::serde::Status::short_buffer);
+}
+
+// n must equal what the contents stand for: the base's items plus
+// k * 2^(i+1) per occupied level i.  A k = 64 image of 10,000 items with n
+// patched to 0, 1 or 2^50 once loaded and answered size() 0, cdf(5000)
+// 4992 and cdf(5000) 4.4e-12.  Level weights whose sum overflows are
+// rejected even when n matches the wrapped sum, and so is a full 2k base,
+// which update() would never compact.
+QC_TEST(sequential_deserialize_checks_element_count) {
+  qc::QuantilesSketch<double> sk(64);
+  for (int i = 0; i < 10'000; ++i) sk.update(static_cast<double>(i));
+  const auto blob = serialize_of(sk);
+  qc::serde::Status st = qc::serde::Status::short_buffer;
+  CHECK(qc::QuantilesSketch<double>::deserialize(blob, &st).has_value());
+  CHECK(st == qc::serde::Status::ok);
+  for (const std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1} << 50}) {
+    auto patched = blob;
+    std::memcpy(patched.data() + 24, &n, sizeof(n));
+    st = qc::serde::Status::ok;
+    CHECK(!qc::QuantilesSketch<double>::deserialize(patched, &st).has_value());
+    CHECK(st == qc::serde::Status::bad_payload);
+  }
+
+  // A k = 3 image with an empty base, claiming n, whose levels `occupied`
+  // each hold {1, 2, 3}.
+  const auto ladder_image = [](std::uint64_t n, std::uint32_t levels,
+                               std::initializer_list<std::uint32_t> occupied) {
+    auto image = serialize_of(qc::QuantilesSketch<double>(3));
+    image.resize(72);
+    std::memcpy(image.data() + 24, &n, sizeof(n));
+    append_value(image, levels);
+    for (std::uint32_t i = 0; i < levels; ++i) {
+      const bool full = std::find(occupied.begin(), occupied.end(), i) != occupied.end();
+      append_value(image, static_cast<std::uint8_t>(full ? 1 : 0));
+      if (full) {
+        for (const double v : {1.0, 2.0, 3.0}) append_value(image, v);
+      }
+    }
+    return image;
+  };
+  const auto status_of = [](const std::vector<std::byte>& image) {
+    qc::serde::Status status = qc::serde::Status::ok;
+    (void)qc::QuantilesSketch<double>::deserialize(image, &status);
+    return status;
+  };
+  CHECK(status_of(ladder_image(3 * 2 + 3 * 8, 3, {0, 2})) == qc::serde::Status::ok);
+  // 3 * 2^63 wraps to 2^63; 3 * 2^61 + 3 * 2^62 wraps to 2^61.
+  CHECK(status_of(ladder_image(std::uint64_t{1} << 63, 63, {62})) ==
+        qc::serde::Status::bad_payload);
+  CHECK(status_of(ladder_image(std::uint64_t{1} << 61, 62, {60, 61})) ==
+        qc::serde::Status::bad_payload);
+
+  // 127 ascending items fill every block but the last; one more makes the
+  // base full and its last block sorted.
+  qc::QuantilesSketch<double> almost(64);
+  for (int i = 0; i < 127; ++i) almost.update(static_cast<double>(i));
+  auto full = serialize_of(almost);
+  const std::uint64_t count = 128;
+  const double item = 127.0;
+  std::memcpy(full.data() + 24, &count, sizeof(count));
+  std::memcpy(full.data() + 64, &count, sizeof(count));
+  const auto* item_bytes = reinterpret_cast<const std::byte*>(&item);
+  full.insert(full.begin() + 72 + 127 * sizeof(double), item_bytes,
+              item_bytes + sizeof(item));
+  CHECK(status_of(full) == qc::serde::Status::bad_payload);
+}
+
+// Images of a base presorted in other block lengths load: chunk 0 (the
+// whole base left in insertion order, as when 2k <= 256 items were sorted
+// at once) and chunk 256.  Each hand-built layout loads, answers
+// bit-identically to a sketch fed the same stream, keeps doing so while
+// both ingest on, and re-serializes with chunk 16; the chunk-0 image then
+// byte for byte like the fed sketch, whose base blocks it re-sorted.
+QC_TEST(sequential_images_of_other_presort_blocks_load) {
+  const auto check_layout = [](std::uint32_t k, std::uint64_t chunk, std::size_t n) {
+    const auto data = qc::stream::make_stream(Distribution::kUniform, n, 17 + k);
+    qc::QuantilesSketch<double> fed(k);
+    for (const double v : data) fed.update(v);
+    auto image = serialize_of(fed);
+    std::uint64_t base_count = 0;
+    std::memcpy(&base_count, image.data() + 64, sizeof(base_count));
+    std::vector<double> base(data.end() - static_cast<std::ptrdiff_t>(base_count),
+                             data.end());
+    for (std::size_t off = 0; chunk > 1 && off + chunk <= base.size(); off += chunk) {
+      std::sort(base.begin() + static_cast<std::ptrdiff_t>(off),
+                base.begin() + static_cast<std::ptrdiff_t>(off + chunk));
+    }
+    std::memcpy(image.data() + 16, &chunk, sizeof(chunk));
+    std::memcpy(image.data() + 72, base.data(), base.size() * sizeof(double));
+    CHECK(image != serialize_of(fed));
+
+    qc::serde::Status st = qc::serde::Status::short_buffer;
+    auto back = qc::QuantilesSketch<double>::deserialize(image, &st);
+    CHECK(back.has_value());
+    if (!back.has_value()) return;
+    CHECK(st == qc::serde::Status::ok);
+    CHECK_EQ(back->size(), fed.size());
+    CHECK(back->summary() == fed.summary());
+    for (int i = 0; i <= 20; ++i) CHECK(back->quantile(i / 20.0) == fed.quantile(i / 20.0));
+
+    const auto again = serialize_of(*back);
+    std::uint64_t written = 0;
+    std::memcpy(&written, again.data() + 16, sizeof(written));
+    CHECK_EQ(written, std::uint64_t{16});
+    if (chunk == 0) CHECK(again == serialize_of(fed));
+    for (const double v : data) {
+      back->update(v);
+      fed.update(v);
+    }
+    CHECK(back->summary() == fed.summary());
+  };
+  check_layout(64, 0, 128 * 50 + 77);     // 4 blocks and a 13-item tail
+  check_layout(256, 256, 512 * 7 + 300);  // one sorted 256-chunk and 44 items
 }
 
 QC_TEST(deserialize_rejects_overflowing_tail_count) {
