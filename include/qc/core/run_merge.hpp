@@ -528,10 +528,9 @@ void chunk_runs(std::span<const T> data, std::size_t chunk,
 // that are contiguous in memory.
 //
 // Unlike the loser tree this is O(R log(R/chunk)) total work rather than
-// O(R log L) comparisons with pointer-chasing constants; on uniform doubles
-// it beats a std::sort of the whole batch across k x b (see
-// micro_primitives).  The output value sequence is exactly what a full sort
-// of `data` would produce.
+// O(R log L) comparisons with pointer-chasing constants; micro_primitives
+// times it against a std::sort of the whole batch across k x b.  The output
+// value sequence is exactly what a full sort of `data` would produce.
 template <typename T, typename Compare = std::less<T>>
 class ChunkMerger {
  public:
